@@ -35,7 +35,6 @@ from .protocol import (
     bell_pair,
     make_config,
     monte_carlo,
-    prepare_initial,
     run_control_round,
     run_message_round,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "parameterize_unitary",
     "partial_trace",
     "post_encoding_ensemble",
-    "prepare_initial",
     "product_family",
     "run_control_round",
     "run_message_round",

@@ -67,7 +67,7 @@ class EncodingEnsemble:
 
     def __post_init__(self) -> None:
         total = sum(p for p, _ in self.members)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"member probabilities sum to {total:.12g}, not 1")
 
     def average(self) -> qlinalg.DensityMatrix:
@@ -93,7 +93,7 @@ def validate_attack(spec: AttackSpec) -> list[str]:
         )
     else:
         norm = float(np.linalg.norm(chi))
-        if abs(norm - 1.0) > qlinalg.ATOL_NORM:
+        if not abs(norm - 1.0) <= qlinalg.ATOL_NORM:
             violations.append(f"ancilla state norm {norm:.12g} differs from 1 by {abs(norm - 1.0):.3g}")
     u = spec.unitary
     if u.ndim != 2 or u.shape != (dim, dim):
@@ -104,29 +104,47 @@ def validate_attack(spec: AttackSpec) -> list[str]:
     return violations
 
 
-def _require_valid(spec: AttackSpec) -> None:
+def _attacked_rows(spec: AttackSpec, config: "ProtocolConfig") -> np.ndarray:
+    """Validated attacked amplitudes, one row per home-qubit value.
+
+    Row h holds U(<h|_home|initial>⊗|χ>) over travel⊗ancilla: a single
+    row U(|b>⊗|χ>) in simplified mode, two rows (home = 0, 1) in bell
+    mode.  The attack is validated here, and the trace of the attacked
+    state checked, once; everything derived from the rows is trusted.
+    """
     violations = validate_attack(spec)
     if violations:
         raise InvalidAttackError("; ".join(violations))
+    initial = config.bob_initial.amplitudes.reshape(-1, 2)
+    rows = np.kron(initial, spec.ancilla_state) @ spec.unitary.T
+    qlinalg._check_trace(np.vdot(rows, rows))
+    return rows
 
 
-def _attacked_pure_state(spec: AttackSpec, config: "ProtocolConfig") -> np.ndarray:
-    """Amplitudes after the forward-leg attack.
+def _encoded_rows(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """(K, *rows.shape) rows after each op ``ops[k]`` acts on the travel qubit."""
+    psi = rows.reshape(rows.shape[0], 2, -1)
+    return np.einsum("kts,hsa->khta", ops, psi).reshape((len(ops),) + rows.shape)
 
-    Simplified mode: U(|b>⊗|χ>) on travel⊗ancilla.  Bell mode:
-    (I_home⊗U)(|pair>⊗|χ>) on home⊗travel⊗ancilla.
+
+def _encoded_members(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
+    """(K, n, n) stack of post-encoding states on travel⊗ancilla, home traced out."""
+    encoded = _encoded_rows(rows, np.array([op.entries for op in config.encoding_ops]))
+    return np.einsum("khi,khj->kij", encoded, encoded.conj())
+
+
+def _control_outcomes(rows: np.ndarray, config: "ProtocolConfig") -> tuple[float, np.ndarray]:
+    """d and the exact outcome distribution of one control round.
+
+    Bell mode: index 2·home + travel of the computational-basis outcomes.
+    Simplified mode: 0 = travel found in the sent state, 1 = orthogonal to it.
     """
-    chi = spec.ancilla_state
-    psi0 = np.kron(config.bob_initial.amplitudes, chi)
     if config.mode == "bell":
-        full = np.kron(np.eye(2, dtype=complex), spec.unitary)
-    else:
-        full = spec.unitary
-    if full.shape[0] != psi0.size:
-        raise qlinalg.DimensionMismatchError(
-            f"attack dimension {spec.unitary.shape[0]} does not fit mode {config.mode!r}"
-        )
-    return full @ psi0
+        probs = np.sum(np.abs(rows.reshape(4, -1)) ** 2, axis=1)
+        return min(max(float(probs[0] + probs[3]), 0.0), 1.0), probs
+    overlap = config.bob_initial.amplitudes.conj() @ rows.reshape(2, -1)
+    d = min(max(1.0 - float(np.vdot(overlap, overlap).real), 0.0), 1.0)
+    return d, np.array([1.0 - d, d])
 
 
 def apply_attack(spec: AttackSpec, config: "ProtocolConfig") -> qlinalg.DensityMatrix:
@@ -135,8 +153,7 @@ def apply_attack(spec: AttackSpec, config: "ProtocolConfig") -> qlinalg.DensityM
     Returns the full density matrix: travel⊗ancilla in simplified mode,
     home⊗travel⊗ancilla in bell mode.  Trace is preserved within 1e-12.
     """
-    _require_valid(spec)
-    psi = _attacked_pure_state(spec, config)
+    psi = _attacked_rows(spec, config).ravel()
     return qlinalg.DensityMatrix(np.outer(psi, psi.conj()))
 
 
@@ -147,18 +164,9 @@ def post_encoding_ensemble(spec: AttackSpec, config: "ProtocolConfig") -> Encodi
     (A_j⊗I_anc)ρ'(A_j⊗I_anc)† on travel⊗ancilla; in bell mode the home
     qubit is traced out first since it is never accessible.
     """
-    _require_valid(spec)
-    rho = apply_attack(spec, config)
-    if config.mode == "bell":
-        rho = qlinalg.partial_trace(rho, (2, 2, spec.ancilla_dim), (1, 2))
-    eye_anc = np.eye(spec.ancilla_dim, dtype=complex)
-    members = []
-    for op, prior in zip(config.encoding_ops, config.priors):
-        lifted = np.kron(op.entries, eye_anc)
-        members.append(
-            (prior, qlinalg.DensityMatrix(lifted @ rho.entries @ lifted.conj().T))
-        )
-    return EncodingEnsemble(members=tuple(members), config=config)
+    members = _encoded_members(_attacked_rows(spec, config), config)
+    pairs = tuple((p, qlinalg.DensityMatrix(rho)) for p, rho in zip(config.priors, members))
+    return EncodingEnsemble(members=pairs, config=config)
 
 
 def detection_probability(spec: AttackSpec, config: "ProtocolConfig") -> float:
@@ -170,16 +178,7 @@ def detection_probability(spec: AttackSpec, config: "ProtocolConfig") -> float:
     home; the unattacked pair is perfectly anticorrelated, so d is the
     probability the outcomes are equal.
     """
-    rho = apply_attack(spec, config)
-    if config.mode == "bell":
-        rho_ht = qlinalg.partial_trace(rho, (2, 2, spec.ancilla_dim), (0, 1))
-        probs = np.real(np.diag(rho_ht.entries))
-        d = float(probs[0] + probs[3])
-    else:
-        b = config.bob_initial.amplitudes
-        rho_t = qlinalg.partial_trace(rho, (2, spec.ancilla_dim), 0)
-        d = 1.0 - float(np.real(np.vdot(b, rho_t.entries @ b)))
-    return min(max(d, 0.0), 1.0)
+    return _control_outcomes(_attacked_rows(spec, config), config)[0]
 
 
 def _counterexample_unitary() -> np.ndarray:

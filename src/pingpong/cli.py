@@ -246,6 +246,16 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_attack_io(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("attack_file", help="JSON attack file (ancilla_dim, chi, unitary)")
     parser.add_argument("--mode", choices=protocol_mod.MODES, default="simplified")
@@ -269,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="Monte Carlo check of the analytic d")
     _add_attack_io(simulate)
-    simulate.add_argument("--rounds", type=int, default=100_000)
+    simulate.add_argument("--rounds", type=_positive_int, default=100_000)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.set_defaults(func=cmd_simulate)
 
@@ -286,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--budget", type=int, default=2000,
                        help="objective evaluations per restart")
     sweep.add_argument("--family", choices=("full", "product"), default="full")
-    sweep.add_argument("--ancilla-dim", type=int, default=2)
+    sweep.add_argument("--ancilla-dim", type=_positive_int, default=2)
     sweep.set_defaults(func=cmd_sweep)
 
     verify = sub.add_parser("verify", help="run the full invariant suite")

@@ -17,7 +17,8 @@ from . import attack as attack_mod
 from . import protocol as protocol_mod
 from . import qlinalg
 
-_SUBSYSTEMS = ("travel", "ancilla", "composite")
+# Subsystems of travel⊗ancilla and the indices partial traces keep.
+_SUBSYSTEMS = {"travel": (0,), "ancilla": (1,), "composite": (0, 1)}
 _CLAIMED_COMPOSITE_BITS = 2.0
 
 
@@ -59,11 +60,18 @@ def binary_entropy(x: float) -> float:
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
 
 
-def _reduce(member: qlinalg.DensityMatrix, subsystem: str, ancilla_dim: int) -> qlinalg.DensityMatrix:
-    if subsystem == "composite":
-        return member
-    dims = (2, ancilla_dim)
-    return qlinalg.partial_trace(member, dims, 0 if subsystem == "travel" else 1)
+def _with_average(priors: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The (K, n, n) member stack with the mixture Σ p ρ prepended as entry 0."""
+    return np.concatenate([np.tensordot(priors, members, axes=1)[None], members])
+
+
+def _entropy_and_holevo(
+    priors: np.ndarray, stack: np.ndarray, ancilla_dim: int, subsystem: str
+) -> tuple[float, float]:
+    """S(Σ p ρ) and χ on a subsystem of a ``_with_average`` stack, in one eigensolve."""
+    reduced = qlinalg._partial_trace(stack, (2, ancilla_dim), _SUBSYSTEMS[subsystem])
+    entropies = qlinalg._entropies(reduced)
+    return float(entropies[0]), float(entropies[0] - priors @ entropies[1:])
 
 
 def holevo_bound(ensemble: attack_mod.EncodingEnsemble, subsystem: str) -> float:
@@ -72,13 +80,11 @@ def holevo_bound(ensemble: attack_mod.EncodingEnsemble, subsystem: str) -> float
     ``subsystem`` is one of travel, ancilla, composite.
     """
     if subsystem not in _SUBSYSTEMS:
-        raise ValueError(f"unknown subsystem {subsystem!r}; known: {_SUBSYSTEMS}")
-    anc = ensemble.members[0][1].dim // 2
-    reduced = [(p, _reduce(rho, subsystem, anc)) for p, rho in ensemble.members]
-    avg = qlinalg.DensityMatrix(sum(p * rho.entries for p, rho in reduced))
-    mixture_entropy = qlinalg.von_neumann_entropy(avg)
-    member_entropy = sum(p * qlinalg.von_neumann_entropy(rho) for p, rho in reduced)
-    return mixture_entropy - member_entropy
+        raise ValueError(f"unknown subsystem {subsystem!r}; known: {tuple(_SUBSYSTEMS)}")
+    priors = np.array([p for p, _ in ensemble.members])
+    members = np.array([rho.entries for _, rho in ensemble.members])
+    stack = _with_average(priors, members)
+    return _entropy_and_holevo(priors, stack, members.shape[1] // 2, subsystem)[1]
 
 
 def _is_canonical_counterexample(
@@ -117,15 +123,13 @@ def information_report(
     All quantities are computed from the post-encoding ensemble the
     eavesdropper faces; nothing is assumed from any claimed value.
     """
-    ensemble = attack_mod.post_encoding_ensemble(spec, config)
-    d = attack_mod.detection_probability(spec, config)
-    average = ensemble.average()
-    dims = (2, spec.ancilla_dim)
-    i0c = qlinalg.von_neumann_entropy(average)
-    i0t = qlinalg.von_neumann_entropy(qlinalg.partial_trace(average, dims, 0))
-    i0a = qlinalg.von_neumann_entropy(qlinalg.partial_trace(average, dims, 1))
-    holevo_t = holevo_bound(ensemble, "travel")
-    holevo_c = holevo_bound(ensemble, "composite")
+    rows = attack_mod._attacked_rows(spec, config)
+    d = attack_mod._control_outcomes(rows, config)[0]
+    priors = np.array(config.priors)
+    stack = _with_average(priors, attack_mod._encoded_members(rows, config))
+    i0c, holevo_c = _entropy_and_holevo(priors, stack, spec.ancilla_dim, "composite")
+    i0t, holevo_t = _entropy_and_holevo(priors, stack, spec.ancilla_dim, "travel")
+    i0a = _entropy_and_holevo(priors, stack, spec.ancilla_dim, "ancilla")[0]
     deviation = None
     if _is_canonical_counterexample(spec, config):
         deviation = ClaimDeviation(

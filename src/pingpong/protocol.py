@@ -81,7 +81,7 @@ class ProtocolConfig:
         if any(p < 0 for p in self.priors):
             raise ValueError("priors must be non-negative")
         total = sum(self.priors)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"priors sum to {total:.12g}, not 1 within 1e-12")
         if not 0.0 <= self.control_probability <= 1.0:
             raise ValueError(f"control_probability {self.control_probability} outside [0, 1]")
@@ -92,7 +92,7 @@ class ProtocolConfig:
             )
         if self.mode == "bell":
             dev = float(np.max(np.abs(self.bob_initial.amplitudes - bell_pair().amplitudes)))
-            if dev > 1e-12:
+            if not dev <= 1e-12:
                 raise ValueError("bell mode uses the fixed pair (|01> + |10>)/√2")
 
 
@@ -142,26 +142,6 @@ class RoundOutcome:
             raise ValueError("message rounds leave detected unset")
 
 
-def prepare_initial(config: ProtocolConfig) -> qlinalg.StateVector:
-    """State Bob sends before any interference: |b> or the entangled pair."""
-    return config.bob_initial
-
-
-def _control_distribution(
-    config: ProtocolConfig, spec: attack_mod.AttackSpec
-) -> tuple[float, np.ndarray]:
-    """Analytic d plus the exact outcome distribution the sampler draws from."""
-    d = attack_mod.detection_probability(spec, config)
-    rho = attack_mod.apply_attack(spec, config)
-    if config.mode == "bell":
-        rho_ht = qlinalg.partial_trace(rho, (2, 2, spec.ancilla_dim), (0, 1))
-        probs = np.clip(np.real(np.diag(rho_ht.entries)), 0.0, None)
-    else:
-        # Outcome 0 = travel found in the sent state, 1 = orthogonal to it.
-        probs = np.array([1.0 - d, d])
-    return d, probs / probs.sum()
-
-
 def run_control_round(
     config: ProtocolConfig, spec: attack_mod.AttackSpec
 ) -> tuple[float, Callable[[np.random.Generator], RoundOutcome]]:
@@ -173,7 +153,8 @@ def run_control_round(
     outcomes flag tampering since the clean pair is anticorrelated.
     The sampler draws from the exact joint outcome distribution.
     """
-    d, probs = _control_distribution(config, spec)
+    d, probs = attack_mod._control_outcomes(attack_mod._attacked_rows(spec, config), config)
+    probs = probs / probs.sum()
     bell = config.mode == "bell"
 
     def sampler(rng: np.random.Generator) -> RoundOutcome:
@@ -221,11 +202,9 @@ class MessageRoundResult:
 
 def _decode_candidates(config: ProtocolConfig) -> list[np.ndarray] | None:
     """Normalized states Bob distinguishes; None if they are not orthogonal."""
-    base = config.bob_initial.amplitudes
-    candidates = []
-    for op in config.encoding_ops:
-        lifted = np.kron(np.eye(2, dtype=complex), op.entries) if config.mode == "bell" else op.entries
-        candidates.append(lifted @ base)
+    base = config.bob_initial.amplitudes.reshape(-1, 2)
+    ops = np.array([op.entries for op in config.encoding_ops])
+    candidates = list(attack_mod._encoded_rows(base, ops).reshape(len(ops), -1))
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
             if abs(np.vdot(candidates[i], candidates[j])) > 1e-10:
@@ -236,23 +215,17 @@ def _decode_candidates(config: ProtocolConfig) -> list[np.ndarray] | None:
 def _decode_distribution(
     config: ProtocolConfig, spec: attack_mod.AttackSpec, bit: int
 ) -> tuple[qlinalg.DensityMatrix, tuple[float, ...] | None, float | None]:
-    rho = attack_mod.apply_attack(spec, config)
-    op = config.encoding_ops[bit].entries
-    if config.mode == "bell":
-        lifted = np.kron(np.kron(np.eye(2, dtype=complex), op), np.eye(spec.ancilla_dim, dtype=complex))
-    else:
-        lifted = np.kron(op, np.eye(spec.ancilla_dim, dtype=complex))
-    final = qlinalg.DensityMatrix(lifted @ rho.entries @ lifted.conj().T)
+    rows = attack_mod._attacked_rows(spec, config)
+    psi = attack_mod._encoded_rows(rows, config.encoding_ops[bit].entries[None])[0]
+    final = qlinalg.DensityMatrix(np.outer(psi.ravel(), psi.ravel().conj()))
     candidates = _decode_candidates(config)
     if candidates is None:
         return final, None, None
-    eye_anc = np.eye(spec.ancilla_dim, dtype=complex)
-    probs = []
-    for cand in candidates:
-        proj = np.kron(np.outer(cand, cand.conj()), eye_anc)
-        probs.append(max(0.0, float(np.real(np.trace(proj @ final.entries)))))
+    # Bob projects home⊗travel (bell) or travel onto each candidate.
+    amplitudes = np.array(candidates).conj() @ psi.reshape(len(candidates[0]), -1)
+    probs = tuple(float(p) for p in np.sum(np.abs(amplitudes) ** 2, axis=1))
     failure = max(0.0, 1.0 - sum(probs))
-    return final, tuple(probs), failure
+    return final, probs, failure
 
 
 def run_message_round(

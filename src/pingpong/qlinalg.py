@@ -66,7 +66,7 @@ class StateVector:
         if arr.size < 2:
             raise DimensionMismatchError(f"state needs dimension >= 2, got {arr.size}")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > ATOL_NORM:
+        if not abs(norm - 1.0) <= ATOL_NORM:
             raise ValueError(f"state norm {norm:.12g} is not 1 within {ATOL_NORM}")
         object.__setattr__(self, "amplitudes", arr)
 
@@ -102,16 +102,10 @@ class DensityMatrix:
     def __init__(self, entries) -> None:
         arr = _frozen_complex(entries, "matrix")
         herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm_dev > ATOL_HERMITIAN:
+        if not herm_dev <= ATOL_HERMITIAN:
             raise ValueError(f"matrix is not Hermitian: max |ρ - ρ†| = {herm_dev:.3g}")
-        trace = complex(np.trace(arr))
-        if abs(trace - 1.0) > ATOL_TRACE:
-            raise ValueError(f"trace {trace:.12g} is not 1 within {ATOL_TRACE}")
-        lo = float(np.min(np.linalg.eigvalsh(arr)))
-        if lo < -ATOL_EIGENVALUE:
-            raise NotPositiveSemidefiniteError(
-                f"eigenvalue {lo:.3g} below the -{ATOL_EIGENVALUE} window"
-            )
+        _check_trace(np.trace(arr))
+        _spectrum(arr)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -159,6 +153,12 @@ def to_density(s: StateVector) -> DensityMatrix:
     return DensityMatrix(np.outer(s.amplitudes, s.amplitudes.conj()))
 
 
+def _check_trace(trace) -> None:
+    """Raise ValueError unless ``trace`` is 1 within 1e-10 (NaN fails)."""
+    if not abs(trace - 1.0) <= ATOL_TRACE:
+        raise ValueError(f"trace {complex(trace):.12g} is not 1 within {ATOL_TRACE}")
+
+
 def partial_trace(
     rho: DensityMatrix, dims: Sequence[int], keep: int | Sequence[int]
 ) -> DensityMatrix:
@@ -188,14 +188,35 @@ def partial_trace(
         raise DimensionMismatchError(f"keep={keep!r} does not index subsystems of {dims}")
     if list(kept) != sorted(set(kept)):
         raise DimensionMismatchError(f"keep indices must be ascending and unique, got {keep!r}")
+    return DensityMatrix(_partial_trace(rho.entries, dims, kept))
+
+
+def _partial_trace(arrays: np.ndarray, dims: tuple[int, ...], kept: tuple[int, ...]) -> np.ndarray:
+    """``partial_trace`` on a raw matrix or a stack of them, without validation."""
     n = len(dims)
-    tensor = rho.entries.reshape(dims + dims)
+    lead = arrays.shape[:-2]
     row_axes = list(range(n))
     col_axes = [n + i if i in kept else i for i in range(n)]
     out_axes = [i for i in kept] + [n + i for i in kept]
-    reduced = np.einsum(tensor, row_axes + col_axes, out_axes)
+    reduced = np.einsum(arrays.reshape(lead + dims + dims), [...] + row_axes + col_axes, [...] + out_axes)
     kept_dim = int(np.prod([dims[i] for i in kept]))
-    return DensityMatrix(reduced.reshape(kept_dim, kept_dim))
+    return reduced.reshape(lead + (kept_dim, kept_dim))
+
+
+def _spectrum(arrays: np.ndarray) -> np.ndarray:
+    """``hermitian_eigenvalues`` of a raw matrix or a stack of them, ascending."""
+    evals = np.linalg.eigvalsh(arrays)
+    lo = float(evals.min())
+    if not lo >= -ATOL_EIGENVALUE:
+        raise NotPositiveSemidefiniteError(f"eigenvalue {lo:.3g} below the -{ATOL_EIGENVALUE} window")
+    return np.clip(evals, 0.0, 1.0)
+
+
+def _entropies(arrays: np.ndarray) -> np.ndarray:
+    """``von_neumann_entropy`` of a raw matrix or of each matrix in a stack."""
+    evals = _spectrum(arrays)[..., ::-1]
+    logs = np.log2(evals, out=np.zeros_like(evals), where=evals > 0.0)
+    return -(evals * logs).sum(axis=-1) + 0.0  # +0.0 folds -0.0 away
 
 
 def hermitian_eigenvalues(rho: DensityMatrix) -> list[float]:
@@ -204,21 +225,12 @@ def hermitian_eigenvalues(rho: DensityMatrix) -> list[float]:
     Eigenvalues in [-1e-10, 0) are treated as numerical noise and clipped
     to zero; anything below -1e-10 raises NotPositiveSemidefiniteError.
     """
-    evals = np.linalg.eigvalsh(rho.entries)
-    lo = float(evals.min())
-    if lo < -ATOL_EIGENVALUE:
-        raise NotPositiveSemidefiniteError(
-            f"eigenvalue {lo:.3g} below the -{ATOL_EIGENVALUE} window"
-        )
-    clipped = np.clip(evals, 0.0, 1.0)
-    return [float(v) for v in sorted(clipped, reverse=True)]
+    return [float(v) for v in _spectrum(rho.entries)[::-1]]
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy S(ρ) = -Σ λ log₂ λ in bits, with 0·log₂0 = 0."""
-    evals = np.array(hermitian_eigenvalues(rho))
-    evals = evals[evals > 0.0]
-    return float(-(evals * np.log2(evals)).sum()) + 0.0  # +0.0 folds -0.0 away
+    return float(_entropies(rho.entries))
 
 
 def is_unitary(u, tol: float) -> bool:
@@ -250,7 +262,7 @@ def measure_projective(
             f"basis of {len(vectors)} vectors does not span dimension {dim}"
         )
     gram = np.array([[np.vdot(u, v) for v in vectors] for u in vectors])
-    if np.max(np.abs(gram - np.eye(dim))) > ATOL_NORM:
+    if not np.max(np.abs(gram - np.eye(dim))) <= ATOL_NORM:
         raise ValueError("basis is not orthonormal within 1e-10")
     probs = np.array([float(np.real(np.vdot(v, rho @ v))) for v in vectors])
     return np.clip(probs, 0.0, 1.0)

@@ -59,9 +59,10 @@ def test_composite_dim():
 
 
 def test_validate_reports_bad_norm():
-    spec = pp.AttackSpec(2, np.array([1.0, 1.0]), np.eye(4))
-    msgs = attack.validate_attack(spec)
-    assert len(msgs) == 1 and "norm" in msgs[0]
+    for chi in ([1.0, 1.0], [math.nan, 0.0], [math.inf, 0.0], [1.0, math.nan * 1j]):
+        spec = pp.AttackSpec(2, np.array(chi), np.eye(4))
+        msgs = attack.validate_attack(spec)
+        assert len(msgs) == 1 and "norm" in msgs[0], chi
 
 
 def test_validate_reports_non_unitary_coupling():

@@ -97,11 +97,12 @@ def test_report_corrupt_json_exits_3(capsys, tmp_path):
 
 
 def test_report_invalid_attack_exits_3(capsys, tmp_path):
-    bad = pp.AttackSpec(2, np.array([1.0, 1.0]), np.eye(4))
-    path = tmp_path / "bad.json"
-    files.save_attack(bad, path)
-    assert cli.main(["report", str(path)]) == 3
-    assert "norm" in capsys.readouterr().err
+    for chi in ([1.0, 1.0], [np.nan, 0.0]):
+        bad = pp.AttackSpec(2, np.array(chi), np.eye(4))
+        path = tmp_path / "bad.json"
+        files.save_attack(bad, path)
+        assert cli.main(["report", str(path)]) == 3
+        assert "norm" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +239,12 @@ def test_no_arguments_exits_2():
 
 def test_unknown_subcommand_exits_2():
     assert cli.main(["frobnicate"]) == 2
+
+
+def test_non_positive_counts_exit_2(capsys, attack_path):
+    for argv in (["simulate", attack_path, "--rounds", "0"], ["sweep", "--ancilla-dim", "0"]):
+        assert cli.main(argv) == 2
+        assert argv[-2] in capsys.readouterr().err
 
 
 def test_internal_errors_map_to_exit_1(capsys, monkeypatch, attack_path):

@@ -121,6 +121,53 @@ def test_report_composite_entropy_matches_charpoly_route(simplified_config):
         assert abs(rep.i0c - want) < 5e-6
 
 
+def _reference_report(spec, config):
+    """The report rebuilt from density matrices: kron-lifted ops, one
+    partial trace and one entropy per marginal."""
+    rho = attack.apply_attack(spec, config)
+    anc = spec.ancilla_dim
+    dims = (2, anc)
+    if config.mode == "bell":
+        home_travel = np.real(np.diag(pp.partial_trace(rho, (2, 2, anc), (0, 1)).entries))
+        d = home_travel[0] + home_travel[3]
+        rho = pp.partial_trace(rho, (2, 2, anc), (1, 2))
+    else:
+        b = config.bob_initial.amplitudes
+        d = 1.0 - np.real(np.vdot(b, pp.partial_trace(rho, dims, 0).entries @ b))
+    members = []
+    for op in config.encoding_ops:
+        lifted = np.kron(op.entries, np.eye(anc))
+        members.append(pp.DensityMatrix(lifted @ rho.entries @ lifted.conj().T))
+    average = pp.DensityMatrix(sum(p * m.entries for p, m in zip(config.priors, members)))
+    entropy = pp.von_neumann_entropy
+    i0t = entropy(pp.partial_trace(average, dims, 0))
+    i0c = entropy(average)
+    return {
+        "d": d,
+        "i0t": i0t,
+        "i0a": entropy(pp.partial_trace(average, dims, 1)),
+        "i0c": i0c,
+        "holevo_t": i0t - sum(
+            p * entropy(pp.partial_trace(m, dims, 0)) for p, m in zip(config.priors, members)
+        ),
+        "holevo_c": i0c - sum(p * entropy(m) for p, m in zip(config.priors, members)),
+    }
+
+
+def test_report_matches_density_matrix_reference():
+    rng = np.random.default_rng(67)
+    configs = [pp.make_config(m, encoding=e) for m in ("simplified", "bell") for e in ("iz", "paulis")]
+    worst = 0.0
+    for anc in (1, 2, 4):
+        for _ in range(5):
+            spec = search.sample_random_attack(anc, rng)
+            for config in configs:
+                rep = metrics.information_report(spec, config)
+                for name, want in _reference_report(spec, config).items():
+                    worst = max(worst, abs(getattr(rep, name) - want))
+    assert worst < 1e-12, worst
+
+
 # ---------------------------------------------------------------------------
 # holevo bounds
 

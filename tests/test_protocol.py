@@ -57,20 +57,14 @@ def test_config_rejects_bad_control_probability():
 
 def test_config_rejects_bad_priors():
     ops, _ = protocol.encoding_set("iz")
-    with pytest.raises(ValueError):
-        protocol.ProtocolConfig(
-            mode="simplified",
-            bob_initial=qlinalg.basis_state(2, 0),
-            encoding_ops=ops,
-            priors=(0.6, 0.6),
-        )
-    with pytest.raises(ValueError):
-        protocol.ProtocolConfig(
-            mode="simplified",
-            bob_initial=qlinalg.basis_state(2, 0),
-            encoding_ops=ops,
-            priors=(1.5, -0.5),
-        )
+    for priors in ((0.6, 0.6), (1.5, -0.5), (math.nan, math.nan), (math.inf, 0.0)):
+        with pytest.raises(ValueError):
+            protocol.ProtocolConfig(
+                mode="simplified",
+                bob_initial=qlinalg.basis_state(2, 0),
+                encoding_ops=ops,
+                priors=priors,
+            )
 
 
 def test_bell_mode_pins_the_pair():
@@ -81,11 +75,6 @@ def test_bell_mode_pins_the_pair():
 def test_config_rejects_wrong_initial_dimension():
     with pytest.raises(qlinalg.DimensionMismatchError):
         pp.make_config("simplified", bob_initial=protocol.bell_pair())
-
-
-def test_prepare_initial(simplified_config, bell_config):
-    assert protocol.prepare_initial(simplified_config) is simplified_config.bob_initial
-    assert protocol.prepare_initial(bell_config).dim == 4
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ def test_state_vector_accepts_normalized_input():
 
 
 def test_state_vector_rejects_unnormalized_input():
-    with pytest.raises(ValueError, match="norm"):
-        pp.StateVector(np.array([1.0, 1.0]))
+    for amps in ([1.0, 1.0], [math.nan, 0.0], [math.inf, 0.0]):
+        with pytest.raises(ValueError, match="norm"):
+            pp.StateVector(np.array(amps))
 
 
 def test_state_vector_rejects_dimension_below_two():
@@ -53,8 +54,16 @@ def test_unitary_rejects_non_unitary_entries():
 
 
 def test_density_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        pp.DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
+    nan, inf = math.nan, math.inf
+    bad = (
+        [[0.5, 1.0], [0.0, 0.5]],
+        [[nan, nan], [nan, nan]],
+        [[1.0, 0.0], [0.0, nan]],
+        [[inf, 0.0], [0.0, 0.5]],
+    )
+    for m in bad:
+        with pytest.raises(ValueError, match="Hermitian"):
+            pp.DensityMatrix(np.array(m))
 
 
 def test_density_rejects_wrong_trace():
