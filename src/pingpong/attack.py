@@ -116,8 +116,15 @@ def _attacked_rows(spec: AttackSpec, config: "ProtocolConfig") -> np.ndarray:
     if violations:
         raise InvalidAttackError("; ".join(violations))
     initial = config.bob_initial.amplitudes.reshape(-1, 2)
-    rows = np.kron(initial, spec.ancilla_state) @ spec.unitary.T
-    qlinalg._check_trace(np.vdot(rows, rows))
+    lifted = (initial[:, :, None] * spec.ancilla_state).reshape(len(initial), -1)
+    rows = lifted @ spec.unitary.T
+    trace = np.vdot(rows, rows)
+    # A norm and a unitarity deviation, each within its tolerance, can add up
+    # past 1e-10 here: the attack is then invalid for this sent state.
+    if not abs(trace - 1.0) <= qlinalg.ATOL_TRACE:
+        raise InvalidAttackError(
+            f"attacked state norm² {trace.real:.12g} is not 1 within {qlinalg.ATOL_TRACE}"
+        )
     return rows
 
 

@@ -313,6 +313,9 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE_IO
     try:
         return args.func(args)
+    except attack_mod.InvalidAttackError as exc:
+        print(f"invalid attack: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except Exception as exc:  # stable exit-code contract over stack traces
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -17,9 +17,10 @@ from . import attack as attack_mod
 from . import protocol as protocol_mod
 from . import qlinalg
 
-# Subsystems of travel⊗ancilla and the indices partial traces keep.
-_SUBSYSTEMS = {"travel": (0,), "ancilla": (1,), "composite": (0, 1)}
+# Subsystems of travel⊗ancilla, in the row order of _subsystem_entropies.
+_SUBSYSTEMS = ("composite", "travel", "ancilla")
 _CLAIMED_COMPOSITE_BITS = 2.0
+_COUNTEREXAMPLE = attack_mod.builtin_attack("counterexample")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,16 +63,28 @@ def binary_entropy(x: float) -> float:
 
 def _with_average(priors: np.ndarray, members: np.ndarray) -> np.ndarray:
     """The (K, n, n) member stack with the mixture Σ p ρ prepended as entry 0."""
-    return np.concatenate([np.tensordot(priors, members, axes=1)[None], members])
+    mixture = (priors @ members.reshape(len(members), -1)).reshape(members.shape[1:])
+    return np.concatenate([mixture[None], members])
 
 
-def _entropy_and_holevo(
-    priors: np.ndarray, stack: np.ndarray, ancilla_dim: int, subsystem: str
-) -> tuple[float, float]:
-    """S(Σ p ρ) and χ on a subsystem of a ``_with_average`` stack, in one eigensolve."""
-    reduced = qlinalg._partial_trace(stack, (2, ancilla_dim), _SUBSYSTEMS[subsystem])
-    entropies = qlinalg._entropies(reduced)
-    return float(entropies[0]), float(entropies[0] - priors @ entropies[1:])
+def _subsystem_entropies(stack: np.ndarray, ancilla_dim: int) -> np.ndarray:
+    """(3, L) entropies of composite, travel and ancilla for an (L, n, n) stack.
+
+    The two marginals are zero-padded to n×n so that one eigensolve covers
+    all three; padding adds only zero eigenvalues, which contribute 0·log 0 = 0.
+    """
+    count, n = stack.shape[0], stack.shape[-1]
+    parts = stack.reshape(count, 2, ancilla_dim, 2, ancilla_dim)
+    padded = np.zeros((3, count, n, n), dtype=complex)
+    padded[0] = stack
+    padded[1, :, :2, :2] = np.einsum("kiaja->kij", parts)
+    padded[2, :, :ancilla_dim, :ancilla_dim] = np.einsum("kiaib->kab", parts)
+    return qlinalg._entropies(padded)
+
+
+def _holevo(priors: np.ndarray, entropies: np.ndarray) -> float:
+    """χ from one subsystem's ``_subsystem_entropies`` row: S(mixture) - Σ p S(ρ)."""
+    return float(entropies[0] - priors @ entropies[1:])
 
 
 def holevo_bound(ensemble: attack_mod.EncodingEnsemble, subsystem: str) -> float:
@@ -80,11 +93,11 @@ def holevo_bound(ensemble: attack_mod.EncodingEnsemble, subsystem: str) -> float
     ``subsystem`` is one of travel, ancilla, composite.
     """
     if subsystem not in _SUBSYSTEMS:
-        raise ValueError(f"unknown subsystem {subsystem!r}; known: {tuple(_SUBSYSTEMS)}")
+        raise ValueError(f"unknown subsystem {subsystem!r}; known: {_SUBSYSTEMS}")
     priors = np.array([p for p, _ in ensemble.members])
     members = np.array([rho.entries for _, rho in ensemble.members])
-    stack = _with_average(priors, members)
-    return _entropy_and_holevo(priors, stack, members.shape[1] // 2, subsystem)[1]
+    entropies = _subsystem_entropies(_with_average(priors, members), members.shape[1] // 2)
+    return _holevo(priors, entropies[_SUBSYSTEMS.index(subsystem)])
 
 
 def _is_canonical_counterexample(
@@ -93,16 +106,15 @@ def _is_canonical_counterexample(
     """Simplified mode, |0> sent, {I, Z} encoding, builtin counterexample arrays."""
     if config.mode != "simplified":
         return False
-    reference = attack_mod.builtin_attack("counterexample")
-    if spec.ancilla_dim != reference.ancilla_dim:
+    if spec.ancilla_dim != _COUNTEREXAMPLE.ancilla_dim:
         return False
-    if spec.ancilla_state.shape != reference.ancilla_state.shape:
+    if spec.ancilla_state.shape != _COUNTEREXAMPLE.ancilla_state.shape:
         return False
-    if spec.unitary.shape != reference.unitary.shape:
+    if spec.unitary.shape != _COUNTEREXAMPLE.unitary.shape:
         return False
-    if np.max(np.abs(spec.ancilla_state - reference.ancilla_state)) > 1e-12:
+    if np.max(np.abs(spec.ancilla_state - _COUNTEREXAMPLE.ancilla_state)) > 1e-12:
         return False
-    if np.max(np.abs(spec.unitary - reference.unitary)) > 1e-12:
+    if np.max(np.abs(spec.unitary - _COUNTEREXAMPLE.unitary)) > 1e-12:
         return False
     if np.max(np.abs(config.bob_initial.amplitudes - np.array([1.0, 0.0]))) > 1e-12:
         return False
@@ -127,9 +139,8 @@ def information_report(
     d = attack_mod._control_outcomes(rows, config)[0]
     priors = np.array(config.priors)
     stack = _with_average(priors, attack_mod._encoded_members(rows, config))
-    i0c, holevo_c = _entropy_and_holevo(priors, stack, spec.ancilla_dim, "composite")
-    i0t, holevo_t = _entropy_and_holevo(priors, stack, spec.ancilla_dim, "travel")
-    i0a = _entropy_and_holevo(priors, stack, spec.ancilla_dim, "ancilla")[0]
+    composite, travel, ancilla = _subsystem_entropies(stack, spec.ancilla_dim)
+    i0c = float(composite[0])
     deviation = None
     if _is_canonical_counterexample(spec, config):
         deviation = ClaimDeviation(
@@ -139,11 +150,11 @@ def information_report(
         )
     return InfoReport(
         d=d,
-        i0t=i0t,
-        i0a=i0a,
+        i0t=float(travel[0]),
+        i0a=float(ancilla[0]),
         i0c=i0c,
-        holevo_t=holevo_t,
-        holevo_c=holevo_c,
+        holevo_t=_holevo(priors, travel),
+        holevo_c=_holevo(priors, composite),
         claim_deviation=deviation,
     )
 

@@ -200,11 +200,11 @@ class MessageRoundResult:
     orthogonal_decoding: bool
 
 
-def _decode_candidates(config: ProtocolConfig) -> list[np.ndarray] | None:
-    """Normalized states Bob distinguishes; None if they are not orthogonal."""
+def _decode_candidates(config: ProtocolConfig) -> np.ndarray | None:
+    """Normalized states Bob distinguishes, one per row; None if they are not orthogonal."""
     base = config.bob_initial.amplitudes.reshape(-1, 2)
     ops = np.array([op.entries for op in config.encoding_ops])
-    candidates = list(attack_mod._encoded_rows(base, ops).reshape(len(ops), -1))
+    candidates = attack_mod._encoded_rows(base, ops).reshape(len(ops), -1)
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
             if abs(np.vdot(candidates[i], candidates[j])) > 1e-10:
@@ -213,19 +213,21 @@ def _decode_candidates(config: ProtocolConfig) -> list[np.ndarray] | None:
 
 
 def _decode_distribution(
-    config: ProtocolConfig, spec: attack_mod.AttackSpec, bit: int
-) -> tuple[qlinalg.DensityMatrix, tuple[float, ...] | None, float | None]:
-    rows = attack_mod._attacked_rows(spec, config)
-    psi = attack_mod._encoded_rows(rows, config.encoding_ops[bit].entries[None])[0]
-    final = qlinalg.DensityMatrix(np.outer(psi.ravel(), psi.ravel().conj()))
-    candidates = _decode_candidates(config)
+    rows: np.ndarray, op: np.ndarray, candidates: np.ndarray | None
+) -> tuple[np.ndarray, tuple[float, ...] | None, float | None]:
+    """Encoded rows after ``op``, and Bob's decode probabilities and failure weight.
+
+    ``rows`` are the ``attack._attacked_rows``; ``candidates`` come from
+    ``_decode_candidates`` and the distribution is None when they are.
+    """
+    psi = attack_mod._encoded_rows(rows, op[None])[0]
     if candidates is None:
-        return final, None, None
+        return psi, None, None
     # Bob projects home⊗travel (bell) or travel onto each candidate.
-    amplitudes = np.array(candidates).conj() @ psi.reshape(len(candidates[0]), -1)
+    amplitudes = candidates.conj() @ psi.reshape(candidates.shape[1], -1)
     probs = tuple(float(p) for p in np.sum(np.abs(amplitudes) ** 2, axis=1))
     failure = max(0.0, 1.0 - sum(probs))
-    return final, probs, failure
+    return psi, probs, failure
 
 
 def run_message_round(
@@ -244,7 +246,12 @@ def run_message_round(
     """
     if not 0 <= bit < len(config.encoding_ops):
         raise ValueError(f"bit {bit!r} does not index {len(config.encoding_ops)} encoding ops")
-    final, probs, failure = _decode_distribution(config, spec, bit)
+    psi, probs, failure = _decode_distribution(
+        attack_mod._attacked_rows(spec, config),
+        config.encoding_ops[bit].entries,
+        _decode_candidates(config),
+    )
+    final = qlinalg.DensityMatrix(np.outer(psi.ravel(), psi.ravel().conj()))
     if probs is None:
         return MessageRoundResult(
             final_state=final,
@@ -292,7 +299,8 @@ def monte_carlo(
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     rng = np.random.default_rng(seed)
-    d, _ = run_control_round(config, spec)
+    rows = attack_mod._attacked_rows(spec, config)
+    d = attack_mod._control_outcomes(rows, config)[0]
     is_control = rng.random(rounds) < config.control_probability
     n_control = int(is_control.sum())
     n_message = rounds - n_control
@@ -300,9 +308,11 @@ def monte_carlo(
 
     n_ops = len(config.encoding_ops)
     bits = rng.choice(n_ops, size=n_message, p=np.array(config.priors))
-    per_bit = [_decode_distribution(config, spec, b)[1:] for b in range(n_ops)]
-    decodable = all(probs is not None for probs, _ in per_bit)
-    if n_message and decodable:
+    candidates = _decode_candidates(config)
+    if n_message and candidates is not None:
+        per_bit = [
+            _decode_distribution(rows, op.entries, candidates)[1:] for op in config.encoding_ops
+        ]
         table = np.array([list(probs) + [failure] for probs, failure in per_bit])
         table = np.clip(table, 0.0, None)
         table /= table.sum(axis=1, keepdims=True)

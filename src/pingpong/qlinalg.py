@@ -104,7 +104,9 @@ class DensityMatrix:
         herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
         if not herm_dev <= ATOL_HERMITIAN:
             raise ValueError(f"matrix is not Hermitian: max |ρ - ρ†| = {herm_dev:.3g}")
-        _check_trace(np.trace(arr))
+        trace = np.trace(arr)
+        if not abs(trace - 1.0) <= ATOL_TRACE:
+            raise ValueError(f"trace {complex(trace):.12g} is not 1 within {ATOL_TRACE}")
         _spectrum(arr)
         object.__setattr__(self, "entries", arr)
 
@@ -153,12 +155,6 @@ def to_density(s: StateVector) -> DensityMatrix:
     return DensityMatrix(np.outer(s.amplitudes, s.amplitudes.conj()))
 
 
-def _check_trace(trace) -> None:
-    """Raise ValueError unless ``trace`` is 1 within 1e-10 (NaN fails)."""
-    if not abs(trace - 1.0) <= ATOL_TRACE:
-        raise ValueError(f"trace {complex(trace):.12g} is not 1 within {ATOL_TRACE}")
-
-
 def partial_trace(
     rho: DensityMatrix, dims: Sequence[int], keep: int | Sequence[int]
 ) -> DensityMatrix:
@@ -188,19 +184,12 @@ def partial_trace(
         raise DimensionMismatchError(f"keep={keep!r} does not index subsystems of {dims}")
     if list(kept) != sorted(set(kept)):
         raise DimensionMismatchError(f"keep indices must be ascending and unique, got {keep!r}")
-    return DensityMatrix(_partial_trace(rho.entries, dims, kept))
-
-
-def _partial_trace(arrays: np.ndarray, dims: tuple[int, ...], kept: tuple[int, ...]) -> np.ndarray:
-    """``partial_trace`` on a raw matrix or a stack of them, without validation."""
     n = len(dims)
-    lead = arrays.shape[:-2]
-    row_axes = list(range(n))
     col_axes = [n + i if i in kept else i for i in range(n)]
     out_axes = [i for i in kept] + [n + i for i in kept]
-    reduced = np.einsum(arrays.reshape(lead + dims + dims), [...] + row_axes + col_axes, [...] + out_axes)
+    reduced = np.einsum(rho.entries.reshape(dims + dims), list(range(n)) + col_axes, out_axes)
     kept_dim = int(np.prod([dims[i] for i in kept]))
-    return reduced.reshape(lead + (kept_dim, kept_dim))
+    return DensityMatrix(reduced.reshape(kept_dim, kept_dim))
 
 
 def _spectrum(arrays: np.ndarray) -> np.ndarray:

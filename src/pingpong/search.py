@@ -10,6 +10,7 @@ stronger, because the search carries no optimality certificate.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable
 
@@ -35,20 +36,30 @@ def parameterize_unitary(theta, dim: int) -> qlinalg.UnitaryOperator:
     one (re, im) pair per upper off-diagonal entry, row-major) and the
     result is exp(iH) via the eigendecomposition of H.
     """
+    return qlinalg.UnitaryOperator(_unitary(theta, dim))
+
+
+@functools.cache
+def _generator_slots(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of the diagonal, upper and lower entries of a dim×dim
+    generator; the upper/lower pairs are in row-major upper-triangle order."""
+    rows, cols = np.triu_indices(dim, 1)
+    return np.arange(dim) * (dim + 1), rows * dim + cols, cols * dim + rows
+
+
+def _unitary(theta, dim: int) -> np.ndarray:
+    """``parameterize_unitary`` as a raw array, without the unitarity check."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (dim * dim,):
         raise ValueError(f"need {dim * dim} parameters for dimension {dim}, got shape {theta.shape}")
-    gen = np.zeros((dim, dim), dtype=complex)
-    gen[np.diag_indices(dim)] = theta[:dim]
-    k = dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            gen[i, j] = theta[k] + 1j * theta[k + 1]
-            gen[j, i] = theta[k] - 1j * theta[k + 1]
-            k += 2
-    evals, vecs = np.linalg.eigh(gen)
-    u = (vecs * np.exp(1j * evals)) @ vecs.conj().T
-    return qlinalg.UnitaryOperator(u)
+    diagonal, upper, lower = _generator_slots(dim)
+    re, im = theta[dim::2], theta[dim + 1::2]
+    gen = np.zeros(dim * dim, dtype=complex)
+    gen[diagonal] = theta[:dim]
+    gen[upper] = re + 1j * im
+    gen[lower] = re - 1j * im
+    evals, vecs = np.linalg.eigh(gen.reshape(dim, dim))
+    return (vecs * np.exp(1j * evals)) @ vecs.conj().T
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
@@ -100,6 +111,15 @@ class AttackFamily:
     build: Callable[[NDArray[np.float64]], attack_mod.AttackSpec]
 
 
+def _ground_ancilla(ancilla_dim: int) -> NDArray[np.complex128]:
+    """The pinned ancilla start state |0> of the attack families."""
+    if ancilla_dim < 1:
+        raise ValueError(f"ancilla_dim must be >= 1, got {ancilla_dim}")
+    chi = np.zeros(ancilla_dim, dtype=complex)
+    chi[0] = 1.0
+    return chi
+
+
 def full_unitary_family(ancilla_dim: int = 2) -> AttackFamily:
     """Every coupling unitary on travel⊗ancilla, ancilla pinned to |0>.
 
@@ -107,14 +127,11 @@ def full_unitary_family(ancilla_dim: int = 2) -> AttackFamily:
     can be absorbed into the coupling.
     """
     dim = 2 * ancilla_dim
-    chi = np.zeros(ancilla_dim, dtype=complex)
-    chi[0] = 1.0
+    chi = _ground_ancilla(ancilla_dim)
 
     def build(theta: NDArray[np.float64]) -> attack_mod.AttackSpec:
         return attack_mod.AttackSpec(
-            ancilla_dim=ancilla_dim,
-            ancilla_state=chi,
-            unitary=parameterize_unitary(theta, dim).entries,
+            ancilla_dim=ancilla_dim, ancilla_state=chi, unitary=_unitary(theta, dim)
         )
 
     return AttackFamily(name="full", ancilla_dim=ancilla_dim, param_count=dim * dim, build=build)
@@ -122,14 +139,13 @@ def full_unitary_family(ancilla_dim: int = 2) -> AttackFamily:
 
 def product_family(ancilla_dim: int = 2) -> AttackFamily:
     """Non-entangling couplings U_travel ⊗ U_ancilla, ancilla pinned to |0>."""
-    chi = np.zeros(ancilla_dim, dtype=complex)
-    chi[0] = 1.0
+    chi = _ground_ancilla(ancilla_dim)
     travel_params = 4
     anc_params = ancilla_dim * ancilla_dim
 
     def build(theta: NDArray[np.float64]) -> attack_mod.AttackSpec:
-        u_travel = parameterize_unitary(theta[:travel_params], 2).entries
-        u_anc = parameterize_unitary(theta[travel_params:], ancilla_dim).entries
+        u_travel = _unitary(theta[:travel_params], 2)
+        u_anc = _unitary(theta[travel_params:], ancilla_dim)
         return attack_mod.AttackSpec(
             ancilla_dim=ancilla_dim,
             ancilla_state=chi,

@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pingpong as pp
-from pingpong import cli, files, qlinalg
+from pingpong import cli, files, qlinalg, search
 
 
 @pytest.fixture
@@ -97,12 +99,60 @@ def test_report_corrupt_json_exits_3(capsys, tmp_path):
 
 
 def test_report_invalid_attack_exits_3(capsys, tmp_path):
-    for chi in ([1.0, 1.0], [np.nan, 0.0]):
+    # 1 + 0.9e-10 passes the norm check but not the attacked state's trace
+    for chi in ([1.0, 1.0], [np.nan, 0.0], [1.0 + 0.9e-10, 0.0]):
         bad = pp.AttackSpec(2, np.array(chi), np.eye(4))
         path = tmp_path / "bad.json"
         files.save_attack(bad, path)
         assert cli.main(["report", str(path)]) == 3
         assert "norm" in capsys.readouterr().err
+
+
+_EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 0.0])
+_BAD_DIMS = st.one_of(
+    st.integers(-2, 5), st.floats(allow_nan=True), st.text(max_size=2), st.booleans(), st.none()
+)
+
+
+@st.composite
+def _attack_documents(draw):
+    """Attack-file mappings: a random valid attack with a few entries broken."""
+    dim = draw(st.integers(1, 3))
+    doc = files.attack_to_dict(search.sample_random_attack(dim, draw(st.integers(0, 2**32 - 1))))
+    for _ in range(draw(st.integers(0, 3))):
+        rows = [doc["chi"]] + doc["unitary"]
+        row = draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(("extreme", "nudge", "scale", "ragged", "dim")))
+        if kind == "dim":
+            doc["ancilla_dim"] = draw(_BAD_DIMS)
+        elif kind == "scale":  # a norm within the 1e-10 tolerance of 1
+            factor = 1.0 + draw(st.floats(-1e-10, 1e-10))
+            row[:] = [[re * factor, im * factor] for re, im in row]
+        elif not row:
+            continue
+        elif kind == "ragged":
+            del row[draw(st.integers(0, len(row) - 1))]
+        else:
+            pair = draw(st.sampled_from(row))
+            part = draw(st.integers(0, 1))
+            if kind == "extreme":
+                pair[part] = draw(_EXTREMES)
+            else:  # within a few validation tolerances of the valid value
+                pair[part] += draw(st.floats(-3e-10, 3e-10))
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    doc=_attack_documents(),
+    mode=st.sampled_from(("simplified", "bell")),
+    encoding=st.sampled_from(("iz", "paulis")),
+)
+def test_report_exit_code_contract(tmp_path_factory, doc, mode, encoding):
+    path = tmp_path_factory.mktemp("fuzz") / "attack.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["report", str(path), "--mode", mode, "--encoding", encoding])
+    assert code in (0, 2, 3)
 
 
 # ---------------------------------------------------------------------------

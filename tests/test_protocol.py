@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pingpong as pp
-from pingpong import protocol, qlinalg
+from pingpong import attack, protocol, qlinalg
 
 import oracles
 
@@ -226,6 +226,21 @@ def test_monte_carlo_is_deterministic(counterexample, bell_config):
     assert a.counts == b.counts
     assert a.empirical_d == b.empirical_d
     assert a.empirical_decode_accuracy == b.empirical_decode_accuracy
+
+
+def test_monte_carlo_validates_the_attack_once(counterexample, monkeypatch):
+    calls = []
+    original = attack.validate_attack
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(attack, "validate_attack", counted)
+    config = pp.make_config("bell", encoding="paulis")
+    stats = protocol.monte_carlo(config, counterexample, rounds=2000, seed=13)
+    assert stats.counts["message_rounds"] > 0
+    assert len(calls) == 1
 
 
 def test_monte_carlo_counts_are_consistent(counterexample, bell_config):

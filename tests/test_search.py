@@ -50,6 +50,29 @@ def test_parameterization_reaches_the_probe_coupling():
     assert np.max(np.abs(u.entries - target)) < 1e-12
 
 
+def _loop_parameterization(theta, dim):
+    """exp(iH) with H filled by the row-major double loop over the upper triangle."""
+    gen = np.zeros((dim, dim), dtype=complex)
+    gen[np.diag_indices(dim)] = theta[:dim]
+    k = dim
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            gen[i, j] = theta[k] + 1j * theta[k + 1]
+            gen[j, i] = theta[k] - 1j * theta[k + 1]
+            k += 2
+    evals, vecs = np.linalg.eigh(gen)
+    return (vecs * np.exp(1j * evals)) @ vecs.conj().T
+
+
+def test_parameterization_layout_matches_the_row_major_loop():
+    rng = np.random.default_rng(61)
+    for dim in (2, 3, 4):
+        for _ in range(20):
+            theta = rng.uniform(-math.pi, math.pi, dim * dim)
+            u = search.parameterize_unitary(theta, dim)
+            assert np.array_equal(u.entries, _loop_parameterization(theta, dim))
+
+
 def test_probe_coupling_recoverable_from_perturbed_start():
     # local refinement pulls a +-0.3 perturbation back onto the probe
     theta_star = np.zeros(16)
@@ -94,6 +117,9 @@ def test_random_attack_seed_determinism():
 def test_random_attack_rejects_bad_dim():
     with pytest.raises(ValueError):
         search.sample_random_attack(0, 1)
+    for family in (search.full_unitary_family, search.product_family):
+        with pytest.raises(ValueError, match="ancilla_dim"):
+            family(0)
 
 
 def test_random_attack_single_dim_ancilla():
@@ -264,6 +290,30 @@ def test_sweep_orders_points_and_reproduces(simplified_config):
             assert abs(
                 point.best_i0t - metrics.binary_entropy(point.d_achieved)
             ) < 1e-8
+
+
+# (d_target, objective, evaluations, feasible, d_achieved, best_value) of the
+# seeded sweep below, values at 12 significant digits.  Any change to the
+# evaluation kernel or the build that moves the optimizer's path shows here.
+PINNED_SWEEP = (
+    (0.1, "i0t", 300, False, "0.141979584913", "0.589399779729"),
+    (0.1, "i0a", 300, False, "0.134201756291", "0.374099932222"),
+    (0.1, "i0c", 300, False, "0.122593583264", "0.536770373541"),
+    (0.4, "i0t", 300, True, "0.400926310647", "0.971489873137"),
+    (0.4, "i0a", 300, False, "0.597902272169", "0.357462896623"),
+    (0.4, "i0c", 300, True, "0.400585617648", "0.971292128216"),
+)
+
+
+def test_seeded_sweep_is_pinned(simplified_config):
+    cfg = search.SweepConfig(d_grid=(0.1, 0.4), restarts=2, budget_per_restart=150, seed=5)
+    result = search.sweep(search.full_unitary_family(2), simplified_config, cfg)
+    got = tuple(
+        (p.d_target, p.objective, p.evaluations, p.feasible,
+         f"{p.d_achieved:.12g}", f"{p.best_value:.12g}")
+        for p in result.points
+    )
+    assert got == PINNED_SWEEP
 
 
 def test_sweep_with_all_objectives(simplified_config):
