@@ -8,6 +8,7 @@ output is deterministic given flags and seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -57,26 +58,6 @@ def _render_report(report: metrics.InfoReport) -> list[str]:
     return lines
 
 
-def _report_json(report: metrics.InfoReport) -> str:
-    deviation = report.claim_deviation
-    payload = {
-        "d": report.d,
-        "i0t": report.i0t,
-        "i0a": report.i0a,
-        "i0c": report.i0c,
-        "holevo_t": report.holevo_t,
-        "holevo_c": report.holevo_c,
-        "claim_deviation": None
-        if deviation is None
-        else {
-            "claimed": deviation.claimed,
-            "computed": deviation.computed,
-            "delta": deviation.delta,
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def cmd_demo(args: argparse.Namespace) -> int:
     spec = attack_mod.builtin_attack("counterexample")
     config = protocol_mod.make_config("simplified")
@@ -89,31 +70,26 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return EXIT_OK if solid else EXIT_INTERNAL
 
 
-def _load_validated_attack(path: str) -> attack_mod.AttackSpec | int:
+def _load_attack(path: str) -> attack_mod.AttackSpec | int:
+    """Parsed attack file, or an exit code; consumers validate the attack itself."""
     try:
-        spec = files_mod.load_attack(path)
+        return files_mod.load_attack(path)
     except OSError as exc:
         print(f"cannot read attack file: {exc}", file=sys.stderr)
         return EXIT_USAGE_IO
     except files_mod.AttackFileError as exc:
         print(f"invalid attack file: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    violations = attack_mod.validate_attack(spec)
-    if violations:
-        for violation in violations:
-            print(f"invalid attack: {violation}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return spec
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    spec = _load_validated_attack(args.attack_file)
+    spec = _load_attack(args.attack_file)
     if isinstance(spec, int):
         return spec
     config = protocol_mod.make_config(args.mode, encoding=args.encoding)
     report = metrics.information_report(spec, config)
     if args.json:
-        print(_report_json(report))
+        print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     else:
         print(f"attack report ({args.mode} mode, encoding {args.encoding})")
         print()
@@ -122,7 +98,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = _load_validated_attack(args.attack_file)
+    spec = _load_attack(args.attack_file)
     if isinstance(spec, int):
         return spec
     # All simulated rounds are control rounds so --rounds sets the
@@ -314,7 +290,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except attack_mod.InvalidAttackError as exc:
-        print(f"invalid attack: {exc}", file=sys.stderr)
+        for violation in str(exc).splitlines():
+            print(f"invalid attack: {violation}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # stable exit-code contract over stack traces
         print(f"internal error: {exc}", file=sys.stderr)

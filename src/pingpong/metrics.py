@@ -20,7 +20,18 @@ from . import qlinalg
 # Subsystems of travel⊗ancilla, in the row order of _subsystem_entropies.
 _SUBSYSTEMS = ("composite", "travel", "ancilla")
 _CLAIMED_COMPOSITE_BITS = 2.0
+_INEQUALITY_TOL = 1e-8
+# The canonical counterexample setting, in the order _is_canonical_counterexample
+# reads it: χ, U, the sent |0>, the stacked {I, Z} encoding and its priors.
 _COUNTEREXAMPLE = attack_mod.builtin_attack("counterexample")
+_IZ_OPS, _IZ_PRIORS = protocol_mod.encoding_set("iz")
+_CANONICAL = (
+    _COUNTEREXAMPLE.ancilla_state,
+    _COUNTEREXAMPLE.unitary,
+    qlinalg.basis_state(2, 0).amplitudes,
+    np.array([op.entries for op in _IZ_OPS]),
+    np.array(_IZ_PRIORS),
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,25 +117,17 @@ def _is_canonical_counterexample(
     """Simplified mode, |0> sent, {I, Z} encoding, builtin counterexample arrays."""
     if config.mode != "simplified":
         return False
-    if spec.ancilla_dim != _COUNTEREXAMPLE.ancilla_dim:
-        return False
-    if spec.ancilla_state.shape != _COUNTEREXAMPLE.ancilla_state.shape:
-        return False
-    if spec.unitary.shape != _COUNTEREXAMPLE.unitary.shape:
-        return False
-    if np.max(np.abs(spec.ancilla_state - _COUNTEREXAMPLE.ancilla_state)) > 1e-12:
-        return False
-    if np.max(np.abs(spec.unitary - _COUNTEREXAMPLE.unitary)) > 1e-12:
-        return False
-    if np.max(np.abs(config.bob_initial.amplitudes - np.array([1.0, 0.0]))) > 1e-12:
-        return False
-    wanted_ops, wanted_priors = protocol_mod.encoding_set("iz")
-    if len(config.encoding_ops) != len(wanted_ops):
-        return False
-    for op, want in zip(config.encoding_ops, wanted_ops):
-        if np.max(np.abs(op.entries - want.entries)) > 1e-12:
-            return False
-    return all(abs(p - w) <= 1e-12 for p, w in zip(config.priors, wanted_priors))
+    actual = (
+        spec.ancilla_state,
+        spec.unitary,
+        config.bob_initial.amplitudes,
+        [op.entries for op in config.encoding_ops],
+        config.priors,
+    )
+    return all(
+        np.shape(got) == want.shape and np.max(np.abs(np.subtract(got, want))) <= 1e-12
+        for got, want in zip(actual, _CANONICAL)
+    )
 
 
 def information_report(
@@ -168,15 +171,15 @@ class InequalityDiagnostics:
     margins: dict[str, float]
 
 
-def entropy_inequality_check(report: InfoReport, tol: float = 1e-8) -> InequalityDiagnostics:
+def entropy_inequality_check(report: InfoReport) -> InequalityDiagnostics:
     """Margins of S(c) <= S(t) + S(a) and S(c) >= |S(t) - S(a)|.
 
-    A margin is the slack of the inequality; both must sit above -tol.
+    A margin is the slack of the inequality; both must sit above -1e-8.
     """
     subadditivity = report.i0t + report.i0a - report.i0c
     araki_lieb = report.i0c - abs(report.i0t - report.i0a)
     return InequalityDiagnostics(
-        subadditivity_ok=subadditivity >= -tol,
-        araki_lieb_ok=araki_lieb >= -tol,
+        subadditivity_ok=subadditivity >= -_INEQUALITY_TOL,
+        araki_lieb_ok=araki_lieb >= -_INEQUALITY_TOL,
         margins={"subadditivity": subadditivity, "araki_lieb": araki_lieb},
     )

@@ -200,34 +200,26 @@ class MessageRoundResult:
     orthogonal_decoding: bool
 
 
-def _decode_candidates(config: ProtocolConfig) -> np.ndarray | None:
-    """Normalized states Bob distinguishes, one per row; None if they are not orthogonal."""
-    base = config.bob_initial.amplitudes.reshape(-1, 2)
-    ops = np.array([op.entries for op in config.encoding_ops])
-    candidates = attack_mod._encoded_rows(base, ops).reshape(len(ops), -1)
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            if abs(np.vdot(candidates[i], candidates[j])) > 1e-10:
-                return None
-    return candidates
+def _decode_table(rows: np.ndarray, config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """Encoded rows per bit, and Bob's (K, K+1) decode table.
 
-
-def _decode_distribution(
-    rows: np.ndarray, op: np.ndarray, candidates: np.ndarray | None
-) -> tuple[np.ndarray, tuple[float, ...] | None, float | None]:
-    """Encoded rows after ``op``, and Bob's decode probabilities and failure weight.
-
-    ``rows`` are the ``attack._attacked_rows``; ``candidates`` come from
-    ``_decode_candidates`` and the distribution is None when they are.
+    ``rows`` are the ``attack._attacked_rows``.  Row k of the table holds,
+    for bit k sent, the probability that Bob's measurement reports each
+    encoding, then the weight outside every decode projector.  The table
+    is None when the decode candidates (the encoded images of the initial
+    state) are not orthogonal, so that no decoding is defined.
     """
-    psi = attack_mod._encoded_rows(rows, op[None])[0]
-    if candidates is None:
-        return psi, None, None
+    ops = np.array([op.entries for op in config.encoding_ops])
+    encoded = attack_mod._encoded_rows(rows, ops)
+    base = config.bob_initial.amplitudes.reshape(-1, 2)
+    candidates = attack_mod._encoded_rows(base, ops).reshape(len(ops), -1)
+    if np.any(np.abs(np.triu(candidates.conj() @ candidates.T, 1)) > 1e-10):
+        return encoded, None
     # Bob projects home⊗travel (bell) or travel onto each candidate.
-    amplitudes = candidates.conj() @ psi.reshape(candidates.shape[1], -1)
-    probs = tuple(float(p) for p in np.sum(np.abs(amplitudes) ** 2, axis=1))
-    failure = max(0.0, 1.0 - sum(probs))
-    return psi, probs, failure
+    amplitudes = candidates.conj() @ encoded.reshape(len(ops), candidates.shape[1], -1)
+    probs = np.sum(np.abs(amplitudes) ** 2, axis=2)
+    failure = np.maximum(0.0, 1.0 - probs.sum(axis=1))
+    return encoded, np.column_stack([probs, failure])
 
 
 def run_message_round(
@@ -246,13 +238,10 @@ def run_message_round(
     """
     if not 0 <= bit < len(config.encoding_ops):
         raise ValueError(f"bit {bit!r} does not index {len(config.encoding_ops)} encoding ops")
-    psi, probs, failure = _decode_distribution(
-        attack_mod._attacked_rows(spec, config),
-        config.encoding_ops[bit].entries,
-        _decode_candidates(config),
-    )
-    final = qlinalg.DensityMatrix(np.outer(psi.ravel(), psi.ravel().conj()))
-    if probs is None:
+    encoded, table = _decode_table(attack_mod._attacked_rows(spec, config), config)
+    psi = encoded[bit].ravel()
+    final = qlinalg.DensityMatrix(np.outer(psi, psi.conj()))
+    if table is None:
         return MessageRoundResult(
             final_state=final,
             decoded_bit=None,
@@ -260,18 +249,17 @@ def run_message_round(
             failure_probability=None,
             orthogonal_decoding=False,
         )
-    outcomes = list(probs) + [failure]
+    outcomes = table[bit]
     if rng is None:
         decoded = int(np.argmax(outcomes))
     else:
-        weights = np.clip(np.array(outcomes), 0.0, None)
+        weights = np.clip(outcomes, 0.0, None)
         decoded = int(rng.choice(len(outcomes), p=weights / weights.sum()))
-    decoded_bit = None if decoded == len(probs) else decoded
     return MessageRoundResult(
         final_state=final,
-        decoded_bit=decoded_bit,
-        decode_probabilities=probs,
-        failure_probability=failure,
+        decoded_bit=None if decoded == len(outcomes) - 1 else decoded,
+        decode_probabilities=tuple(float(p) for p in outcomes[:-1]),
+        failure_probability=float(outcomes[-1]),
         orthogonal_decoding=True,
     )
 
@@ -308,12 +296,8 @@ def monte_carlo(
 
     n_ops = len(config.encoding_ops)
     bits = rng.choice(n_ops, size=n_message, p=np.array(config.priors))
-    candidates = _decode_candidates(config)
-    if n_message and candidates is not None:
-        per_bit = [
-            _decode_distribution(rows, op.entries, candidates)[1:] for op in config.encoding_ops
-        ]
-        table = np.array([list(probs) + [failure] for probs, failure in per_bit])
+    table = _decode_table(rows, config)[1]
+    if n_message and table is not None:
         table = np.clip(table, 0.0, None)
         table /= table.sum(axis=1, keepdims=True)
         draws = rng.random(n_message)

@@ -83,8 +83,8 @@ class UnitaryOperator:
 
     def __init__(self, entries) -> None:
         arr = _frozen_complex(entries, "matrix")
-        if not is_unitary(arr, ATOL_UNITARY):
-            dev = float(np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0]))))
+        dev = _unitarity_deviation(arr)
+        if not dev <= ATOL_UNITARY:
             raise ValueError(f"matrix is not unitary: max |U†U - I| = {dev:.3g}")
         object.__setattr__(self, "entries", arr)
 
@@ -222,13 +222,22 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(_entropies(rho.entries))
 
 
+def _unitarity_deviation(arr: np.ndarray) -> float:
+    """max-entry |U†U - I| of a raw square matrix.
+
+    Huge, infinite or NaN entries give inf or NaN without a numpy warning;
+    ``dev <= tol`` is False for both, so such a matrix fails every tolerance.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0]))))
+
+
 def is_unitary(u, tol: float) -> bool:
     """True iff max-entry |U†U - I| <= tol.  Accepts a raw square matrix."""
     arr = u.entries if isinstance(u, UnitaryOperator) else np.asarray(u, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
-    dev = np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])))
-    return bool(dev <= tol)
+    return bool(_unitarity_deviation(arr) <= tol)
 
 
 def measure_projective(

@@ -25,6 +25,7 @@ from . import qlinalg
 
 OBJECTIVES = ("i0t", "i0a", "i0c")
 PENALTY_WEIGHT = 100.0  # bits per squared excess detection gap
+EXCEEDANCE_MARGIN = 0.01  # bits by which i0a or i0c must beat i0t to be flagged
 
 _NM_OPTIONS = {"xatol": 1e-7, "fatol": 1e-12, "adaptive": True}
 
@@ -87,8 +88,7 @@ def sample_random_attack(ancilla_dim: int, rng_seed) -> attack_mod.AttackSpec:
 
     Deterministic per integer seed; a numpy Generator is also accepted.
     """
-    if ancilla_dim < 1:
-        raise ValueError(f"ancilla_dim must be >= 1, got {ancilla_dim}")
+    _check_ancilla_dim(ancilla_dim)
     rng = _as_rng(rng_seed)
     return attack_mod.AttackSpec(
         ancilla_dim=ancilla_dim,
@@ -111,10 +111,14 @@ class AttackFamily:
     build: Callable[[NDArray[np.float64]], attack_mod.AttackSpec]
 
 
-def _ground_ancilla(ancilla_dim: int) -> NDArray[np.complex128]:
-    """The pinned ancilla start state |0> of the attack families."""
+def _check_ancilla_dim(ancilla_dim: int) -> None:
     if ancilla_dim < 1:
         raise ValueError(f"ancilla_dim must be >= 1, got {ancilla_dim}")
+
+
+def _ground_ancilla(ancilla_dim: int) -> NDArray[np.complex128]:
+    """The pinned ancilla start state |0> of the attack families."""
+    _check_ancilla_dim(ancilla_dim)
     chi = np.zeros(ancilla_dim, dtype=complex)
     chi[0] = 1.0
     return chi
@@ -313,7 +317,6 @@ class SummaryRow:
 @dataclasses.dataclass(frozen=True)
 class SweepSummary:
     rows: tuple[SummaryRow, ...]
-    exceedance_margin: float = 0.01
     note: str = "empirical max found; search values are lower bounds with no optimality certificate"
 
 
@@ -323,7 +326,7 @@ class SweepResult:
     summary: SweepSummary
 
 
-def _summarize(points: tuple[CurvePoint, ...], margin: float) -> SweepSummary:
+def _summarize(points: tuple[CurvePoint, ...]) -> SweepSummary:
     rows = []
     for d_target in sorted({p.d_target for p in points}):
         here = {p.objective: p for p in points if p.d_target == d_target}
@@ -333,7 +336,7 @@ def _summarize(points: tuple[CurvePoint, ...], margin: float) -> SweepSummary:
         def compare(name: str) -> bool | None:
             if "i0t" not in best or name not in best:
                 return None
-            return best[name] > best["i0t"] + margin
+            return best[name] > best["i0t"] + EXCEEDANCE_MARGIN
 
         rows.append(
             SummaryRow(
@@ -344,7 +347,7 @@ def _summarize(points: tuple[CurvePoint, ...], margin: float) -> SweepSummary:
                 infeasible_objectives=infeasible,
             )
         )
-    return SweepSummary(rows=tuple(rows), exceedance_margin=margin)
+    return SweepSummary(rows=tuple(rows))
 
 
 def sweep(
@@ -372,5 +375,5 @@ def sweep(
     points.sort(key=lambda p: (p.d_target, sweep_cfg.objectives.index(p.objective)))
     return SweepResult(
         points=tuple(points),
-        summary=_summarize(tuple(points), margin=0.01),
+        summary=_summarize(tuple(points)),
     )

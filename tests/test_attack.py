@@ -90,6 +90,8 @@ def test_validate_never_raises_on_garbage():
         pp.AttackSpec(2, np.array([1.0, 0.0]), np.ones((3, 5))),
         pp.AttackSpec(-1, np.array([]), np.zeros((0, 0))),
     )
+    bad_dims = (math.nan, math.inf, -math.inf, None, True, 2.5, "2")
+    weird += tuple(pp.AttackSpec(dim, np.array([1.0, 0.0]), np.eye(4)) for dim in bad_dims)
     for spec in weird:
         assert attack.validate_attack(spec)  # non-empty, but no exception
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 
@@ -108,6 +110,16 @@ def test_report_invalid_attack_exits_3(capsys, tmp_path):
         assert "norm" in capsys.readouterr().err
 
 
+def test_invalid_attack_prints_one_line_per_violation(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    files.save_attack(pp.AttackSpec(2, np.array([1.0, 0.0, 0.0]), np.eye(6)), path)
+    for command in ("report", "simulate"):
+        assert cli.main([command, str(path)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and all(line.startswith("invalid attack: ") for line in lines)
+        assert "ancilla state shape" in lines[0] and "unitary shape" in lines[1]
+
+
 _EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 0.0])
 _BAD_DIMS = st.one_of(
     st.integers(-2, 5), st.floats(allow_nan=True), st.text(max_size=2), st.booleans(), st.none()
@@ -142,6 +154,7 @@ def _attack_documents(draw):
     return doc
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning fails the run
 @settings(max_examples=100, deadline=None)
 @given(
     doc=_attack_documents(),
@@ -153,6 +166,24 @@ def test_report_exit_code_contract(tmp_path_factory, doc, mode, encoding):
     path.write_text(json.dumps(doc))
     code = cli.main(["report", str(path), "--mode", mode, "--encoding", encoding])
     assert code in (0, 2, 3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning fails the run
+@settings(max_examples=100, deadline=None)
+@given(
+    doc=_attack_documents(),
+    mode=st.sampled_from(("simplified", "bell")),
+    encoding=st.sampled_from(("iz", "paulis")),
+)
+def test_simulate_exit_code_contract(tmp_path_factory, doc, mode, encoding):
+    path = tmp_path_factory.mktemp("fuzz") / "attack.json"
+    path.write_text(json.dumps(doc))
+    argv = ["simulate", str(path), "--rounds", "200", "--mode", mode, "--encoding", encoding]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    # Exit 1 is the failed z-score check, and only that.
+    assert code in (0, 2, 3) or (code == 1 and "z-score = " in out.getvalue())
 
 
 # ---------------------------------------------------------------------------

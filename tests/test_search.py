@@ -344,9 +344,7 @@ def test_summary_flags_use_the_margin():
             theta_best=(), evaluations=1, **values
         )
 
-    summary = search._summarize(
-        (point("i0t", 0.5), point("i0a", 0.505), point("i0c", 0.52)), margin=0.01
-    )
+    summary = search._summarize((point("i0t", 0.5), point("i0a", 0.505), point("i0c", 0.52)))
     row = summary.rows[0]
     assert row.i0a_exceeds_i0t is False  # within margin
     assert row.i0c_exceeds_i0t is True
