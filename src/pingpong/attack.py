@@ -77,6 +77,43 @@ class EncodingEnsemble:
         return qlinalg.DensityMatrix(acc)
 
 
+def _norm_violations(chi: np.ndarray) -> list[str]:
+    """The ancilla state's norm violation, if any, with its measured deviation."""
+    # hypot scales internally: a huge entry gives its true norm, not an overflow.
+    norm = math.hypot(*chi.real.tolist(), *chi.imag.tolist())
+    if not abs(norm - 1.0) <= qlinalg.ATOL_NORM:
+        return [f"ancilla state norm {norm:.12g} differs from 1 by {abs(norm - 1.0):.3g}"]
+    return []
+
+
+def _coupling_violations(unitaries: np.ndarray) -> dict[int, str]:
+    """Row → violation for each coupling of an (N, n, n) stack that is not unitary."""
+    devs = qlinalg._unitarity_deviation(unitaries)
+    if devs.max() <= qlinalg.ATOL_UNITARY:  # NaN fails this too
+        return {}
+    return {
+        int(i): f"coupling matrix is not unitary: max |U†U - I| = {devs[i]:.3g}"
+        for i in np.flatnonzero(~(devs <= qlinalg.ATOL_UNITARY))
+    }
+
+
+def _trace_violations(rows: np.ndarray) -> dict[int, str]:
+    """Row → violation for each attacked state of an (N, H, n) stack that is not normalized.
+
+    A norm and a unitarity deviation, each within its tolerance, can add up
+    past 1e-10 here: the attack is then invalid for this sent state.
+    """
+    flat = rows.reshape(len(rows), -1).view(np.float64)  # (re, im) pairs
+    traces = np.einsum("ij,ij->i", flat, flat)
+    deviations = np.abs(traces - 1.0)
+    if deviations.max() <= qlinalg.ATOL_TRACE:  # NaN fails this too
+        return {}
+    return {
+        int(i): f"attacked state norm² {traces[i]:.12g} is not 1 within {qlinalg.ATOL_TRACE}"
+        for i in np.flatnonzero(~(deviations <= qlinalg.ATOL_TRACE))
+    }
+
+
 def validate_attack(spec: AttackSpec) -> list[str]:
     """Check every attack invariant; returns violations with measured deviations.
 
@@ -90,18 +127,20 @@ def validate_attack(spec: AttackSpec) -> list[str]:
     if chi.ndim != 1 or chi.size != dim:
         violations.append(f"ancilla state shape {chi.shape} does not match ancilla_dim {dim}")
     else:
-        # hypot scales internally: a huge entry gives its true norm, not an overflow.
-        norm = math.hypot(*chi.real.tolist(), *chi.imag.tolist())
-        if not abs(norm - 1.0) <= qlinalg.ATOL_NORM:
-            violations.append(f"ancilla state norm {norm:.12g} differs from 1 by {abs(norm - 1.0):.3g}")
+        violations += _norm_violations(chi)
     u = spec.unitary
     if u.shape != (2 * dim, 2 * dim):
         violations.append(f"unitary shape {u.shape} is not ({2 * dim}, {2 * dim})")
     else:
-        dev = qlinalg._unitarity_deviation(u)
-        if not dev <= qlinalg.ATOL_UNITARY:
-            violations.append(f"coupling matrix is not unitary: max |U†U - I| = {dev:.3g}")
+        violations += _coupling_violations(u[None]).values()
     return violations
+
+
+def _lift(chi: np.ndarray, unitaries: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
+    """(N, H, n) rows U_i(<h|_home|initial>⊗|χ>) for an (N, n, n) coupling stack."""
+    initial = config.bob_initial.amplitudes.reshape(-1, 2)
+    lifted = (initial[:, :, None] * chi).reshape(len(initial), -1)
+    return lifted @ unitaries.transpose(0, 2, 1)
 
 
 def _attacked_rows(spec: AttackSpec, config: "ProtocolConfig") -> np.ndarray:
@@ -117,43 +156,72 @@ def _attacked_rows(spec: AttackSpec, config: "ProtocolConfig") -> np.ndarray:
     violations = validate_attack(spec)
     if violations:
         raise InvalidAttackError("\n".join(violations))
-    initial = config.bob_initial.amplitudes.reshape(-1, 2)
-    lifted = (initial[:, :, None] * spec.ancilla_state).reshape(len(initial), -1)
-    rows = lifted @ spec.unitary.T
-    trace = np.vdot(rows, rows)
-    # A norm and a unitarity deviation, each within its tolerance, can add up
-    # past 1e-10 here: the attack is then invalid for this sent state.
-    if not abs(trace - 1.0) <= qlinalg.ATOL_TRACE:
-        raise InvalidAttackError(
-            f"attacked state norm² {trace.real:.12g} is not 1 within {qlinalg.ATOL_TRACE}"
-        )
+    rows = _lift(spec.ancilla_state, spec.unitary[None], config)
+    violations = list(_trace_violations(rows).values())
+    if violations:
+        raise InvalidAttackError("\n".join(violations))
+    return rows[0]
+
+
+def _attacked_stack(
+    chi: np.ndarray, unitaries: np.ndarray, config: "ProtocolConfig"
+) -> np.ndarray:
+    """Validated (N, H, n) attacked rows of N couplings on one ancilla state.
+
+    The search's counterpart of ``_attacked_rows``: the same checks (χ's
+    norm, max |U†U - I| per coupling, the attacked state's trace) made on
+    the whole stack at once.  Each violation line names its row.
+    """
+    n = 2 * chi.size
+    if unitaries.ndim != 3 or unitaries.shape[1:] != (n, n):
+        raise InvalidAttackError(f"coupling stack shape {unitaries.shape} is not (N, {n}, {n})")
+    violations = _norm_violations(chi)
+    violations += [f"row {i}: {v}" for i, v in _coupling_violations(unitaries).items()]
+    if violations:
+        raise InvalidAttackError("\n".join(violations))
+    rows = _lift(chi, unitaries, config)
+    violations = [f"row {i}: {v}" for i, v in _trace_violations(rows).items()]
+    if violations:
+        raise InvalidAttackError("\n".join(violations))
     return rows
 
 
 def _encoded_rows(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """(K, *rows.shape) rows after each op ``ops[k]`` acts on the travel qubit."""
-    psi = rows.reshape(rows.shape[0], 2, -1)
+    """(K, *rows.shape) rows after each op ``ops[k]`` acts on the travel qubit.
+
+    ``rows`` is (..., n): any leading axes ride along.
+    """
+    psi = rows.reshape(-1, 2, rows.shape[-1] // 2)
     return np.einsum("kts,hsa->khta", ops, psi).reshape((len(ops),) + rows.shape)
 
 
 def _encoded_members(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
-    """(K, n, n) stack of post-encoding states on travel⊗ancilla, home traced out."""
+    """(N, K, n, n) post-encoding states on travel⊗ancilla, home traced out,
+    for an (N, H, n) stack of attacked rows."""
     encoded = _encoded_rows(rows, np.array([op.entries for op in config.encoding_ops]))
-    return np.einsum("khi,khj->kij", encoded, encoded.conj())
+    return np.einsum("knhi,knhj->nkij", encoded, encoded.conj())
 
 
-def _control_outcomes(rows: np.ndarray, config: "ProtocolConfig") -> tuple[float, np.ndarray]:
-    """d and the exact outcome distribution of one control round.
+def _detection(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
+    """d (N,) of one control round for an (N, H, n) stack of attacked rows."""
+    if config.mode == "bell":
+        probs = _control_outcomes(rows, config)
+        return np.minimum(np.maximum(probs[:, 0] + probs[:, 3], 0.0), 1.0)
+    overlaps = config.bob_initial.amplitudes.conj() @ rows.reshape(len(rows), 2, -1)
+    return np.array([min(max(1.0 - np.vdot(o, o).real, 0.0), 1.0) for o in overlaps])
+
+
+def _control_outcomes(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
+    """(N, M) exact outcome distributions of one control round for an
+    (N, H, n) stack of attacked rows.
 
     Bell mode: index 2·home + travel of the computational-basis outcomes.
     Simplified mode: 0 = travel found in the sent state, 1 = orthogonal to it.
     """
     if config.mode == "bell":
-        probs = np.sum(np.abs(rows.reshape(4, -1)) ** 2, axis=1)
-        return min(max(float(probs[0] + probs[3]), 0.0), 1.0), probs
-    overlap = config.bob_initial.amplitudes.conj() @ rows.reshape(2, -1)
-    d = min(max(1.0 - float(np.vdot(overlap, overlap).real), 0.0), 1.0)
-    return d, np.array([1.0 - d, d])
+        return np.sum(np.abs(rows.reshape(len(rows), 4, -1)) ** 2, axis=2)
+    d = _detection(rows, config)
+    return np.column_stack([1.0 - d, d])
 
 
 def apply_attack(spec: AttackSpec, config: "ProtocolConfig") -> qlinalg.DensityMatrix:
@@ -173,7 +241,7 @@ def post_encoding_ensemble(spec: AttackSpec, config: "ProtocolConfig") -> Encodi
     (A_j⊗I_anc)ρ'(A_j⊗I_anc)† on travel⊗ancilla; in bell mode the home
     qubit is traced out first since it is never accessible.
     """
-    members = _encoded_members(_attacked_rows(spec, config), config)
+    members = _encoded_members(_attacked_rows(spec, config)[None], config)[0]
     pairs = tuple((p, qlinalg.DensityMatrix(rho)) for p, rho in zip(config.priors, members))
     return EncodingEnsemble(members=pairs, config=config)
 
@@ -187,7 +255,7 @@ def detection_probability(spec: AttackSpec, config: "ProtocolConfig") -> float:
     home; the unattacked pair is perfectly anticorrelated, so d is the
     probability the outcomes are equal.
     """
-    return _control_outcomes(_attacked_rows(spec, config), config)[0]
+    return float(_detection(_attacked_rows(spec, config)[None], config)[0])
 
 
 def _counterexample_unitary() -> np.ndarray:

@@ -106,8 +106,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = protocol_mod.make_config(
         args.mode, encoding=args.encoding, control_probability=1.0
     )
-    analytic = attack_mod.detection_probability(spec, config)
     stats = protocol_mod.monte_carlo(config, spec, rounds=args.rounds, seed=args.seed)
+    analytic = stats.analytic_d
     n = stats.counts["control_rounds"]
     sigma = math.sqrt(analytic * (1.0 - analytic) / n)
     if sigma == 0.0:
@@ -191,6 +191,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if failed == 0 else EXIT_INTERNAL
 
 
+# Most points a start:stop:step grid may expand to.
+_MAX_GRID_POINTS = 10_001
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
     stripped = text.strip()
     if not stripped:
@@ -200,12 +204,15 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             parts = stripped.split(":")
             if len(parts) != 3:
                 raise ValueError("expected start:stop:step")
-            start, stop, step = (float(p) for p in parts)
+            start, stop, step = _finite_floats(parts)
             if step <= 0:
                 raise ValueError("step must be positive")
+            span = (stop + 1e-9 - start) / step  # inf when the range overflows
+            if not span < _MAX_GRID_POINTS:
+                raise ValueError(f"more than {_MAX_GRID_POINTS} points")
             values = []
-            k = 0
-            while True:
+            # floor(span) + 1 points, give or take one for rounding
+            for k in range(math.floor(span) + 2):
                 value = start + k * step
                 if value > stop + 1e-9:
                     break
@@ -215,21 +222,36 @@ def _parse_grid(text: str) -> tuple[float, ...]:
                 if 1.0 < value < 1.0 + 1e-9:
                     value = 1.0
                 values.append(value)
-                k += 1
             return tuple(values)
-        return tuple(float(part) for part in stripped.split(","))
+        return _finite_floats(stripped.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _finite_floats(parts: list[str]) -> tuple[float, ...]:
+    values = tuple(float(part) for part in parts)
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("values must be finite")
+    return values
+
+
+def _int_at_least(lowest: int, kind: str):
+    """argparse type: an integer >= ``lowest``, or a usage error naming ``kind``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lowest - 1
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _add_attack_io(parser: argparse.ArgumentParser) -> None:
@@ -256,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="Monte Carlo check of the analytic d")
     _add_attack_io(simulate)
     simulate.add_argument("--rounds", type=_positive_int, default=100_000)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--seed", type=_non_negative_int, default=0)
     simulate.set_defaults(func=cmd_simulate)
 
     sweep = sub.add_parser("sweep", help="map the information-vs-detection frontier")
@@ -264,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list or start:stop:step of detection targets")
     sweep.add_argument("--objective", choices=search_mod.OBJECTIVES, default=None,
                        help="optimize one objective (default: all three)")
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seed", type=_non_negative_int, default=0)
     sweep.add_argument("--out", default=None, help="CSV path (default: stdout)")
     sweep.add_argument("--mode", choices=protocol_mod.MODES, default="simplified")
     sweep.add_argument("--encoding", choices=protocol_mod.ENCODING_NAMES, default="iz")

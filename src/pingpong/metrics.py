@@ -73,24 +73,39 @@ def binary_entropy(x: float) -> float:
 
 
 def _with_average(priors: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """The (K, n, n) member stack with the mixture Σ p ρ prepended as entry 0."""
-    mixture = (priors @ members.reshape(len(members), -1)).reshape(members.shape[1:])
-    return np.concatenate([mixture[None], members])
+    """The (N, K, n, n) member stacks with each mixture Σ p ρ prepended as entry 0."""
+    count, k, n = members.shape[:3]
+    mixtures = (priors @ members.reshape(count, k, -1)).reshape(count, 1, n, n)
+    return np.concatenate([mixtures, members], axis=1)
 
 
 def _subsystem_entropies(stack: np.ndarray, ancilla_dim: int) -> np.ndarray:
-    """(3, L) entropies of composite, travel and ancilla for an (L, n, n) stack.
+    """(3, ...) entropies of composite, travel and ancilla for a (..., n, n) stack.
 
     The two marginals are zero-padded to n×n so that one eigensolve covers
     all three; padding adds only zero eigenvalues, which contribute 0·log 0 = 0.
     """
-    count, n = stack.shape[0], stack.shape[-1]
-    parts = stack.reshape(count, 2, ancilla_dim, 2, ancilla_dim)
-    padded = np.zeros((3, count, n, n), dtype=complex)
-    padded[0] = stack
+    lead, n = stack.shape[:-2], stack.shape[-1]
+    parts = stack.reshape(-1, 2, ancilla_dim, 2, ancilla_dim)
+    padded = np.zeros((3, len(parts), n, n), dtype=complex)
+    padded[0] = stack.reshape(-1, n, n)
     padded[1, :, :2, :2] = np.einsum("kiaja->kij", parts)
     padded[2, :, :ancilla_dim, :ancilla_dim] = np.einsum("kiaib->kab", parts)
-    return qlinalg._entropies(padded)
+    return qlinalg._entropies(padded).reshape((3,) + lead)
+
+
+def _ensembles(
+    rows: np.ndarray, config: protocol_mod.ProtocolConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The evaluation kernel shared by ``information_report`` and the search.
+
+    For an (N, H, n) stack of validated attacked rows: d (N,) and the
+    (N, K+1, n, n) post-encoding ensembles, each mixture first and then
+    its members.  Callers take ``_subsystem_entropies`` of what they need.
+    """
+    d = attack_mod._detection(rows, config)
+    members = attack_mod._encoded_members(rows, config)
+    return d, _with_average(np.array(config.priors), members)
 
 
 def _holevo(priors: np.ndarray, entropies: np.ndarray) -> float:
@@ -107,7 +122,8 @@ def holevo_bound(ensemble: attack_mod.EncodingEnsemble, subsystem: str) -> float
         raise ValueError(f"unknown subsystem {subsystem!r}; known: {_SUBSYSTEMS}")
     priors = np.array([p for p, _ in ensemble.members])
     members = np.array([rho.entries for _, rho in ensemble.members])
-    entropies = _subsystem_entropies(_with_average(priors, members), members.shape[1] // 2)
+    stack = _with_average(priors, members[None])[0]
+    entropies = _subsystem_entropies(stack, members.shape[1] // 2)
     return _holevo(priors, entropies[_SUBSYSTEMS.index(subsystem)])
 
 
@@ -115,7 +131,7 @@ def _is_canonical_counterexample(
     spec: attack_mod.AttackSpec, config: protocol_mod.ProtocolConfig
 ) -> bool:
     """Simplified mode, |0> sent, {I, Z} encoding, builtin counterexample arrays."""
-    if config.mode != "simplified":
+    if config.mode != "simplified" or spec.ancilla_state.shape != _CANONICAL[0].shape:
         return False
     actual = (
         spec.ancilla_state,
@@ -138,11 +154,9 @@ def information_report(
     All quantities are computed from the post-encoding ensemble the
     eavesdropper faces; nothing is assumed from any claimed value.
     """
-    rows = attack_mod._attacked_rows(spec, config)
-    d = attack_mod._control_outcomes(rows, config)[0]
+    d, stacks = _ensembles(attack_mod._attacked_rows(spec, config)[None], config)
+    composite, travel, ancilla = _subsystem_entropies(stacks[0], spec.ancilla_dim)
     priors = np.array(config.priors)
-    stack = _with_average(priors, attack_mod._encoded_members(rows, config))
-    composite, travel, ancilla = _subsystem_entropies(stack, spec.ancilla_dim)
     i0c = float(composite[0])
     deviation = None
     if _is_canonical_counterexample(spec, config):
@@ -152,7 +166,7 @@ def information_report(
             delta=i0c - _CLAIMED_COMPOSITE_BITS,
         )
     return InfoReport(
-        d=d,
+        d=float(d[0]),
         i0t=float(travel[0]),
         i0a=float(ancilla[0]),
         i0c=i0c,

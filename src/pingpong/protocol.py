@@ -153,7 +153,9 @@ def run_control_round(
     outcomes flag tampering since the clean pair is anticorrelated.
     The sampler draws from the exact joint outcome distribution.
     """
-    d, probs = attack_mod._control_outcomes(attack_mod._attacked_rows(spec, config), config)
+    rows = attack_mod._attacked_rows(spec, config)[None]
+    d = float(attack_mod._detection(rows, config)[0])
+    probs = attack_mod._control_outcomes(rows, config)[0]
     probs = probs / probs.sum()
     bell = config.mode == "bell"
 
@@ -266,8 +268,13 @@ def run_message_round(
 
 @dataclasses.dataclass(frozen=True)
 class MonteCarloStats:
-    """Seeded simulation tallies; identical seeds give identical stats."""
+    """Seeded simulation tallies; identical seeds give identical stats.
 
+    ``analytic_d`` is the exact detection probability the control rounds
+    sample, from the same attacked state.
+    """
+
+    analytic_d: float
     empirical_d: float
     empirical_decode_accuracy: float
     counts: dict[str, int]
@@ -288,7 +295,7 @@ def monte_carlo(
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     rng = np.random.default_rng(seed)
     rows = attack_mod._attacked_rows(spec, config)
-    d = attack_mod._control_outcomes(rows, config)[0]
+    d = float(attack_mod._detection(rows[None], config)[0])
     is_control = rng.random(rounds) < config.control_probability
     n_control = int(is_control.sum())
     n_message = rounds - n_control
@@ -320,5 +327,5 @@ def monte_carlo(
     empirical_d = detections / n_control if n_control else math.nan
     accuracy = correct / n_message if n_message else math.nan
     return MonteCarloStats(
-        empirical_d=empirical_d, empirical_decode_accuracy=accuracy, counts=counts
+        analytic_d=d, empirical_d=empirical_d, empirical_decode_accuracy=accuracy, counts=counts
     )

@@ -13,6 +13,7 @@ most significant index, matching ``numpy.kron``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -65,7 +66,8 @@ class StateVector:
         arr = _frozen_complex(amplitudes, "vector")
         if arr.size < 2:
             raise DimensionMismatchError(f"state needs dimension >= 2, got {arr.size}")
-        norm = float(np.linalg.norm(arr))
+        # hypot scales internally: a huge entry gives its true norm, not an overflow.
+        norm = math.hypot(*arr.real.tolist(), *arr.imag.tolist())
         if not abs(norm - 1.0) <= ATOL_NORM:
             raise ValueError(f"state norm {norm:.12g} is not 1 within {ATOL_NORM}")
         object.__setattr__(self, "amplitudes", arr)
@@ -101,7 +103,8 @@ class DensityMatrix:
 
     def __init__(self, entries) -> None:
         arr = _frozen_complex(entries, "matrix")
-        herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
         if not herm_dev <= ATOL_HERMITIAN:
             raise ValueError(f"matrix is not Hermitian: max |ρ - ρ†| = {herm_dev:.3g}")
         trace = np.trace(arr)
@@ -198,7 +201,7 @@ def _spectrum(arrays: np.ndarray) -> np.ndarray:
     lo = float(evals.min())
     if not lo >= -ATOL_EIGENVALUE:
         raise NotPositiveSemidefiniteError(f"eigenvalue {lo:.3g} below the -{ATOL_EIGENVALUE} window")
-    return np.clip(evals, 0.0, 1.0)
+    return evals.clip(0.0, 1.0)
 
 
 def _entropies(arrays: np.ndarray) -> np.ndarray:
@@ -222,14 +225,15 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(_entropies(rho.entries))
 
 
-def _unitarity_deviation(arr: np.ndarray) -> float:
-    """max-entry |U†U - I| of a raw square matrix.
+def _unitarity_deviation(arr: np.ndarray) -> float | np.ndarray:
+    """max-entry |U†U - I| of a raw square matrix, or of each matrix in a stack.
 
     Huge, infinite or NaN entries give inf or NaN without a numpy warning;
     ``dev <= tol`` is False for both, so such a matrix fails every tolerance.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0]))))
+        dev = np.abs(arr.conj().swapaxes(-1, -2) @ arr - np.eye(arr.shape[-1]))
+        return dev.reshape(arr.shape[:-2] + (-1,)).max(axis=-1)
 
 
 def is_unitary(u, tol: float) -> bool:

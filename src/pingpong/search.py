@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
-import scipy.optimize
+import scipy.optimize  # noqa: F401  bench/run.py::import_times needs its importtime samples
 from numpy.typing import NDArray
 
 from . import attack as attack_mod
@@ -27,7 +28,11 @@ OBJECTIVES = ("i0t", "i0a", "i0c")
 PENALTY_WEIGHT = 100.0  # bits per squared excess detection gap
 EXCEEDANCE_MARGIN = 0.01  # bits by which i0a or i0c must beat i0t to be flagged
 
-_NM_OPTIONS = {"xatol": 1e-7, "fatol": 1e-12, "adaptive": True}
+# Nelder–Mead convergence tolerances, as scipy.optimize.minimize's options.
+_XATOL = 1e-7
+_FATOL = 1e-12
+# Row of each objective in metrics._subsystem_entropies' (composite, travel, ancilla).
+_ENTROPY_ROW = {"i0c": 0, "i0t": 1, "i0a": 2}
 
 
 def parameterize_unitary(theta, dim: int) -> qlinalg.UnitaryOperator:
@@ -37,6 +42,9 @@ def parameterize_unitary(theta, dim: int) -> qlinalg.UnitaryOperator:
     one (re, im) pair per upper off-diagonal entry, row-major) and the
     result is exp(iH) via the eigendecomposition of H.
     """
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1:  # _unitary would build a stack
+        raise ValueError(f"need one vector of {dim * dim} parameters, got shape {theta.shape}")
     return qlinalg.UnitaryOperator(_unitary(theta, dim))
 
 
@@ -49,18 +57,30 @@ def _generator_slots(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _unitary(theta, dim: int) -> np.ndarray:
-    """``parameterize_unitary`` as a raw array, without the unitarity check."""
+    """``parameterize_unitary`` as a raw array, without the unitarity check.
+
+    ``theta`` is (..., dim²); leading axes give a stack of unitaries.
+    """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (dim * dim,):
+    if theta.shape[-1:] != (dim * dim,):
         raise ValueError(f"need {dim * dim} parameters for dimension {dim}, got shape {theta.shape}")
+    lead = theta.shape[:-1]
+    theta = theta.reshape(-1, dim * dim)
     diagonal, upper, lower = _generator_slots(dim)
-    re, im = theta[dim::2], theta[dim + 1::2]
-    gen = np.zeros(dim * dim, dtype=complex)
-    gen[diagonal] = theta[:dim]
-    gen[upper] = re + 1j * im
-    gen[lower] = re - 1j * im
-    evals, vecs = np.linalg.eigh(gen.reshape(dim, dim))
-    return (vecs * np.exp(1j * evals)) @ vecs.conj().T
+    re, im = theta[:, dim::2], theta[:, dim + 1::2]
+    gen = np.zeros((len(theta), dim * dim), dtype=complex)
+    gen[:, diagonal] = theta[:, :dim]
+    gen[:, upper] = re + 1j * im
+    gen[:, lower] = re - 1j * im
+    evals, vecs = np.linalg.eigh(gen.reshape(-1, dim, dim))
+    unitaries = (vecs * np.exp(1j * evals)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
+    return unitaries.reshape(lead + (dim, dim))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of matching matrices in two stacks: the same products, exactly."""
+    n = a.shape[-1] * b.shape[-1]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (n, n))
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
@@ -101,14 +121,19 @@ def sample_random_attack(ancilla_dim: int, rng_seed) -> attack_mod.AttackSpec:
 class AttackFamily:
     """Deterministic map from a real parameter vector to an AttackSpec.
 
-    Parameters are nominally in [-π, π] (the sampling range of restarts);
-    ``build`` must return a valid attack for any real vector.
+    Parameters are nominally in [-π, π] (the sampling range of restarts).
+    ``build_stack`` maps an (N, param_count) array to the (N, n, n) stack
+    of couplings, the ancilla pinned to |0>; the search builds every
+    pending point with one call.  ``build`` is the same map for one
+    vector, as an AttackSpec.  Both must give a valid attack for any
+    real parameters.
     """
 
     name: str
     ancilla_dim: int
     param_count: int
     build: Callable[[NDArray[np.float64]], attack_mod.AttackSpec]
+    build_stack: Callable[[NDArray[np.float64]], NDArray[np.complex128]]
 
 
 def _check_ancilla_dim(ancilla_dim: int) -> None:
@@ -124,44 +149,42 @@ def _ground_ancilla(ancilla_dim: int) -> NDArray[np.complex128]:
     return chi
 
 
+def _family(
+    name: str, ancilla_dim: int, param_count: int,
+    build_stack: Callable[[NDArray[np.float64]], NDArray[np.complex128]],
+) -> AttackFamily:
+    """A family whose ``build`` is ``build_stack`` on a stack of one."""
+    chi = _ground_ancilla(ancilla_dim)
+
+    def build(theta: NDArray[np.float64]) -> attack_mod.AttackSpec:
+        unitary = build_stack(np.asarray(theta, dtype=float)[None])[0]
+        return attack_mod.AttackSpec(ancilla_dim=ancilla_dim, ancilla_state=chi, unitary=unitary)
+
+    return AttackFamily(name, ancilla_dim, param_count, build, build_stack)
+
+
 def full_unitary_family(ancilla_dim: int = 2) -> AttackFamily:
     """Every coupling unitary on travel⊗ancilla, ancilla pinned to |0>.
 
     Pinning the ancilla start state loses no generality: any preparation
     can be absorbed into the coupling.
     """
+    _check_ancilla_dim(ancilla_dim)
     dim = 2 * ancilla_dim
-    chi = _ground_ancilla(ancilla_dim)
-
-    def build(theta: NDArray[np.float64]) -> attack_mod.AttackSpec:
-        return attack_mod.AttackSpec(
-            ancilla_dim=ancilla_dim, ancilla_state=chi, unitary=_unitary(theta, dim)
-        )
-
-    return AttackFamily(name="full", ancilla_dim=ancilla_dim, param_count=dim * dim, build=build)
+    return _family("full", ancilla_dim, dim * dim, functools.partial(_unitary, dim=dim))
 
 
 def product_family(ancilla_dim: int = 2) -> AttackFamily:
     """Non-entangling couplings U_travel ⊗ U_ancilla, ancilla pinned to |0>."""
-    chi = _ground_ancilla(ancilla_dim)
+    _check_ancilla_dim(ancilla_dim)
     travel_params = 4
-    anc_params = ancilla_dim * ancilla_dim
 
-    def build(theta: NDArray[np.float64]) -> attack_mod.AttackSpec:
-        u_travel = _unitary(theta[:travel_params], 2)
-        u_anc = _unitary(theta[travel_params:], ancilla_dim)
-        return attack_mod.AttackSpec(
-            ancilla_dim=ancilla_dim,
-            ancilla_state=chi,
-            unitary=np.kron(u_travel, u_anc),
-        )
+    def build_stack(thetas: NDArray[np.float64]) -> NDArray[np.complex128]:
+        u_travel = _unitary(thetas[..., :travel_params], 2)
+        u_anc = _unitary(thetas[..., travel_params:], ancilla_dim)
+        return _kron(u_travel, u_anc)
 
-    return AttackFamily(
-        name="product",
-        ancilla_dim=ancilla_dim,
-        param_count=travel_params + anc_params,
-        build=build,
-    )
+    return _family("product", ancilla_dim, travel_params + ancilla_dim * ancilla_dim, build_stack)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -219,8 +242,162 @@ class CurvePoint:
         return getattr(self, "best_" + self.objective)
 
 
-class _BudgetExhausted(Exception):
-    pass
+def _simplex_moves(x0: np.ndarray) -> Generator[np.ndarray, float, None]:
+    """scipy 1.17's adaptive Nelder–Mead with xatol 1e-7 and fatol 1e-12, unbudgeted.
+
+    Yields each point to evaluate and takes its value through ``send``;
+    returns once the simplex passes the xatol/fatol test.  The arithmetic
+    and the (unstable) argsorts are scipy's, so the points asked are
+    scipy's bit for bit.  scipy's reflection coefficient is 1 and drops
+    out exactly; its other coefficients adapt to the dimension.
+    """
+    n = len(x0)
+    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    for k in range(n + 1):
+        fsim[k] = yield sim[k]
+    for _ in range(2):  # scipy sorts the initial simplex twice
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
+    # scipy's test, f half first as it is the cheaper.  fsim is sorted, so
+    # max |fsim[0] - fsim[1:]| is fsim[-1] - fsim[0] (NaN and inf fail both).
+    while not (fsim[-1] - fsim[0] <= _FATOL and np.abs(sim[1:] - sim[0]).max() <= _XATOL):
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = yield xr
+        shrink = False
+        if fxr < fsim[0]:
+            xe = (1 + chi) * xbar - chi * sim[-1]
+            fxe = yield xe
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = (1 + psi) * xbar - psi * sim[-1]
+            fxc = yield xc
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = (1 - psi) * xbar + psi * sim[-1]
+            fxcc = yield xcc
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                fsim[j] = yield sim[j]
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
+
+
+def _nelder_mead(x0: np.ndarray, maxfev: int) -> Generator[np.ndarray, float, None]:
+    """``_simplex_moves`` that, like scipy's ``maxfev`` wrapper, asks for
+    no point once it has made ``maxfev`` calls."""
+    moves = _simplex_moves(x0)
+    value = None
+    for _ in range(maxfev):
+        try:
+            point = moves.send(value)
+        except StopIteration:
+            return
+        value = yield point
+
+
+@dataclasses.dataclass(eq=False)
+class _Restart:
+    """One Nelder–Mead restart of a search task and the best points it saw."""
+
+    task: int
+    moves: Generator[np.ndarray, float, None]
+    point: np.ndarray
+    best: tuple[float, np.ndarray] | None = None  # (value, θ), feasible only
+    closest: tuple[float, np.ndarray] | None = None  # (gap, θ)
+
+
+def _search(
+    family: AttackFamily,
+    config: protocol_mod.ProtocolConfig,
+    sweep_cfg: SweepConfig,
+    tasks: list[tuple[str, float, np.random.Generator]],
+) -> list[CurvePoint]:
+    """One CurvePoint per (objective, d_target, rng) task, in task order.
+
+    Every restart of every task advances in lockstep: each step stacks the
+    pending point of every live restart, builds the stack with one
+    ``family.build_stack`` call, validates it at once and evaluates it
+    with one ``metrics._ensembles`` call and one eigensolve of the
+    mixtures (the members' entropies feed only the Holevo bounds).  A
+    restart's best feasible and closest points are kept per restart and
+    merged in restart order with the serial loop's strict comparisons, so
+    ties break as they would if the restarts ran one after another.
+    """
+    tol = sweep_cfg.detection_tolerance
+    chi = _ground_ancilla(family.ancilla_dim)
+    restarts: list[_Restart] = []
+    for index, (_, _, rng) in enumerate(tasks):
+        starts = [np.zeros(family.param_count)]
+        starts += [
+            rng.uniform(-math.pi, math.pi, family.param_count)
+            for _ in range(sweep_cfg.restarts - 1)
+        ]
+        for x0 in starts:
+            moves = _nelder_mead(x0, sweep_cfg.budget_per_restart)
+            restarts.append(_Restart(index, moves, next(moves)))
+
+    evaluations = [0] * len(tasks)
+    live = restarts
+    while live:
+        thetas = np.array([r.point for r in live])
+        rows = attack_mod._attacked_stack(chi, family.build_stack(thetas), config)
+        d, stacks = metrics._ensembles(rows, config)
+        entropies = metrics._subsystem_entropies(stacks[:, 0], family.ancilla_dim)
+        still = []
+        for r, theta, d_i, values in zip(live, thetas, d.tolist(), entropies.T.tolist()):
+            objective, d_target, _ = tasks[r.task]
+            value = values[_ENTROPY_ROW[objective]]
+            gap = abs(d_i - d_target)
+            evaluations[r.task] += 1
+            if gap <= tol and (r.best is None or value > r.best[0]):
+                r.best = (value, theta.copy())
+            if r.closest is None or gap < r.closest[0]:
+                r.closest = (gap, theta.copy())
+            try:
+                r.point = r.moves.send(-(value - PENALTY_WEIGHT * max(0.0, gap - tol) ** 2))
+            except StopIteration:
+                continue
+            still.append(r)
+        live = still
+
+    points = []
+    for index, (objective, d_target, _) in enumerate(tasks):
+        best = closest = None
+        for r in restarts[index * sweep_cfg.restarts:(index + 1) * sweep_cfg.restarts]:
+            if r.best is not None and (best is None or r.best[0] > best[0]):
+                best = r.best
+            if closest is None or r.closest[0] < closest[0]:
+                closest = r.closest
+        feasible = best is not None
+        theta = best[1] if feasible else closest[1]
+        report = metrics.information_report(family.build(theta), config)
+        points.append(CurvePoint(
+            d_target=float(d_target),
+            d_achieved=report.d,
+            objective=objective,
+            best_i0t=report.i0t,
+            best_i0a=report.i0a,
+            best_i0c=report.i0c,
+            theta_best=tuple(float(t) for t in theta),
+            evaluations=evaluations[index],
+            feasible=feasible,
+        ))
+    return points
 
 
 def maximize_information(
@@ -246,57 +423,7 @@ def maximize_information(
     if not 0.0 <= d_target <= 1.0:
         raise ValueError(f"d_target must lie in [0, 1], got {d_target}")
     rng = np.random.default_rng(sweep_cfg.seed) if rng is None else rng
-    tol = sweep_cfg.detection_tolerance
-
-    evaluations = 0
-    budget_left = 0
-    best_feasible: tuple[float, np.ndarray] | None = None
-    closest: tuple[float, np.ndarray] | None = None
-
-    def negated_score(theta: np.ndarray) -> float:
-        nonlocal evaluations, budget_left, best_feasible, closest
-        if budget_left <= 0:
-            raise _BudgetExhausted
-        budget_left -= 1
-        evaluations += 1
-        report = metrics.information_report(family.build(theta), config)
-        value = getattr(report, objective)
-        gap = abs(report.d - d_target)
-        if gap <= tol and (best_feasible is None or value > best_feasible[0]):
-            best_feasible = (value, np.array(theta))
-        if closest is None or gap < closest[0]:
-            closest = (gap, np.array(theta))
-        return -(value - PENALTY_WEIGHT * max(0.0, gap - tol) ** 2)
-
-    starts = [np.zeros(family.param_count)]
-    starts += [
-        rng.uniform(-math.pi, math.pi, family.param_count)
-        for _ in range(sweep_cfg.restarts - 1)
-    ]
-    for x0 in starts:
-        budget_left = sweep_cfg.budget_per_restart
-        try:
-            scipy.optimize.minimize(
-                negated_score, x0, method="Nelder-Mead",
-                options=dict(_NM_OPTIONS, maxfev=sweep_cfg.budget_per_restart),
-            )
-        except _BudgetExhausted:
-            pass
-
-    feasible = best_feasible is not None
-    theta = best_feasible[1] if feasible else closest[1]
-    report = metrics.information_report(family.build(theta), config)
-    return CurvePoint(
-        d_target=float(d_target),
-        d_achieved=report.d,
-        objective=objective,
-        best_i0t=report.i0t,
-        best_i0a=report.i0a,
-        best_i0c=report.i0c,
-        theta_best=tuple(float(t) for t in theta),
-        evaluations=evaluations,
-        feasible=feasible,
-    )
+    return _search(family, config, sweep_cfg, [(objective, d_target, rng)])[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -358,22 +485,13 @@ def sweep(
     Point seeds derive deterministically from the master seed, so the
     result is reproducible and independent of evaluation order; points
     come back sorted by grid value, then by the configured objective
-    order.
+    order.  All points' restarts run in lockstep in one search.
     """
-    children = np.random.SeedSequence(sweep_cfg.seed).spawn(
-        max(1, len(sweep_cfg.d_grid) * len(sweep_cfg.objectives))
-    )
-    points: list[CurvePoint] = []
-    index = 0
-    for d_target in sweep_cfg.d_grid:
-        for objective in sweep_cfg.objectives:
-            rng = np.random.default_rng(children[index])
-            index += 1
-            points.append(
-                maximize_information(family, config, objective, d_target, sweep_cfg, rng=rng)
-            )
-    points.sort(key=lambda p: (p.d_target, sweep_cfg.objectives.index(p.objective)))
-    return SweepResult(
-        points=tuple(points),
-        summary=_summarize(tuple(points)),
-    )
+    pairs = list(itertools.product(sweep_cfg.d_grid, sweep_cfg.objectives))
+    children = np.random.SeedSequence(sweep_cfg.seed).spawn(max(1, len(pairs)))
+    tasks = [
+        (objective, d_target, np.random.default_rng(child))
+        for (d_target, objective), child in zip(pairs, children)
+    ]
+    points = tuple(_search(family, config, sweep_cfg, tasks))
+    return SweepResult(points=points, summary=_summarize(points))

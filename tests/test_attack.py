@@ -246,3 +246,37 @@ def test_detection_probability_ignores_global_phase(counterexample, simplified_c
     d0 = attack.detection_probability(counterexample, simplified_config)
     d1 = attack.detection_probability(spec, simplified_config)
     assert abs(d0 - d1) < 1e-12
+
+
+def test_attacked_stack_rows_equal_one_attack_rows(bell_config):
+    rng = np.random.default_rng(37)
+    chi = search.random_pure_state(3, rng)
+    unitaries = np.array([search.haar_random_unitary(6, rng) for _ in range(4)])
+    stack = attack._attacked_stack(chi, unitaries, bell_config)
+    for rows, unitary in zip(stack, unitaries):
+        spec = pp.AttackSpec(3, chi, unitary)
+        assert np.array_equal(rows, attack._attacked_rows(spec, bell_config))
+
+
+def test_attacked_stack_names_every_violating_row(simplified_config):
+    chi = np.array([1.0, 0.0], dtype=complex)
+    unitaries = np.array([np.eye(4)] * 4, dtype=complex)
+    unitaries[1] *= 1.5
+    unitaries[3, 0, 0] = np.nan
+    with pytest.raises(attack.InvalidAttackError) as info:
+        attack._attacked_stack(chi, unitaries, simplified_config)
+    lines = str(info.value).splitlines()
+    assert [line.split(":")[0] for line in lines] == ["row 1", "row 3"]
+    assert all("coupling matrix is not unitary" in line for line in lines)
+
+    eye = np.array([np.eye(4)] * 2, dtype=complex)
+    with pytest.raises(attack.InvalidAttackError, match="ancilla state norm"):
+        attack._attacked_stack(np.array([1.0, 1.0], dtype=complex), eye, simplified_config)
+    # within the norm tolerance, but the attacked state's trace is off
+    with pytest.raises(attack.InvalidAttackError) as info:
+        chi_off = np.array([1.0 + 0.9e-10, 0.0], dtype=complex)
+        attack._attacked_stack(chi_off, eye, simplified_config)
+    assert [line.split(":")[0] for line in str(info.value).splitlines()] == ["row 0", "row 1"]
+    assert "attacked state norm²" in str(info.value)
+    with pytest.raises(attack.InvalidAttackError, match="coupling stack shape"):
+        attack._attacked_stack(chi, np.eye(6, dtype=complex)[None], simplified_config)

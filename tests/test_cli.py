@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pingpong as pp
-from pingpong import cli, files, qlinalg, search
+from pingpong import attack, cli, files, qlinalg, search
 
 
 @pytest.fixture
@@ -207,6 +207,20 @@ def test_simulate_identity_is_exact(capsys, identity_path):
     assert "z-score = 0.000000" in out
 
 
+def test_simulate_validates_the_attack_once(capsys, monkeypatch, attack_path):
+    calls = []
+    original = attack.validate_attack
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(attack, "validate_attack", counted)
+    assert cli.main(["simulate", attack_path, "--rounds", "500", "--mode", "bell"]) == 0
+    assert "analytic d = 0.500000000000" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_simulate_deterministic(capsys, attack_path):
     cli.main(["simulate", attack_path, "--rounds", "5000", "--seed", "11"])
     first = capsys.readouterr().out
@@ -284,6 +298,27 @@ def test_sweep_grid_outside_range_exits_2(capsys):
     assert "bad sweep configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", [
+    "0:nan:0.1", "nan:1:0.1", "0:inf:0.1", "-inf:1:0.1", "0:1:nan", "0:1:inf",
+    "nan", "0.1,inf",
+])
+def test_sweep_non_finite_grid_exits_2(capsys, grid):
+    assert cli.main(["sweep", f"--grid={grid}"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [
+    "0:1:1e-7", "0:1:1e-300", "0:1e300:1", "-1e308:1e308:1", "0:1:5e-324",
+])
+def test_sweep_oversized_grid_exits_2_without_allocating(capsys, grid):
+    assert cli.main(["sweep", f"--grid={grid}"]) == 2
+    assert "more than 10001 points" in capsys.readouterr().err
+
+
+def test_sweep_grid_at_the_point_limit_parses():
+    assert len(cli._parse_grid("0:1:1e-4")) == 10_001
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -323,7 +358,12 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_non_positive_counts_exit_2(capsys, attack_path):
-    for argv in (["simulate", attack_path, "--rounds", "0"], ["sweep", "--ancilla-dim", "0"]):
+    for argv in (
+        ["simulate", attack_path, "--rounds", "0"],
+        ["sweep", "--ancilla-dim", "0"],
+        ["simulate", attack_path, "--seed", "-1"],
+        ["sweep", "--seed", "-1"],
+    ):
         assert cli.main(argv) == 2
         assert argv[-2] in capsys.readouterr().err
 

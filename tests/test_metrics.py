@@ -168,6 +168,51 @@ def test_report_matches_density_matrix_reference():
     assert worst < 1e-12, worst
 
 
+def test_batched_kernel_matches_the_one_attack_references():
+    """The kernel on N couplings equals information_report row by row
+    (exactly), the density-matrix reference within 1e-12, and, for the
+    {I, Z} encoding in simplified mode, the rank-2 oracle for I0c and H(d).
+    The mixtures' entropies alone, as the search takes them, are the same."""
+    rng = np.random.default_rng(73)
+    configs = [
+        pp.make_config(m, encoding=e) for m in ("simplified", "bell") for e in ("iz", "paulis")
+    ]
+    for anc in (1, 2, 4):
+        chi = search.random_pure_state(anc, rng)
+        unitaries = np.array([search.haar_random_unitary(2 * anc, rng) for _ in range(5)])
+        for config in configs:
+            priors = np.array(config.priors)
+            d, stacks = metrics._ensembles(attack._attacked_stack(chi, unitaries, config), config)
+            entropies = metrics._subsystem_entropies(stacks, anc)
+            mixtures = metrics._subsystem_entropies(stacks[:, 0], anc)
+            assert np.array_equal(mixtures, entropies[:, :, 0])
+            composite, travel, ancilla = entropies
+            for i, unitary in enumerate(unitaries):
+                spec = pp.AttackSpec(anc, chi, unitary)
+                got = {
+                    "d": d[i], "i0t": travel[i, 0], "i0a": ancilla[i, 0], "i0c": composite[i, 0],
+                    "holevo_t": metrics._holevo(priors, travel[i]),
+                    "holevo_c": metrics._holevo(priors, composite[i]),
+                }
+                report = metrics.information_report(spec, config)
+                reference = _reference_report(spec, config)
+                for name, value in got.items():
+                    assert value == getattr(report, name), name
+                    assert abs(value - reference[name]) < 1e-12, name
+                if config.mode == "simplified":
+                    # d as one attack's vdot forms it, to the bit: sweeps are pinned on it
+                    b = config.bob_initial.amplitudes
+                    overlap = b.conj() @ attack._attacked_rows(spec, config).reshape(2, -1)
+                    kept = float(np.vdot(overlap, overlap).real)
+                    assert got["d"] == min(max(1.0 - kept, 0.0), 1.0)
+                if config.mode == "simplified" and len(priors) == 2:
+                    psi = oracles.attacked_state([1.0, 0.0], list(chi), [list(r) for r in unitary])
+                    want_d = 1.0 - sum(abs(a) ** 2 for a in psi[:anc])
+                    assert abs(got["d"] - want_d) < 1e-12
+                    assert abs(got["i0t"] - oracles.binary_entropy(want_d)) < 1e-10
+                    assert abs(got["i0c"] - oracles.dephased_mixture_entropy(psi, anc)) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # holevo bounds
 

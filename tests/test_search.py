@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -349,3 +350,173 @@ def test_summary_flags_use_the_margin():
     assert row.i0a_exceeds_i0t is False  # within margin
     assert row.i0c_exceeds_i0t is True
     assert row.infeasible_objectives == ()
+
+
+# ---------------------------------------------------------------------------
+# the lockstep search against scipy and a serial reference
+
+
+def _penalized(family, config, objective, d_target, tol=1e-3):
+    """The negated score the search minimizes, one information_report per point."""
+
+    def score(theta):
+        report = metrics.information_report(family.build(theta), config)
+        gap = abs(report.d - d_target)
+        return -(getattr(report, objective) - search.PENALTY_WEIGHT * max(0.0, gap - tol) ** 2)
+
+    return score
+
+
+def _scipy_points(score, x0, budget):
+    asked = []
+
+    def recorded(theta):
+        asked.append(np.copy(theta))
+        return score(theta)
+
+    scipy.optimize.minimize(
+        recorded, x0, method="Nelder-Mead",
+        options=dict(xatol=1e-7, fatol=1e-12, adaptive=True, maxfev=budget),
+    )
+    return asked
+
+
+def _port_points(score, x0, budget):
+    asked = []
+    moves = search._nelder_mead(x0, budget)
+    value = None
+    while True:
+        try:
+            point = moves.send(value)
+        except StopIteration:
+            return asked
+        asked.append(np.copy(point))
+        value = score(point)
+
+
+@pytest.mark.parametrize("family", [search.full_unitary_family(1), search.product_family(1)],
+                         ids=lambda f: f.name)
+@pytest.mark.parametrize("objective", search.OBJECTIVES)
+def test_nelder_mead_port_asks_scipys_points(simplified_config, family, objective):
+    """Budget 3 ends inside the initial simplex; 1500 from zero ends on the
+    xatol/fatol test; 400 from a random start is the benchmark's budget.
+    The sixteen-parameter test below ends on maxfev."""
+    score = _penalized(family, simplified_config, objective, 0.3)
+    rng = np.random.default_rng(17)
+    x_random = rng.uniform(-math.pi, math.pi, family.param_count)
+    for x0, budget in ((np.zeros(family.param_count), 3), (x_random, 400),
+                       (np.zeros(family.param_count), 1500)):
+        want = _scipy_points(score, x0, budget)
+        got = _port_points(score, x0, budget)
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert 3 < len(want) < 1500  # the last case converged before its budget
+
+
+def test_nelder_mead_port_asks_scipys_points_at_sixteen_parameters(bell_config):
+    family = search.full_unitary_family(2)
+    score = _penalized(family, bell_config, "i0c", 0.2)
+    x0 = np.random.default_rng(19).uniform(-math.pi, math.pi, family.param_count)
+    want = _scipy_points(score, x0, 400)
+    got = _port_points(score, x0, 400)
+    assert len(want) == 400
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _serial_sweep(family, config, sweep_cfg):
+    """The search as one scipy Nelder-Mead run per restart, one
+    information_report per evaluation, points tracked across restarts."""
+    tol = sweep_cfg.detection_tolerance
+    children = np.random.SeedSequence(sweep_cfg.seed).spawn(
+        len(sweep_cfg.d_grid) * len(sweep_cfg.objectives))
+    points = []
+    tasks = [(d, o) for d in sweep_cfg.d_grid for o in sweep_cfg.objectives]
+    for (d_target, objective), child in zip(tasks, children):
+        rng = np.random.default_rng(child)
+        evaluations = 0
+        best = closest = None
+
+        def tracked(theta):
+            nonlocal evaluations, best, closest
+            evaluations += 1
+            report = metrics.information_report(family.build(theta), config)
+            value, gap = getattr(report, objective), abs(report.d - d_target)
+            if gap <= tol and (best is None or value > best[0]):
+                best = (value, np.copy(theta))
+            if closest is None or gap < closest[0]:
+                closest = (gap, np.copy(theta))
+            return -(value - search.PENALTY_WEIGHT * max(0.0, gap - tol) ** 2)
+
+        starts = [np.zeros(family.param_count)]
+        starts += [rng.uniform(-math.pi, math.pi, family.param_count)
+                   for _ in range(sweep_cfg.restarts - 1)]
+        for x0 in starts:
+            scipy.optimize.minimize(
+                tracked, x0, method="Nelder-Mead",
+                options=dict(xatol=1e-7, fatol=1e-12, adaptive=True,
+                             maxfev=sweep_cfg.budget_per_restart),
+            )
+        theta = best[1] if best is not None else closest[1]
+        report = metrics.information_report(family.build(theta), config)
+        points.append((tuple(float(t) for t in theta), evaluations, best is not None,
+                       report.d, getattr(report, objective)))
+    return points
+
+
+@pytest.mark.parametrize("make_family", [search.full_unitary_family, search.product_family])
+@pytest.mark.parametrize("ancilla_dim", [1, 2])
+@pytest.mark.parametrize("mode,encoding", [("simplified", "iz"), ("bell", "paulis")])
+def test_lockstep_sweep_equals_the_serial_reference(make_family, ancilla_dim, mode, encoding):
+    family = make_family(ancilla_dim)
+    config = pp.make_config(mode, encoding=encoding)
+    cfg = search.SweepConfig(d_grid=(0.1, 0.4), restarts=3, budget_per_restart=80, seed=23)
+    got = [
+        (p.theta_best, p.evaluations, p.feasible, p.d_achieved, p.best_value)
+        for p in search.sweep(family, config, cfg).points
+    ]
+    assert got == _serial_sweep(family, config, cfg)
+
+
+def test_maximize_information_equals_its_sweep_point(simplified_config):
+    family = search.product_family(2)
+    cfg = search.SweepConfig(d_grid=(0.2,), restarts=3, budget_per_restart=100, seed=4,
+                             objectives=("i0a",))
+    child = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    point = search.maximize_information(
+        family, simplified_config, "i0a", 0.2, cfg, rng=np.random.default_rng(child))
+    assert point == search.sweep(family, simplified_config, cfg).points[0]
+
+
+def test_a_non_unitary_row_stops_the_search(simplified_config):
+    base = search.full_unitary_family(1)
+
+    def build_stack(thetas):
+        unitaries = base.build_stack(thetas)
+        unitaries[1] *= 1.5
+        return unitaries
+
+    family = dataclasses.replace(base, name="broken", build_stack=build_stack)
+    cfg = search.SweepConfig(d_grid=(0.3,), restarts=3, budget_per_restart=50, objectives=("i0t",))
+    with pytest.raises(attack.InvalidAttackError, match="row 1: coupling matrix is not unitary") as info:
+        search.sweep(family, simplified_config, cfg)
+    assert "row 0" not in str(info.value) and "row 2" not in str(info.value)
+
+
+def test_family_build_is_its_stack_builder_on_one_row():
+    rng = np.random.default_rng(29)
+    for family in (search.full_unitary_family(3), search.product_family(3)):
+        thetas = rng.uniform(-math.pi, math.pi, (5, family.param_count))
+        stack = family.build_stack(thetas)
+        for theta, unitary in zip(thetas, stack):
+            spec = family.build(theta)
+            assert np.array_equal(spec.unitary, unitary)
+            assert np.array_equal(spec.ancilla_state, [1, 0, 0])
+
+
+def test_product_stack_is_the_kronecker_product():
+    rng = np.random.default_rng(31)
+    family = search.product_family(2)
+    thetas = rng.uniform(-math.pi, math.pi, (4, family.param_count))
+    for theta, unitary in zip(thetas, family.build_stack(thetas)):
+        want = np.kron(search._unitary(theta[:4], 2), search._unitary(theta[4:], 2))
+        assert np.array_equal(unitary, want)
