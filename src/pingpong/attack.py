@@ -198,7 +198,7 @@ def _encoded_rows(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
 def _encoded_members(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
     """(N, K, n, n) post-encoding states on travel⊗ancilla, home traced out,
     for an (N, H, n) stack of attacked rows."""
-    encoded = _encoded_rows(rows, np.array([op.entries for op in config.encoding_ops]))
+    encoded = _encoded_rows(rows, config.op_stack)
     return np.einsum("knhi,knhj->nkij", encoded, encoded.conj())
 
 
@@ -207,8 +207,10 @@ def _detection(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
     if config.mode == "bell":
         probs = _control_outcomes(rows, config)
         return np.minimum(np.maximum(probs[:, 0] + probs[:, 3], 0.0), 1.0)
-    overlaps = config.bob_initial.amplitudes.conj() @ rows.reshape(len(rows), 2, -1)
-    return np.array([min(max(1.0 - np.vdot(o, o).real, 0.0), 1.0) for o in overlaps])
+    o = config.bob_initial.amplitudes.conj() @ rows.reshape(len(rows), 2, -1)
+    # Row by row this matmul equals np.vdot(o, o) to the bit (einsum does not).
+    kept = (o.conj()[:, None, :] @ o[:, :, None]).real.reshape(-1)
+    return np.minimum(np.maximum(1.0 - kept, 0.0), 1.0)
 
 
 def _control_outcomes(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:

@@ -196,36 +196,43 @@ _MAX_GRID_POINTS = 10_001
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    stripped = text.strip()
-    if not stripped:
-        return ()
+    """argparse type: the detection targets of a comma list or a start:stop:step range."""
     try:
-        if ":" in stripped:
-            parts = stripped.split(":")
-            if len(parts) != 3:
-                raise ValueError("expected start:stop:step")
-            start, stop, step = _finite_floats(parts)
-            if step <= 0:
-                raise ValueError("step must be positive")
-            span = (stop + 1e-9 - start) / step  # inf when the range overflows
-            if not span < _MAX_GRID_POINTS:
-                raise ValueError(f"more than {_MAX_GRID_POINTS} points")
-            values = []
-            # floor(span) + 1 points, give or take one for rounding
-            for k in range(math.floor(span) + 2):
-                value = start + k * step
-                if value > stop + 1e-9:
-                    break
-                # Clamp float noise at the interval edges only.
-                if -1e-9 < value < 0.0:
-                    value = 0.0
-                if 1.0 < value < 1.0 + 1e-9:
-                    value = 1.0
-                values.append(value)
-            return tuple(values)
-        return _finite_floats(stripped.split(","))
+        values = _grid_values(text.strip())
+        if not values:
+            raise ValueError("no detection targets")
+        return values
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from exc
+
+
+def _grid_values(stripped: str) -> tuple[float, ...]:
+    if not stripped:
+        return ()
+    if ":" in stripped:
+        parts = stripped.split(":")
+        if len(parts) != 3:
+            raise ValueError("expected start:stop:step")
+        start, stop, step = _finite_floats(parts)
+        if step <= 0:
+            raise ValueError("step must be positive")
+        span = (stop + 1e-9 - start) / step  # inf when the range overflows
+        if not span < _MAX_GRID_POINTS:
+            raise ValueError(f"more than {_MAX_GRID_POINTS} points")
+        values = []
+        # floor(span) + 1 points, give or take one for rounding
+        for k in range(math.floor(span) + 2):
+            value = start + k * step
+            if value > stop + 1e-9:
+                break
+            # Clamp float noise at the interval edges only.
+            if -1e-9 < value < 0.0:
+                value = 0.0
+            if 1.0 < value < 1.0 + 1e-9:
+                value = 1.0
+            values.append(value)
+        return tuple(values)
+    return _finite_floats(stripped.split(","))
 
 
 def _finite_floats(parts: list[str]) -> tuple[float, ...]:
@@ -290,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", default=None, help="CSV path (default: stdout)")
     sweep.add_argument("--mode", choices=protocol_mod.MODES, default="simplified")
     sweep.add_argument("--encoding", choices=protocol_mod.ENCODING_NAMES, default="iz")
-    sweep.add_argument("--restarts", type=int, default=20)
-    sweep.add_argument("--budget", type=int, default=2000,
+    sweep.add_argument("--restarts", type=_positive_int, default=20)
+    sweep.add_argument("--budget", type=_positive_int, default=2000,
                        help="objective evaluations per restart")
     sweep.add_argument("--family", choices=("full", "product"), default="full")
     sweep.add_argument("--ancilla-dim", type=_positive_int, default=2)

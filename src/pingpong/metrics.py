@@ -72,40 +72,61 @@ def binary_entropy(x: float) -> float:
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
 
 
+def _mixtures(priors: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The (N, n, n) mixtures Σ p ρ of (N, K, n, n) member stacks."""
+    count, k, n = members.shape[:3]
+    return (priors @ members.reshape(count, k, -1)).reshape(count, n, n)
+
+
 def _with_average(priors: np.ndarray, members: np.ndarray) -> np.ndarray:
     """The (N, K, n, n) member stacks with each mixture Σ p ρ prepended as entry 0."""
-    count, k, n = members.shape[:3]
-    mixtures = (priors @ members.reshape(count, k, -1)).reshape(count, 1, n, n)
-    return np.concatenate([mixtures, members], axis=1)
+    return np.concatenate([_mixtures(priors, members)[:, None], members], axis=1)
 
 
-def _subsystem_entropies(stack: np.ndarray, ancilla_dim: int) -> np.ndarray:
+def _subsystem_entropies(
+    stack: np.ndarray, ancilla_dim: int, counts: tuple[int, int, int] | None = None
+) -> np.ndarray:
     """(3, ...) entropies of composite, travel and ancilla for a (..., n, n) stack.
 
-    The two marginals are zero-padded to n×n so that one eigensolve covers
-    all three; padding adds only zero eigenvalues, which contribute 0·log 0 = 0.
+    With ``counts`` (c0, c1, c2) and an (N, n, n) stack, one subsystem per
+    matrix is solved instead: the composite of the first c0 matrices, the
+    travel marginal of the next c1 and the ancilla marginal of the last c2.
+    The (N,) result equals the matching entries of the (3, N) one exactly.
+
+    The marginals are zero-padded to n×n so that one eigensolve covers
+    every matrix; padding adds only zero eigenvalues, which contribute
+    0·log 0 = 0.
     """
-    lead, n = stack.shape[:-2], stack.shape[-1]
-    parts = stack.reshape(-1, 2, ancilla_dim, 2, ancilla_dim)
-    padded = np.zeros((3, len(parts), n, n), dtype=complex)
-    padded[0] = stack.reshape(-1, n, n)
-    padded[1, :, :2, :2] = np.einsum("kiaja->kij", parts)
-    padded[2, :, :ancilla_dim, :ancilla_dim] = np.einsum("kiaib->kab", parts)
-    return qlinalg._entropies(padded).reshape((3,) + lead)
+    lead, n, m = stack.shape[:-2], stack.shape[-1], ancilla_dim
+    flat = stack.reshape(-1, n, n)
+    if counts is None:
+        a, b = len(flat), 2 * len(flat)
+        composite = travel = ancilla = flat
+    else:
+        a, b = counts[0], counts[0] + counts[1]
+        composite, travel, ancilla = flat[:a], flat[a:b], flat[b:]
+    padded = np.zeros((b + len(ancilla), n, n), dtype=complex)
+    padded[:a] = composite
+    np.einsum("kiaja->kij", travel.reshape(-1, 2, m, 2, m), out=padded[a:b, :2, :2])
+    np.einsum("kiaib->kab", ancilla.reshape(-1, 2, m, 2, m), out=padded[b:, :m, :m])
+    entropies = qlinalg._entropies(padded)
+    return entropies.reshape((3,) + lead) if counts is None else entropies
 
 
 def _ensembles(
-    rows: np.ndarray, config: protocol_mod.ProtocolConfig
+    rows: np.ndarray, config: protocol_mod.ProtocolConfig, members: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """The evaluation kernel shared by ``information_report`` and the search.
 
     For an (N, H, n) stack of validated attacked rows: d (N,) and the
     (N, K+1, n, n) post-encoding ensembles, each mixture first and then
-    its members.  Callers take ``_subsystem_entropies`` of what they need.
+    its members; with ``members=False`` only the (N, n, n) mixtures.
+    Callers take ``_subsystem_entropies`` of what they need.
     """
     d = attack_mod._detection(rows, config)
-    members = attack_mod._encoded_members(rows, config)
-    return d, _with_average(np.array(config.priors), members)
+    encoded = attack_mod._encoded_members(rows, config)
+    combine = _with_average if members else _mixtures
+    return d, combine(config.prior_array, encoded)
 
 
 def _holevo(priors: np.ndarray, entropies: np.ndarray) -> float:
@@ -137,8 +158,8 @@ def _is_canonical_counterexample(
         spec.ancilla_state,
         spec.unitary,
         config.bob_initial.amplitudes,
-        [op.entries for op in config.encoding_ops],
-        config.priors,
+        config.op_stack,
+        config.prior_array,
     )
     return all(
         np.shape(got) == want.shape and np.max(np.abs(np.subtract(got, want))) <= 1e-12
@@ -156,7 +177,7 @@ def information_report(
     """
     d, stacks = _ensembles(attack_mod._attacked_rows(spec, config)[None], config)
     composite, travel, ancilla = _subsystem_entropies(stacks[0], spec.ancilla_dim)
-    priors = np.array(config.priors)
+    priors = config.prior_array
     i0c = float(composite[0])
     deviation = None
     if _is_canonical_counterexample(spec, config):

@@ -60,7 +60,9 @@ class ProtocolConfig:
     bell mode it is pinned to the anticorrelated pair over (home, travel).
     ``encoding_ops``/``priors`` define Alice's message-mode operations on
     the travel qubit.  ``control_probability`` only schedules Monte Carlo
-    rounds; analytic quantities ignore it.
+    rounds; analytic quantities ignore it.  ``op_stack`` (K, 2, 2) and
+    ``prior_array`` (K,) are the same ops and priors as read-only arrays,
+    built once for the evaluation kernel.
     """
 
     mode: str
@@ -68,6 +70,8 @@ class ProtocolConfig:
     encoding_ops: tuple[qlinalg.UnitaryOperator, ...]
     priors: tuple[float, ...]
     control_probability: float = 0.5
+    op_stack: np.ndarray = dataclasses.field(init=False, repr=False)
+    prior_array: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -94,6 +98,11 @@ class ProtocolConfig:
             dev = float(np.max(np.abs(self.bob_initial.amplitudes - bell_pair().amplitudes)))
             if not dev <= 1e-12:
                 raise ValueError("bell mode uses the fixed pair (|01> + |10>)/√2")
+        for name, values in (("op_stack", [op.entries for op in self.encoding_ops]),
+                             ("prior_array", self.priors)):
+            array = np.array(values)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
 
 def make_config(

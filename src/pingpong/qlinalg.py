@@ -27,7 +27,6 @@ ATOL_EIGENVALUE = 1e-10
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
@@ -208,7 +207,8 @@ def _entropies(arrays: np.ndarray) -> np.ndarray:
     """``von_neumann_entropy`` of a raw matrix or of each matrix in a stack."""
     evals = _spectrum(arrays)[..., ::-1]
     logs = np.log2(evals, out=np.zeros_like(evals), where=evals > 0.0)
-    return -(evals * logs).sum(axis=-1) + 0.0  # +0.0 folds -0.0 away
+    logs *= evals
+    return -logs.sum(axis=-1) + 0.0  # +0.0 folds -0.0 away
 
 
 def hermitian_eigenvalues(rho: DensityMatrix) -> list[float]:

@@ -33,6 +33,9 @@ _XATOL = 1e-7
 _FATOL = 1e-12
 # Row of each objective in metrics._subsystem_entropies' (composite, travel, ancilla).
 _ENTROPY_ROW = {"i0c": 0, "i0t": 1, "i0a": 2}
+# Most restarts one search may hold: the lockstep search keeps every restart
+# (its generator, simplex and best points, about 9 KB) in memory at once.
+MAX_RESTARTS = 100_000
 
 
 def parameterize_unitary(theta, dim: int) -> qlinalg.UnitaryOperator:
@@ -49,11 +52,19 @@ def parameterize_unitary(theta, dim: int) -> qlinalg.UnitaryOperator:
 
 
 @functools.cache
-def _generator_slots(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices of the diagonal, upper and lower entries of a dim×dim
-    generator; the upper/lower pairs are in row-major upper-triangle order."""
+def _generator_gather(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter index and sign of each (re, im) entry of a flat dim×dim
+    generator: H[i, i] = θ_i, H[i, j] = θ_k + iθ_(k+1), H[j, i] = θ_k - iθ_(k+1),
+    with k running over the upper triangle row-major from dim."""
+    index = np.zeros((dim, dim, 2), dtype=np.intp)
+    sign = np.zeros((dim, dim, 2))
+    diagonal = np.arange(dim)
+    index[diagonal, diagonal, 0], sign[diagonal, diagonal, 0] = diagonal, 1.0
     rows, cols = np.triu_indices(dim, 1)
-    return np.arange(dim) * (dim + 1), rows * dim + cols, cols * dim + rows
+    re = dim + 2 * np.arange(len(rows))
+    index[rows, cols] = index[cols, rows] = np.column_stack([re, re + 1])
+    sign[rows, cols], sign[cols, rows] = (1.0, 1.0), (1.0, -1.0)
+    return index.reshape(-1), sign.reshape(-1)
 
 
 def _unitary(theta, dim: int) -> np.ndarray:
@@ -65,14 +76,9 @@ def _unitary(theta, dim: int) -> np.ndarray:
     if theta.shape[-1:] != (dim * dim,):
         raise ValueError(f"need {dim * dim} parameters for dimension {dim}, got shape {theta.shape}")
     lead = theta.shape[:-1]
-    theta = theta.reshape(-1, dim * dim)
-    diagonal, upper, lower = _generator_slots(dim)
-    re, im = theta[:, dim::2], theta[:, dim + 1::2]
-    gen = np.zeros((len(theta), dim * dim), dtype=complex)
-    gen[:, diagonal] = theta[:, :dim]
-    gen[:, upper] = re + 1j * im
-    gen[:, lower] = re - 1j * im
-    evals, vecs = np.linalg.eigh(gen.reshape(-1, dim, dim))
+    index, sign = _generator_gather(dim)
+    gen = theta.reshape(-1, dim * dim).take(index, axis=1) * sign
+    evals, vecs = np.linalg.eigh(gen.view(complex).reshape(-1, dim, dim))
     unitaries = (vecs * np.exp(1j * evals)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
     return unitaries.reshape(lead + (dim, dim))
 
@@ -212,6 +218,12 @@ class SweepConfig:
             raise ValueError(f"objectives must be drawn from {OBJECTIVES}, got {self.objectives!r}")
         if self.restarts < 1 or self.budget_per_restart < 1:
             raise ValueError("restarts and budget_per_restart must be >= 1")
+        total = len(grid) * len(self.objectives) * self.restarts
+        if total > MAX_RESTARTS:
+            raise ValueError(
+                f"{total:,} restarts (grid points × objectives × restarts) exceed "
+                f"{MAX_RESTARTS:,}: the search holds every restart in memory at once"
+            )
         if self.detection_tolerance <= 0:
             raise ValueError("detection_tolerance must be positive")
 
@@ -315,6 +327,7 @@ class _Restart:
     """One Nelder–Mead restart of a search task and the best points it saw."""
 
     task: int
+    subsystem: int  # _ENTROPY_ROW of the task's objective
     moves: Generator[np.ndarray, float, None]
     point: np.ndarray
     best: tuple[float, np.ndarray] | None = None  # (value, θ), feasible only
@@ -331,17 +344,19 @@ def _search(
 
     Every restart of every task advances in lockstep: each step stacks the
     pending point of every live restart, builds the stack with one
-    ``family.build_stack`` call, validates it at once and evaluates it
-    with one ``metrics._ensembles`` call and one eigensolve of the
-    mixtures (the members' entropies feed only the Holevo bounds).  A
-    restart's best feasible and closest points are kept per restart and
-    merged in restart order with the serial loop's strict comparisons, so
-    ties break as they would if the restarts ran one after another.
+    ``family.build_stack`` call, validates it at once, forms only the
+    mixtures with one ``metrics._ensembles`` call and eigensolves, per
+    restart, just the subsystem its objective names.  The live restarts
+    stay grouped by that subsystem, as ``metrics._subsystem_entropies``
+    takes them.  A restart's best feasible and closest points are kept per
+    restart and merged in restart order with the serial loop's strict
+    comparisons, so ties break as they would if the restarts ran one
+    after another.
     """
     tol = sweep_cfg.detection_tolerance
     chi = _ground_ancilla(family.ancilla_dim)
     restarts: list[_Restart] = []
-    for index, (_, _, rng) in enumerate(tasks):
+    for index, (objective, _, rng) in enumerate(tasks):
         starts = [np.zeros(family.param_count)]
         starts += [
             rng.uniform(-math.pi, math.pi, family.param_count)
@@ -349,20 +364,19 @@ def _search(
         ]
         for x0 in starts:
             moves = _nelder_mead(x0, sweep_cfg.budget_per_restart)
-            restarts.append(_Restart(index, moves, next(moves)))
+            restarts.append(_Restart(index, _ENTROPY_ROW[objective], moves, next(moves)))
 
     evaluations = [0] * len(tasks)
-    live = restarts
+    live = sorted(restarts, key=lambda r: r.subsystem)
+    counts = [sum(r.subsystem == row for r in live) for row in range(3)]
     while live:
         thetas = np.array([r.point for r in live])
         rows = attack_mod._attacked_stack(chi, family.build_stack(thetas), config)
-        d, stacks = metrics._ensembles(rows, config)
-        entropies = metrics._subsystem_entropies(stacks[:, 0], family.ancilla_dim)
-        still = []
-        for r, theta, d_i, values in zip(live, thetas, d.tolist(), entropies.T.tolist()):
-            objective, d_target, _ = tasks[r.task]
-            value = values[_ENTROPY_ROW[objective]]
-            gap = abs(d_i - d_target)
+        d, mixtures = metrics._ensembles(rows, config, members=False)
+        values = metrics._subsystem_entropies(mixtures, family.ancilla_dim, counts)
+        still, counts = [], [0, 0, 0]
+        for r, theta, d_i, value in zip(live, thetas, d.tolist(), values.tolist()):
+            gap = abs(d_i - tasks[r.task][1])
             evaluations[r.task] += 1
             if gap <= tol and (r.best is None or value > r.best[0]):
                 r.best = (value, theta.copy())
@@ -373,6 +387,7 @@ def _search(
             except StopIteration:
                 continue
             still.append(r)
+            counts[r.subsystem] += 1
         live = still
 
     points = []

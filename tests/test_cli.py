@@ -232,12 +232,32 @@ def test_simulate_deterministic(capsys, attack_path):
 # sweep
 
 
-def test_sweep_empty_grid_prints_header_only(capsys):
-    assert cli.main(["sweep", "--grid", ""]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == "d_target,d_achieved,objective,best_value,evaluations\n"
-    assert captured.err.startswith("sweep summary:")
-    assert "flagged grid points: 0 of 0" in captured.err
+def test_sweep_empty_grid_exits_2(capsys):
+    # an empty grid, or a range with no point in it, is a usage error,
+    # not an empty sweep
+    for grid in ("", "0.5:0.1:0.1"):
+        assert cli.main(["sweep", f"--grid={grid}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no detection targets" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--restarts", "--budget"])
+@pytest.mark.parametrize("value", ["0", "-3", "2.5", "many"])
+def test_sweep_restarts_and_budget_take_positive_integers(capsys, flag, value):
+    assert cli.main(["sweep", "--grid", "0.1", flag, value]) == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
+def test_sweep_over_the_restart_cap_exits_2_before_any_restart(capsys, monkeypatch):
+    def no_restarts(*args, **kwargs):
+        raise AssertionError("a restart was built")
+
+    monkeypatch.setattr(search, "_nelder_mead", no_restarts)
+    assert cli.main(["sweep", "--restarts", "1000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad sweep configuration: 18,000,000 restarts")
+    assert "in memory at once" in err
 
 
 def test_sweep_single_point_csv(capsys):

@@ -172,7 +172,8 @@ def test_batched_kernel_matches_the_one_attack_references():
     """The kernel on N couplings equals information_report row by row
     (exactly), the density-matrix reference within 1e-12, and, for the
     {I, Z} encoding in simplified mode, the rank-2 oracle for I0c and H(d).
-    The mixtures' entropies alone, as the search takes them, are the same."""
+    The mixtures' entropies alone are the same, and so is each one the
+    search takes: one subsystem per row, rows grouped by subsystem."""
     rng = np.random.default_rng(73)
     configs = [
         pp.make_config(m, encoding=e) for m in ("simplified", "bell") for e in ("iz", "paulis")
@@ -182,10 +183,17 @@ def test_batched_kernel_matches_the_one_attack_references():
         unitaries = np.array([search.haar_random_unitary(2 * anc, rng) for _ in range(5)])
         for config in configs:
             priors = np.array(config.priors)
-            d, stacks = metrics._ensembles(attack._attacked_stack(chi, unitaries, config), config)
+            rows = attack._attacked_stack(chi, unitaries, config)
+            d, stacks = metrics._ensembles(rows, config)
             entropies = metrics._subsystem_entropies(stacks, anc)
             mixtures = metrics._subsystem_entropies(stacks[:, 0], anc)
             assert np.array_equal(mixtures, entropies[:, :, 0])
+            d_alone, mixed = metrics._ensembles(rows, config, members=False)
+            assert np.array_equal(d_alone, d) and np.array_equal(mixed, stacks[:, 0])
+            for counts in ((5, 0, 0), (0, 5, 0), (0, 0, 5), (2, 1, 2), (0, 3, 2), (1, 4, 0)):
+                subsystems = np.repeat([0, 1, 2], counts)
+                selected = metrics._subsystem_entropies(mixed, anc, counts)
+                assert np.array_equal(selected, mixtures[subsystems, np.arange(5)])
             composite, travel, ancilla = entropies
             for i, unitary in enumerate(unitaries):
                 spec = pp.AttackSpec(anc, chi, unitary)

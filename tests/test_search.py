@@ -198,6 +198,15 @@ def test_sweep_config_validation():
         search.SweepConfig(d_grid=(0.1,), detection_tolerance=0.0)
 
 
+def test_sweep_config_caps_the_restarts_of_one_search():
+    search.SweepConfig(d_grid=(0.1,), restarts=search.MAX_RESTARTS, objectives=("i0t",))
+    with pytest.raises(ValueError, match="in memory at once"):
+        search.SweepConfig(d_grid=(0.1,), restarts=search.MAX_RESTARTS + 1, objectives=("i0t",))
+    # grid points × objectives × restarts: 2 × 3 × 16,667 = 100,002
+    with pytest.raises(ValueError, match="100,002 restarts"):
+        search.SweepConfig(d_grid=(0.1, 0.2), restarts=16_667)
+
+
 def test_curve_point_best_value_property():
     point = search.CurvePoint(
         d_target=0.1, d_achieved=0.1, objective="i0a",
@@ -315,6 +324,26 @@ def test_seeded_sweep_is_pinned(simplified_config):
         for p in result.points
     )
     assert got == PINNED_SWEEP
+
+
+# The same for one point of the canonical sweep at the benchmark's budget:
+# pingpong sweep --grid 0.3 --restarts 3 --budget 400 --seed 0.
+PINNED_CANONICAL_SWEEP = (
+    (0.3, "i0t", 1200, True, "0.300998776165", "0.882508371228"),
+    (0.3, "i0a", 1200, True, "0.300297717449", "0.880409978633"),
+    (0.3, "i0c", 1200, True, "0.300953949206", "0.882453875495"),
+)
+
+
+def test_canonical_sweep_at_the_benchmark_budget_is_pinned(simplified_config):
+    cfg = search.SweepConfig(d_grid=(0.3,), restarts=3, budget_per_restart=400, seed=0)
+    result = search.sweep(search.full_unitary_family(2), simplified_config, cfg)
+    got = tuple(
+        (p.d_target, p.objective, p.evaluations, p.feasible,
+         f"{p.d_achieved:.12g}", f"{p.best_value:.12g}")
+        for p in result.points
+    )
+    assert got == PINNED_CANONICAL_SWEEP
 
 
 def test_sweep_with_all_objectives(simplified_config):
