@@ -31,22 +31,17 @@ from .metrics import (
 from .protocol import (
     MonteCarloStats,
     ProtocolConfig,
-    RoundOutcome,
     bell_pair,
     make_config,
     monte_carlo,
-    run_control_round,
     run_message_round,
 )
 from .qlinalg import (
     DensityMatrix,
     StateVector,
     UnitaryOperator,
-    apply_unitary,
     basis_state,
     hermitian_eigenvalues,
-    is_unitary,
-    measure_projective,
     partial_trace,
     tensor_product,
     to_density,
@@ -76,13 +71,11 @@ __all__ = [
     "InvalidAttackError",
     "MonteCarloStats",
     "ProtocolConfig",
-    "RoundOutcome",
     "StateVector",
     "SweepConfig",
     "SweepResult",
     "UnitaryOperator",
     "apply_attack",
-    "apply_unitary",
     "basis_state",
     "bell_pair",
     "binary_entropy",
@@ -93,16 +86,13 @@ __all__ = [
     "hermitian_eigenvalues",
     "holevo_bound",
     "information_report",
-    "is_unitary",
     "make_config",
     "maximize_information",
-    "measure_projective",
     "monte_carlo",
     "parameterize_unitary",
     "partial_trace",
     "post_encoding_ensemble",
     "product_family",
-    "run_control_round",
     "run_message_round",
     "sample_random_attack",
     "sweep",

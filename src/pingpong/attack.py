@@ -54,10 +54,6 @@ class AttackSpec:
         object.__setattr__(self, "ancilla_state", chi)
         object.__setattr__(self, "unitary", u)
 
-    @property
-    def composite_dim(self) -> int:
-        return 2 * self.ancilla_dim
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class EncodingEnsemble:
@@ -203,27 +199,19 @@ def _encoded_members(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
 
 
 def _detection(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
-    """d (N,) of one control round for an (N, H, n) stack of attacked rows."""
+    """d (N,) of one control round for an (N, H, n) stack of attacked rows.
+
+    Bell mode: the weight of equal computational-basis outcomes on
+    (home, travel), 00 and 11, since the clean pair is anticorrelated.
+    Simplified mode: the weight orthogonal to the sent state.
+    """
     if config.mode == "bell":
-        probs = _control_outcomes(rows, config)
-        return np.minimum(np.maximum(probs[:, 0] + probs[:, 3], 0.0), 1.0)
+        equal = np.sum(np.abs(rows.reshape(len(rows), 4, -1)[:, ::3]) ** 2, axis=2)
+        return np.minimum(np.maximum(equal[:, 0] + equal[:, 1], 0.0), 1.0)
     o = config.bob_initial.amplitudes.conj() @ rows.reshape(len(rows), 2, -1)
     # Row by row this matmul equals np.vdot(o, o) to the bit (einsum does not).
     kept = (o.conj()[:, None, :] @ o[:, :, None]).real.reshape(-1)
     return np.minimum(np.maximum(1.0 - kept, 0.0), 1.0)
-
-
-def _control_outcomes(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
-    """(N, M) exact outcome distributions of one control round for an
-    (N, H, n) stack of attacked rows.
-
-    Bell mode: index 2·home + travel of the computational-basis outcomes.
-    Simplified mode: 0 = travel found in the sent state, 1 = orthogonal to it.
-    """
-    if config.mode == "bell":
-        return np.sum(np.abs(rows.reshape(len(rows), 4, -1)) ** 2, axis=2)
-    d = _detection(rows, config)
-    return np.column_stack([1.0 - d, d])
 
 
 def apply_attack(spec: AttackSpec, config: "ProtocolConfig") -> qlinalg.DensityMatrix:

@@ -166,7 +166,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     }[args.family]
     family = family_builder(args.ancilla_dim)
     config = protocol_mod.make_config(args.mode, encoding=args.encoding)
-    result = search_mod.sweep(family, config, sweep_cfg)
+    try:
+        result = search_mod.sweep(family, config, sweep_cfg)
+    except search_mod.SearchTooLargeError as exc:
+        print(f"bad sweep configuration: {exc}", file=sys.stderr)
+        return EXIT_USAGE_IO
     summary_lines = _render_summary(result.summary, objectives)
     if args.out:
         try:

@@ -34,7 +34,10 @@ def _complex_from_pair(pair, where: str) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
     ):
         raise AttackFileError(f"{where}: expected a [re, im] number pair, got {pair!r}")
-    return complex(pair[0], pair[1])
+    try:
+        return complex(pair[0], pair[1])
+    except OverflowError:  # an integer past float range
+        raise AttackFileError(f"{where}: number beyond float range") from None
 
 
 def attack_to_dict(spec: attack_mod.AttackSpec) -> dict:
@@ -92,6 +95,8 @@ def load_attack(path) -> attack_mod.AttackSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise AttackFileError(f"line {exc.lineno}: {exc.msg}") from exc
+    except ValueError:  # an integer literal past Python's digit limit
+        raise AttackFileError("an integer literal is beyond float range") from None
     return attack_from_dict(data)
 
 

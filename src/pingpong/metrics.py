@@ -24,13 +24,13 @@ _INEQUALITY_TOL = 1e-8
 # The canonical counterexample setting, in the order _is_canonical_counterexample
 # reads it: χ, U, the sent |0>, the stacked {I, Z} encoding and its priors.
 _COUNTEREXAMPLE = attack_mod.builtin_attack("counterexample")
-_IZ_OPS, _IZ_PRIORS = protocol_mod.encoding_set("iz")
+_SIMPLIFIED_IZ = protocol_mod.make_config("simplified")
 _CANONICAL = (
     _COUNTEREXAMPLE.ancilla_state,
     _COUNTEREXAMPLE.unitary,
-    qlinalg.basis_state(2, 0).amplitudes,
-    np.array([op.entries for op in _IZ_OPS]),
-    np.array(_IZ_PRIORS),
+    _SIMPLIFIED_IZ.bob_initial.amplitudes,
+    _SIMPLIFIED_IZ.op_stack,
+    _SIMPLIFIED_IZ.prior_array,
 )
 
 

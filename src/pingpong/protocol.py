@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -129,74 +128,9 @@ def make_config(
 
 
 @dataclasses.dataclass(frozen=True)
-class RoundOutcome:
-    """Audit record of a single protocol round.
-
-    Control rounds carry ``detected`` and no decoded bit; message rounds
-    carry ``decoded_bit`` (possibly None when undecodable) and no
-    ``detected`` flag.
-    """
-
-    round_kind: str
-    detected: bool | None
-    decoded_bit: int | None
-    transcript: tuple[tuple[str, str, object], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.round_kind not in ("control", "message"):
-            raise ValueError(f"unknown round kind {self.round_kind!r}")
-        if self.round_kind == "control" and (self.detected is None or self.decoded_bit is not None):
-            raise ValueError("control rounds set detected and leave decoded_bit unset")
-        if self.round_kind == "message" and self.detected is not None:
-            raise ValueError("message rounds leave detected unset")
-
-
-def run_control_round(
-    config: ProtocolConfig, spec: attack_mod.AttackSpec
-) -> tuple[float, Callable[[np.random.Generator], RoundOutcome]]:
-    """Analytic detection probability plus a sampler of single rounds.
-
-    Simplified mode: Alice measures the travel qubit in the basis that
-    contains the sent state, so d = 1 - <b|ρ'_t|b>.  Bell mode: Alice and
-    Bob measure travel and home in the computational basis; equal
-    outcomes flag tampering since the clean pair is anticorrelated.
-    The sampler draws from the exact joint outcome distribution.
-    """
-    rows = attack_mod._attacked_rows(spec, config)[None]
-    d = float(attack_mod._detection(rows, config)[0])
-    probs = attack_mod._control_outcomes(rows, config)[0]
-    probs = probs / probs.sum()
-    bell = config.mode == "bell"
-
-    def sampler(rng: np.random.Generator) -> RoundOutcome:
-        idx = int(rng.choice(probs.size, p=probs))
-        if bell:
-            home, travel = divmod(idx, 2)
-            detected = home == travel
-            transcript = (
-                ("alice", "measure_travel", travel),
-                ("bob", "measure_home", home),
-                ("public", "compare", "equal" if detected else "anticorrelated"),
-            )
-        else:
-            detected = idx == 1
-            transcript = (
-                ("alice", "measure_travel", idx),
-                ("public", "compare", "mismatch" if detected else "match"),
-            )
-        return RoundOutcome(
-            round_kind="control", detected=detected, decoded_bit=None, transcript=transcript
-        )
-
-    return d, sampler
-
-
-@dataclasses.dataclass(frozen=True)
 class MessageRoundResult:
     """Outcome of one message round.
 
-    ``final_state`` is the post-encoding joint state (home⊗travel⊗ancilla
-    in bell mode, travel⊗ancilla otherwise), before Bob's measurement.
     ``decode_probabilities`` maps encoding index to the probability Bob's
     measurement reports it; ``failure_probability`` is the weight of the
     outcome outside every decode projector.  When the encoded states are
@@ -204,33 +138,31 @@ class MessageRoundResult:
     and the distribution fields are None.
     """
 
-    final_state: qlinalg.DensityMatrix
     decoded_bit: int | None
     decode_probabilities: tuple[float, ...] | None
     failure_probability: float | None
     orthogonal_decoding: bool
 
 
-def _decode_table(rows: np.ndarray, config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray | None]:
-    """Encoded rows per bit, and Bob's (K, K+1) decode table.
+def _decode_table(rows: np.ndarray, config: ProtocolConfig) -> np.ndarray | None:
+    """Bob's (K, K+1) decode table for attacked rows (``attack._attacked_rows``).
 
-    ``rows`` are the ``attack._attacked_rows``.  Row k of the table holds,
-    for bit k sent, the probability that Bob's measurement reports each
-    encoding, then the weight outside every decode projector.  The table
-    is None when the decode candidates (the encoded images of the initial
-    state) are not orthogonal, so that no decoding is defined.
+    Row k holds, for bit k sent, the probability that Bob's measurement
+    reports each encoding, then the weight outside every decode projector.
+    The table is None when the decode candidates (the encoded images of
+    the initial state) are not orthogonal, so that no decoding is defined.
     """
-    ops = np.array([op.entries for op in config.encoding_ops])
-    encoded = attack_mod._encoded_rows(rows, ops)
+    ops = config.op_stack
     base = config.bob_initial.amplitudes.reshape(-1, 2)
     candidates = attack_mod._encoded_rows(base, ops).reshape(len(ops), -1)
     if np.any(np.abs(np.triu(candidates.conj() @ candidates.T, 1)) > 1e-10):
-        return encoded, None
+        return None
+    encoded = attack_mod._encoded_rows(rows, ops)
     # Bob projects home⊗travel (bell) or travel onto each candidate.
     amplitudes = candidates.conj() @ encoded.reshape(len(ops), candidates.shape[1], -1)
     probs = np.sum(np.abs(amplitudes) ** 2, axis=2)
     failure = np.maximum(0.0, 1.0 - probs.sum(axis=1))
-    return encoded, np.column_stack([probs, failure])
+    return np.column_stack([probs, failure])
 
 
 def run_message_round(
@@ -249,12 +181,9 @@ def run_message_round(
     """
     if not 0 <= bit < len(config.encoding_ops):
         raise ValueError(f"bit {bit!r} does not index {len(config.encoding_ops)} encoding ops")
-    encoded, table = _decode_table(attack_mod._attacked_rows(spec, config), config)
-    psi = encoded[bit].ravel()
-    final = qlinalg.DensityMatrix(np.outer(psi, psi.conj()))
+    table = _decode_table(attack_mod._attacked_rows(spec, config), config)
     if table is None:
         return MessageRoundResult(
-            final_state=final,
             decoded_bit=None,
             decode_probabilities=None,
             failure_probability=None,
@@ -267,7 +196,6 @@ def run_message_round(
         weights = np.clip(outcomes, 0.0, None)
         decoded = int(rng.choice(len(outcomes), p=weights / weights.sum()))
     return MessageRoundResult(
-        final_state=final,
         decoded_bit=None if decoded == len(outcomes) - 1 else decoded,
         decode_probabilities=tuple(float(p) for p in outcomes[:-1]),
         failure_probability=float(outcomes[-1]),
@@ -311,8 +239,8 @@ def monte_carlo(
     detections = int((rng.random(n_control) < d).sum())
 
     n_ops = len(config.encoding_ops)
-    bits = rng.choice(n_ops, size=n_message, p=np.array(config.priors))
-    table = _decode_table(rows, config)[1]
+    bits = rng.choice(n_ops, size=n_message, p=config.prior_array)
+    table = _decode_table(rows, config)
     if n_message and table is not None:
         table = np.clip(table, 0.0, None)
         table /= table.sum(axis=1, keepdims=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -145,13 +145,6 @@ def tensor_product(a, b):
     raise KindMismatchError(f"unsupported operand kind {type(a).__name__}")
 
 
-def apply_unitary(u: UnitaryOperator, s: StateVector) -> StateVector:
-    """Evolve a pure state: returns U|s>.  Norm is preserved within 1e-12."""
-    if u.dim != s.dim:
-        raise DimensionMismatchError(f"operator dim {u.dim} != state dim {s.dim}")
-    return StateVector(u.entries @ s.amplitudes)
-
-
 def to_density(s: StateVector) -> DensityMatrix:
     """Rank-one projector |s><s| of a pure state."""
     return DensityMatrix(np.outer(s.amplitudes, s.amplitudes.conj()))
@@ -234,37 +227,3 @@ def _unitarity_deviation(arr: np.ndarray) -> float | np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         dev = np.abs(arr.conj().swapaxes(-1, -2) @ arr - np.eye(arr.shape[-1]))
         return dev.reshape(arr.shape[:-2] + (-1,)).max(axis=-1)
-
-
-def is_unitary(u, tol: float) -> bool:
-    """True iff max-entry |U†U - I| <= tol.  Accepts a raw square matrix."""
-    arr = u.entries if isinstance(u, UnitaryOperator) else np.asarray(u, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
-    return bool(_unitarity_deviation(arr) <= tol)
-
-
-def measure_projective(
-    state: StateVector | DensityMatrix, basis: Iterable[StateVector]
-) -> NDArray[np.float64]:
-    """Born probabilities of a projective measurement in an orthonormal basis.
-
-    The basis must be orthonormal within 1e-10 and span the space; the
-    returned probabilities sum to 1 within 1e-10.
-    """
-    vectors = [b.amplitudes for b in basis]
-    if isinstance(state, StateVector):
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-        dim = state.dim
-    else:
-        rho = state.entries
-        dim = state.dim
-    if len(vectors) != dim or any(v.size != dim for v in vectors):
-        raise DimensionMismatchError(
-            f"basis of {len(vectors)} vectors does not span dimension {dim}"
-        )
-    gram = np.array([[np.vdot(u, v) for v in vectors] for u in vectors])
-    if not np.max(np.abs(gram - np.eye(dim))) <= ATOL_NORM:
-        raise ValueError("basis is not orthonormal within 1e-10")
-    probs = np.array([float(np.real(np.vdot(v, rho @ v))) for v in vectors])
-    return np.clip(probs, 0.0, 1.0)

@@ -34,8 +34,15 @@ _FATOL = 1e-12
 # Row of each objective in metrics._subsystem_entropies' (composite, travel, ancilla).
 _ENTROPY_ROW = {"i0c": 0, "i0t": 1, "i0a": 2}
 # Most restarts one search may hold: the lockstep search keeps every restart
-# (its generator, simplex and best points, about 9 KB) in memory at once.
+# (its generator, simplex and best points) in memory at once.
 MAX_RESTARTS = 100_000
+# Most bytes the restarts' Nelder–Mead simplices may take together: each
+# restart holds a (P+1)×P float64 simplex for a family of P parameters.
+MAX_SIMPLEX_BYTES = 1 << 30
+
+
+class SearchTooLargeError(ValueError):
+    """A search's restarts would hold more than MAX_SIMPLEX_BYTES of simplices."""
 
 
 def parameterize_unitary(theta, dim: int) -> qlinalg.UnitaryOperator:
@@ -353,6 +360,13 @@ def _search(
     comparisons, so ties break as they would if the restarts ran one
     after another.
     """
+    count, p = len(tasks) * sweep_cfg.restarts, family.param_count
+    nbytes = count * (p + 1) * p * 8
+    if nbytes > MAX_SIMPLEX_BYTES:
+        raise SearchTooLargeError(
+            f"{count:,} restarts of a {p + 1}×{p} simplex take {nbytes:,} bytes, over "
+            f"{MAX_SIMPLEX_BYTES:,}: the search holds every restart in memory at once"
+        )
     tol = sweep_cfg.detection_tolerance
     chi = _ground_ancilla(family.ancilla_dim)
     restarts: list[_Restart] = []

@@ -120,7 +120,7 @@ def test_invalid_attack_prints_one_line_per_violation(capsys, tmp_path):
         assert "ancilla state shape" in lines[0] and "unitary shape" in lines[1]
 
 
-_EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 0.0])
+_EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 0.0, 10**400, -10**400])
 _BAD_DIMS = st.one_of(
     st.integers(-2, 5), st.floats(allow_nan=True), st.text(max_size=2), st.booleans(), st.none()
 )
@@ -139,7 +139,8 @@ def _attack_documents(draw):
             doc["ancilla_dim"] = draw(_BAD_DIMS)
         elif kind == "scale":  # a norm within the 1e-10 tolerance of 1
             factor = 1.0 + draw(st.floats(-1e-10, 1e-10))
-            row[:] = [[re * factor, im * factor] for re, im in row]
+            # an integer extreme is past float range and stays as it is
+            row[:] = [[v * factor if isinstance(v, float) else v for v in pair] for pair in row]
         elif not row:
             continue
         elif kind == "ragged":
@@ -149,7 +150,7 @@ def _attack_documents(draw):
             part = draw(st.integers(0, 1))
             if kind == "extreme":
                 pair[part] = draw(_EXTREMES)
-            else:  # within a few validation tolerances of the valid value
+            elif isinstance(pair[part], float):  # within a few validation tolerances of it
                 pair[part] += draw(st.floats(-3e-10, 3e-10))
     return doc
 
@@ -260,6 +261,17 @@ def test_sweep_over_the_restart_cap_exits_2_before_any_restart(capsys, monkeypat
     assert "in memory at once" in err
 
 
+def test_sweep_over_the_simplex_byte_bound_exits_2_before_any_restart(capsys, monkeypatch):
+    def no_restarts(*args, **kwargs):
+        raise AssertionError("a restart was built")
+
+    monkeypatch.setattr(search, "_nelder_mead", no_restarts)
+    assert cli.main(["sweep", "--ancilla-dim", "32"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad sweep configuration: 360 restarts of a 4097×4096 simplex")
+    assert "in memory at once" in err
+
+
 def test_sweep_single_point_csv(capsys):
     code = cli.main([
         "sweep", "--grid", "0.5", "--objective", "i0t",
@@ -367,6 +379,80 @@ def test_verify_catches_a_wrong_entropy_base(capsys, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # argument plumbing
+
+
+def _counts(highest: int):
+    """A small count, or (one draw in three) a zero, negative, float or non-numeric one."""
+    valid = st.integers(1, highest).map(str)
+    return st.one_of(valid, valid, st.sampled_from(["0", "-1", "2.5", "-0.5", "nan", "x", ""]))
+
+
+# The flags of sweep and simulate but --out, with small values: a sweep runs at
+# most 3 grid points x 3 objectives x 2 restarts x 20 evaluations at ancilla 3.
+_SWEEP_VALUES = {
+    "--grid": st.sampled_from([
+        "0.1", "0.2,0.4", "0:0.5:0.25", "0,1", "1", "0.3,0.1",
+        "", "nan", "-0.1", "1.5", "abc", "0:1", "0.5:0.1:0.1",
+    ]),
+    "--restarts": _counts(2),
+    "--budget": _counts(20),
+    "--ancilla-dim": _counts(3),
+    "--seed": _counts(5),
+    "--objective": st.sampled_from(["i0t", "i0a", "i0c", "i0x"]),
+    "--family": st.sampled_from(["full", "product", "vector"]),
+    "--mode": st.sampled_from(["simplified", "bell", "teleport"]),
+    "--encoding": st.sampled_from(["iz", "paulis", "bb84"]),
+}
+_SIMULATE_VALUES = {
+    "--rounds": _counts(1000),
+    "--seed": _counts(5),
+    "--mode": _SWEEP_VALUES["--mode"],
+    "--encoding": _SWEEP_VALUES["--encoding"],
+}
+_JUNK = st.sampled_from(["x", "--frobnicate", "--", "-1", "1e3", "", "--grid", "--rounds"])
+
+
+@st.composite
+def _argv_tail(draw, values):
+    """Flag-value pairs and stray tokens, in any order."""
+    tail = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 3)):
+            flag = draw(st.sampled_from(sorted(values)))
+            tail += [flag, draw(values[flag])]
+        else:
+            tail.append(draw(_JUNK))
+    return tail
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(("sweep", "simulate", "verify")))
+    if command == "verify":  # a bare verify takes a second; an extra argument exits 2
+        return ["verify", draw(_JUNK.filter(lambda token: token not in ("", "--")))]
+    if command == "simulate":
+        name = draw(st.sampled_from(("counterexample", "identity", "cnot")))
+        return ["simulate", name, "--rounds", "200"] + draw(_argv_tail(_SIMULATE_VALUES))
+    # small budgets come first, so no default (6 x 3 x 20 x 2000) sweep ever runs
+    head = ["--grid", "0.3", "--restarts", "1", "--budget", "10"]
+    return ["sweep"] + head + draw(_argv_tail(_SWEEP_VALUES))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning fails the run
+@settings(max_examples=100, deadline=None)
+@given(argv=_argvs())
+def test_argument_vectors_keep_the_exit_code_contract(tmp_path_factory, argv):
+    if argv[0] == "simulate":
+        path = tmp_path_factory.mktemp("argv") / "attack.json"
+        files.save_attack(pp.builtin_attack(argv[1]), path)
+        argv = ["simulate", str(path)] + argv[2:]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    # Exit 1 is simulate's failed z-score check, and only that.
+    assert code in (0, 2, 3) or (
+        code == 1 and argv[0] == "simulate" and "z-score = " in out.getvalue()
+    ), (code, err.getvalue())
 
 
 def test_no_arguments_exits_2():

@@ -79,6 +79,24 @@ def test_ragged_unitary_rows_are_rejected():
         files.attack_from_dict(data)
 
 
+def test_number_beyond_float_range_is_located():
+    data = files.attack_to_dict(pp.builtin_attack("identity"))
+    data["chi"][0] = [10**400, 0.0]
+    with pytest.raises(files.AttackFileError, match=r"chi\[0\]: number beyond float range"):
+        files.attack_from_dict(data)
+    data = files.attack_to_dict(pp.builtin_attack("identity"))
+    data["unitary"][1][2] = [0.0, -(10**400)]
+    with pytest.raises(files.AttackFileError, match="row 1 column 2: number beyond float range"):
+        files.attack_from_dict(data)
+
+
+def test_integer_past_the_digit_limit_is_a_file_error(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"ancilla_dim": 1, "chi": [[1' + "0" * 5000 + ", 0]]}")
+    with pytest.raises(files.AttackFileError, match="beyond float range"):
+        files.load_attack(path)
+
+
 def test_boolean_ancilla_dim_is_rejected():
     data = files.attack_to_dict(pp.builtin_attack("identity"))
     data["ancilla_dim"] = True

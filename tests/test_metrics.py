@@ -207,12 +207,17 @@ def test_batched_kernel_matches_the_one_attack_references():
                 for name, value in got.items():
                     assert value == getattr(report, name), name
                     assert abs(value - reference[name]) < 1e-12, name
+                one_rows = attack._attacked_rows(spec, config)
                 if config.mode == "simplified":
                     # d as one attack's vdot forms it, to the bit: sweeps are pinned on it
                     b = config.bob_initial.amplitudes
-                    overlap = b.conj() @ attack._attacked_rows(spec, config).reshape(2, -1)
+                    overlap = b.conj() @ one_rows.reshape(2, -1)
                     kept = float(np.vdot(overlap, overlap).real)
                     assert got["d"] == min(max(1.0 - kept, 0.0), 1.0)
+                else:
+                    # d from all four (home, travel) outcome weights, 00 + 11, to the bit
+                    outcomes = np.sum(np.abs(one_rows.reshape(4, -1)) ** 2, axis=1)
+                    assert got["d"] == min(max(outcomes[0] + outcomes[3], 0.0), 1.0)
                 if config.mode == "simplified" and len(priors) == 2:
                     psi = oracles.attacked_state([1.0, 0.0], list(chi), [list(r) for r in unitary])
                     want_d = 1.0 - sum(abs(a) ** 2 for a in psi[:anc])

@@ -78,66 +78,6 @@ def test_config_rejects_wrong_initial_dimension():
 
 
 # ---------------------------------------------------------------------------
-# round outcome invariants
-
-
-def test_round_outcome_control_shape():
-    out = protocol.RoundOutcome("control", detected=True, decoded_bit=None)
-    assert out.detected and out.decoded_bit is None
-
-
-def test_round_outcome_rejects_mixed_fields():
-    with pytest.raises(ValueError):
-        protocol.RoundOutcome("control", detected=None, decoded_bit=None)
-    with pytest.raises(ValueError):
-        protocol.RoundOutcome("control", detected=False, decoded_bit=1)
-    with pytest.raises(ValueError):
-        protocol.RoundOutcome("message", detected=True, decoded_bit=0)
-    with pytest.raises(ValueError):
-        protocol.RoundOutcome("pause", detected=None, decoded_bit=None)
-
-
-# ---------------------------------------------------------------------------
-# control rounds
-
-
-def test_control_round_counterexample_detection(counterexample, simplified_config):
-    d, _ = protocol.run_control_round(simplified_config, counterexample)
-    assert abs(d - 0.5) < 1e-12
-
-
-def test_control_round_identity_everywhere(identity_attack):
-    for mode in ("simplified", "bell"):
-        d, _ = protocol.run_control_round(pp.make_config(mode), identity_attack)
-        assert abs(d) < 1e-15
-
-
-def test_control_round_sampler_frequency(counterexample, simplified_config):
-    d, sampler = protocol.run_control_round(simplified_config, counterexample)
-    rng = np.random.default_rng(99)
-    n = 4000
-    hits = sum(sampler(rng).detected for _ in range(n))
-    assert abs(hits / n - d) < 4 * oracles.binomial_sigma(d, n)
-
-
-def test_control_round_sampler_transcripts(counterexample, bell_config):
-    _, sampler = protocol.run_control_round(bell_config, counterexample)
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        out = sampler(rng)
-        assert out.round_kind == "control"
-        entries = {label: value for _, label, value in out.transcript}
-        assert out.detected == (entries["measure_travel"] == entries["measure_home"])
-
-
-def test_control_round_simplified_transcript(identity_attack, simplified_config):
-    _, sampler = protocol.run_control_round(simplified_config, identity_attack)
-    out = sampler(np.random.default_rng(0))
-    assert not out.detected
-    assert ("public", "compare", "match") in out.transcript
-
-
-# ---------------------------------------------------------------------------
 # message rounds
 
 
@@ -172,7 +112,6 @@ def test_message_round_zero_state_is_undecodable(identity_attack, simplified_con
     assert res.decoded_bit is None
     assert res.decode_probabilities is None
     assert res.failure_probability is None
-    assert res.final_state.dim == 4
 
 
 def test_message_round_paulis_on_zero_state_is_undecodable(identity_attack):
@@ -181,20 +120,29 @@ def test_message_round_paulis_on_zero_state_is_undecodable(identity_attack):
     assert not res.orthogonal_decoding
 
 
-def test_message_round_final_state_oracle(counterexample, bell_config):
-    # (I⊗Z⊗I)(I⊗U)(pair⊗χ) assembled with plain loops
+def test_message_round_decode_oracle(counterexample, bell_config):
+    # (I⊗Z⊗I)(I⊗U)(pair⊗χ) assembled with plain loops, then projected by
+    # hand onto Bob's two candidates (I⊗I)pair and (I⊗Z)pair
     res = protocol.run_message_round(bell_config, counterexample, 1)
     w = math.sqrt(0.5)
-    psi0 = oracles.vec_kron([0.0, w, w, 0.0], oracles.probe_ancilla())
+    pair = [0.0, w, w, 0.0]
+    psi0 = oracles.vec_kron(pair, oracles.probe_ancilla())
     attacked = oracles.mat_vec(
         oracles.mat_kron(oracles.identity(2), oracles.probe_unitary()), psi0
     )
-    z_lift = oracles.mat_kron(
-        oracles.mat_kron(oracles.identity(2), [[1, 0], [0, -1]]), oracles.identity(2)
-    )
-    encoded = oracles.mat_vec(z_lift, attacked)
-    want = np.array(oracles.outer(encoded, encoded))
-    assert np.max(np.abs(res.final_state.entries - want)) < 1e-12
+    z_travel = oracles.mat_kron(oracles.identity(2), [[1, 0], [0, -1]])
+    encoded = oracles.mat_vec(oracles.mat_kron(z_travel, oracles.identity(2)), attacked)
+    candidates = (pair, oracles.mat_vec(z_travel, pair))
+    want = []
+    for candidate in candidates:
+        weight = 0.0
+        for a in range(2):  # the ancilla index rides along
+            amp = sum(candidate[ht].conjugate() * encoded[2 * ht + a] for ht in range(4))
+            weight += abs(amp) ** 2
+        want.append(weight)
+    assert res.orthogonal_decoding
+    assert np.max(np.abs(np.array(res.decode_probabilities) - want)) < 1e-12
+    assert abs(res.failure_probability - (1.0 - sum(want))) < 1e-12
 
 
 def test_message_round_sampled_outcomes(counterexample, plus_config):

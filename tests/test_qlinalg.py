@@ -122,30 +122,7 @@ def test_tensor_product_preserves_norm(seed):
 
 
 # ---------------------------------------------------------------------------
-# evolution and projectors
-
-
-def test_apply_unitary_matches_loop_oracle():
-    u = pp.UnitaryOperator(np.array(oracles.probe_unitary()))
-    w = math.sqrt(0.5)
-    s = pp.StateVector(np.array([w, w, 0.0, 0.0]))
-    out = qlinalg.apply_unitary(u, s)
-    expected = oracles.mat_vec(oracles.probe_unitary(), [w, w, 0.0, 0.0])
-    assert np.max(np.abs(out.amplitudes - np.array(expected))) < 1e-12
-    assert np.allclose(out.amplitudes, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
-
-
-def test_apply_unitary_twice_is_squared_rotation():
-    # R^2 maps |0> to |1>, so the probe applied twice sends |00> to |10>
-    u = pp.UnitaryOperator(np.array(oracles.probe_unitary()))
-    s = qlinalg.basis_state(4, 0)
-    out = qlinalg.apply_unitary(u, qlinalg.apply_unitary(u, s))
-    assert np.allclose(out.amplitudes, [0.0, 0.0, 1.0, 0.0], atol=1e-12)
-
-
-def test_apply_unitary_dimension_mismatch():
-    with pytest.raises(qlinalg.DimensionMismatchError):
-        qlinalg.apply_unitary(pp.UnitaryOperator(np.eye(4)), qlinalg.basis_state(2, 0))
+# projectors
 
 
 def test_to_density_plus_state():
@@ -282,58 +259,3 @@ def test_entropy_bounds(seed):
     dim = int(rng.integers(2, 5))
     s = qlinalg.von_neumann_entropy(_rand_density(rng, dim))
     assert -1e-12 <= s <= math.log2(dim) + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# unitarity predicate and measurement
-
-
-def test_is_unitary_accepts_probe_and_identity():
-    assert qlinalg.is_unitary(np.array(oracles.probe_unitary()), 1e-10)
-    assert qlinalg.is_unitary(pp.UnitaryOperator(np.eye(3)), 1e-10)
-
-
-def test_is_unitary_rejects_scaled_identity():
-    assert not qlinalg.is_unitary(2.0 * np.eye(2), 1e-10)
-
-
-def test_is_unitary_rejects_non_square():
-    with pytest.raises(qlinalg.DimensionMismatchError):
-        qlinalg.is_unitary(np.ones((2, 3)), 1e-10)
-
-
-def test_measurement_probabilities_plus_state():
-    w = math.sqrt(0.5)
-    plus = pp.StateVector(np.array([w, w]))
-    basis = [qlinalg.basis_state(2, 0), qlinalg.basis_state(2, 1)]
-    probs = qlinalg.measure_projective(plus, basis)
-    assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
-
-
-def test_measurement_of_rotated_zero_matches_oracle():
-    r = oracles.rotation_quarter()
-    rotated = pp.StateVector(np.array(oracles.mat_vec(r, [1.0, 0.0])))
-    basis = [qlinalg.basis_state(2, 0), qlinalg.basis_state(2, 1)]
-    probs = qlinalg.measure_projective(rotated, basis)
-    assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
-
-
-def test_measurement_accepts_density_input():
-    rho = pp.DensityMatrix(np.diag([0.7, 0.3]))
-    basis = [qlinalg.basis_state(2, 0), qlinalg.basis_state(2, 1)]
-    assert np.allclose(qlinalg.measure_projective(rho, basis), [0.7, 0.3], atol=1e-12)
-
-
-def test_measurement_rejects_non_orthonormal_basis():
-    w = math.sqrt(0.5)
-    skew = [pp.StateVector(np.array([1.0, 0.0])), pp.StateVector(np.array([w, w]))]
-    with pytest.raises(ValueError, match="orthonormal"):
-        qlinalg.measure_projective(qlinalg.basis_state(2, 0), skew)
-
-
-def test_measurement_probabilities_sum_to_one():
-    rng = np.random.default_rng(23)
-    basis = [qlinalg.basis_state(4, k) for k in range(4)]
-    for _ in range(50):
-        probs = qlinalg.measure_projective(_rand_state(rng, 4), basis)
-        assert abs(probs.sum() - 1.0) < 1e-10
