@@ -41,7 +41,6 @@ from .qlinalg import (
     StateVector,
     UnitaryOperator,
     basis_state,
-    hermitian_eigenvalues,
     partial_trace,
     tensor_product,
     to_density,
@@ -83,7 +82,6 @@ __all__ = [
     "detection_probability",
     "entropy_inequality_check",
     "full_unitary_family",
-    "hermitian_eigenvalues",
     "holevo_bound",
     "information_report",
     "make_config",

@@ -191,11 +191,13 @@ def _encoded_rows(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return np.einsum("kts,hsa->khta", ops, psi).reshape((len(ops),) + rows.shape)
 
 
-def _encoded_members(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
+def _encoded_members(
+    rows: np.ndarray, config: "ProtocolConfig", out: np.ndarray | None = None
+) -> np.ndarray:
     """(N, K, n, n) post-encoding states on travel⊗ancilla, home traced out,
-    for an (N, H, n) stack of attacked rows."""
+    for an (N, H, n) stack of attacked rows; written to ``out`` when given."""
     encoded = _encoded_rows(rows, config.op_stack)
-    return np.einsum("knhi,knhj->nkij", encoded, encoded.conj())
+    return np.einsum("knhi,knhj->nkij", encoded, encoded.conj(), out=out)
 
 
 def _detection(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
@@ -206,9 +208,9 @@ def _detection(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
     Simplified mode: the weight orthogonal to the sent state.
     """
     if config.mode == "bell":
-        equal = np.sum(np.abs(rows.reshape(len(rows), 4, -1)[:, ::3]) ** 2, axis=2)
+        equal = (np.abs(rows.reshape(len(rows), 4, -1)[:, ::3]) ** 2).sum(axis=2)
         return np.minimum(np.maximum(equal[:, 0] + equal[:, 1], 0.0), 1.0)
-    o = config.bob_initial.amplitudes.conj() @ rows.reshape(len(rows), 2, -1)
+    o = config.initial_bra @ rows.reshape(len(rows), 2, -1)
     # Row by row this matmul equals np.vdot(o, o) to the bit (einsum does not).
     kept = (o.conj()[:, None, :] @ o[:, :, None]).real.reshape(-1)
     return np.minimum(np.maximum(1.0 - kept, 0.0), 1.0)

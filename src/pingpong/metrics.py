@@ -78,39 +78,41 @@ def _mixtures(priors: np.ndarray, members: np.ndarray) -> np.ndarray:
     return (priors @ members.reshape(count, k, -1)).reshape(count, n, n)
 
 
-def _with_average(priors: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """The (N, K, n, n) member stacks with each mixture Σ p ρ prepended as entry 0."""
-    return np.concatenate([_mixtures(priors, members)[:, None], members], axis=1)
-
-
 def _subsystem_entropies(
     stack: np.ndarray, ancilla_dim: int, counts: tuple[int, int, int] | None = None
 ) -> np.ndarray:
-    """(3, ...) entropies of composite, travel and ancilla for a (..., n, n) stack.
+    """Entropies of composite, travel and ancilla, from one eigensolve.
+
+    Without ``counts``, ``stack`` is the zero (3, ..., n, n) buffer of
+    ``_ensembles`` with the states in block 0.  Blocks 1 and 2 are filled
+    with their travel and ancilla marginals, and the (3, ...) result holds
+    the three entropies of each state.
 
     With ``counts`` (c0, c1, c2) and an (N, n, n) stack, one subsystem per
     matrix is solved instead: the composite of the first c0 matrices, the
     travel marginal of the next c1 and the ancilla marginal of the last c2.
-    The (N,) result equals the matching entries of the (3, N) one exactly.
+    The (N,) result equals the matching entries of the buffer's exactly.
 
     The marginals are zero-padded to n×n so that one eigensolve covers
     every matrix; padding adds only zero eigenvalues, which contribute
     0·log 0 = 0.
     """
-    lead, n, m = stack.shape[:-2], stack.shape[-1], ancilla_dim
+    n, m = stack.shape[-1], ancilla_dim
     flat = stack.reshape(-1, n, n)
     if counts is None:
-        a, b = len(flat), 2 * len(flat)
-        composite = travel = ancilla = flat
+        a = len(flat) // 3
+        b = 2 * a
+        padded = flat
+        travel = ancilla = flat[:a]
     else:
         a, b = counts[0], counts[0] + counts[1]
-        composite, travel, ancilla = flat[:a], flat[a:b], flat[b:]
-    padded = np.zeros((b + len(ancilla), n, n), dtype=complex)
-    padded[:a] = composite
+        travel, ancilla = flat[a:b], flat[b:]
+        padded = np.zeros_like(flat)
+        padded[:a] = flat[:a]
     np.einsum("kiaja->kij", travel.reshape(-1, 2, m, 2, m), out=padded[a:b, :2, :2])
     np.einsum("kiaib->kab", ancilla.reshape(-1, 2, m, 2, m), out=padded[b:, :m, :m])
     entropies = qlinalg._entropies(padded)
-    return entropies.reshape((3,) + lead) if counts is None else entropies
+    return entropies.reshape(stack.shape[:-2]) if counts is None else entropies
 
 
 def _ensembles(
@@ -119,19 +121,26 @@ def _ensembles(
     """The evaluation kernel shared by ``information_report`` and the search.
 
     For an (N, H, n) stack of validated attacked rows: d (N,) and the
-    (N, K+1, n, n) post-encoding ensembles, each mixture first and then
-    its members; with ``members=False`` only the (N, n, n) mixtures.
-    Callers take ``_subsystem_entropies`` of what they need.
+    post-encoding ensembles in a zero (3, N, K+1, n, n) buffer for
+    ``_subsystem_entropies``.  Block 0 holds each ensemble, its mixture
+    first and then its K members; blocks 1 and 2 are left for the
+    marginals.  With ``members=False``: d and only the (N, n, n) mixtures.
     """
     d = attack_mod._detection(rows, config)
-    encoded = attack_mod._encoded_members(rows, config)
-    combine = _with_average if members else _mixtures
-    return d, combine(config.prior_array, encoded)
+    priors = config.prior_array
+    if not members:
+        return d, _mixtures(priors, attack_mod._encoded_members(rows, config))
+    n = rows.shape[-1]
+    buffer = np.zeros((3, len(rows), len(priors) + 1, n, n), dtype=complex)
+    ensembles = buffer[0]
+    attack_mod._encoded_members(rows, config, out=ensembles[:, 1:])
+    ensembles[:, 0] = _mixtures(priors, ensembles[:, 1:])
+    return d, buffer
 
 
 def _holevo(priors: np.ndarray, entropies: np.ndarray) -> float:
-    """χ from one subsystem's ``_subsystem_entropies`` row: S(mixture) - Σ p S(ρ)."""
-    return float(entropies[0] - priors @ entropies[1:])
+    """χ from one subsystem's entropies of an ensemble: S(mixture) - Σ p S(ρ)."""
+    return float(entropies[0] - priors.dot(entropies[1:]))
 
 
 def holevo_bound(ensemble: attack_mod.EncodingEnsemble, subsystem: str) -> float:
@@ -143,9 +152,9 @@ def holevo_bound(ensemble: attack_mod.EncodingEnsemble, subsystem: str) -> float
         raise ValueError(f"unknown subsystem {subsystem!r}; known: {_SUBSYSTEMS}")
     priors = np.array([p for p, _ in ensemble.members])
     members = np.array([rho.entries for _, rho in ensemble.members])
-    stack = _with_average(priors, members[None])[0]
-    entropies = _subsystem_entropies(stack, members.shape[1] // 2)
-    return _holevo(priors, entropies[_SUBSYSTEMS.index(subsystem)])
+    stack = np.concatenate([_mixtures(priors, members[None]), members])
+    counts = tuple(len(stack) if name == subsystem else 0 for name in _SUBSYSTEMS)
+    return _holevo(priors, _subsystem_entropies(stack, members.shape[1] // 2, counts))
 
 
 def _is_canonical_counterexample(
@@ -175,8 +184,8 @@ def information_report(
     All quantities are computed from the post-encoding ensemble the
     eavesdropper faces; nothing is assumed from any claimed value.
     """
-    d, stacks = _ensembles(attack_mod._attacked_rows(spec, config)[None], config)
-    composite, travel, ancilla = _subsystem_entropies(stacks[0], spec.ancilla_dim)
+    d, buffer = _ensembles(attack_mod._attacked_rows(spec, config)[None], config)
+    composite, travel, ancilla = _subsystem_entropies(buffer, spec.ancilla_dim)[:, 0]
     priors = config.prior_array
     i0c = float(composite[0])
     deviation = None

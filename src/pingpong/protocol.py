@@ -61,7 +61,8 @@ class ProtocolConfig:
     the travel qubit.  ``control_probability`` only schedules Monte Carlo
     rounds; analytic quantities ignore it.  ``op_stack`` (K, 2, 2) and
     ``prior_array`` (K,) are the same ops and priors as read-only arrays,
-    built once for the evaluation kernel.
+    and ``initial_bra`` is the conjugate of ``bob_initial``'s amplitudes,
+    all built once for the evaluation kernel.
     """
 
     mode: str
@@ -71,6 +72,7 @@ class ProtocolConfig:
     control_probability: float = 0.5
     op_stack: np.ndarray = dataclasses.field(init=False, repr=False)
     prior_array: np.ndarray = dataclasses.field(init=False, repr=False)
+    initial_bra: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -98,7 +100,8 @@ class ProtocolConfig:
             if not dev <= 1e-12:
                 raise ValueError("bell mode uses the fixed pair (|01> + |10>)/√2")
         for name, values in (("op_stack", [op.entries for op in self.encoding_ops]),
-                             ("prior_array", self.priors)):
+                             ("prior_array", self.priors),
+                             ("initial_bra", self.bob_initial.amplitudes.conj())):
             array = np.array(values)
             array.setflags(write=False)
             object.__setattr__(self, name, array)

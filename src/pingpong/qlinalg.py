@@ -13,6 +13,7 @@ most significant index, matching ``numpy.kron``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Sequence
 
@@ -188,7 +189,12 @@ def partial_trace(
 
 
 def _spectrum(arrays: np.ndarray) -> np.ndarray:
-    """``hermitian_eigenvalues`` of a raw matrix or a stack of them, ascending."""
+    """Eigenvalues of a raw Hermitian matrix, or of each matrix in a stack,
+    ascending and clipped to [0, 1].
+
+    Eigenvalues in [-1e-10, 0) are treated as numerical noise and clipped
+    to zero; anything below -1e-10 raises NotPositiveSemidefiniteError.
+    """
     evals = np.linalg.eigvalsh(arrays)
     lo = float(evals.min())
     if not lo >= -ATOL_EIGENVALUE:
@@ -197,25 +203,26 @@ def _spectrum(arrays: np.ndarray) -> np.ndarray:
 
 
 def _entropies(arrays: np.ndarray) -> np.ndarray:
-    """``von_neumann_entropy`` of a raw matrix or of each matrix in a stack."""
-    evals = _spectrum(arrays)[..., ::-1]
-    logs = np.log2(evals, out=np.zeros_like(evals), where=evals > 0.0)
-    logs *= evals
-    return -logs.sum(axis=-1) + 0.0  # +0.0 folds -0.0 away
+    """``von_neumann_entropy`` of a raw matrix or of each matrix in a stack.
 
-
-def hermitian_eigenvalues(rho: DensityMatrix) -> list[float]:
-    """Real spectrum of a density matrix, descending, clipped to [0, 1].
-
-    Eigenvalues in [-1e-10, 0) are treated as numerical noise and clipped
-    to zero; anything below -1e-10 raises NotPositiveSemidefiniteError.
+    A zero eigenvalue meets log₂ of the least subnormal, -1074, and adds
+    -0.0: the sum and the ``0.0 -`` fold it away, so 0·log₂0 = 0.
     """
-    return [float(v) for v in _spectrum(rho.entries)[::-1]]
+    evals = _spectrum(arrays)[..., ::-1]  # largest first: the order pinned values were summed in
+    return 0.0 - (evals * np.log2(np.maximum(evals, 5e-324))).sum(axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy S(ρ) = -Σ λ log₂ λ in bits, with 0·log₂0 = 0."""
     return float(_entropies(rho.entries))
+
+
+@functools.lru_cache(maxsize=16)
+def _identity(dim: int) -> np.ndarray:
+    """The read-only dim×dim identity, built once for each dimension in use."""
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
 
 
 def _unitarity_deviation(arr: np.ndarray) -> float | np.ndarray:
@@ -225,5 +232,5 @@ def _unitarity_deviation(arr: np.ndarray) -> float | np.ndarray:
     ``dev <= tol`` is False for both, so such a matrix fails every tolerance.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = np.abs(arr.conj().swapaxes(-1, -2) @ arr - np.eye(arr.shape[-1]))
+        dev = np.abs(arr.conj().swapaxes(-1, -2) @ arr - _identity(arr.shape[-1]))
         return dev.reshape(arr.shape[:-2] + (-1,)).max(axis=-1)

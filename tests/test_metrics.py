@@ -172,7 +172,7 @@ def test_batched_kernel_matches_the_one_attack_references():
     """The kernel on N couplings equals information_report row by row
     (exactly), the density-matrix reference within 1e-12, and, for the
     {I, Z} encoding in simplified mode, the rank-2 oracle for I0c and H(d).
-    The mixtures' entropies alone are the same, and so is each one the
+    The mixtures alone are the same, and so is each mixture entropy the
     search takes: one subsystem per row, rows grouped by subsystem."""
     rng = np.random.default_rng(73)
     configs = [
@@ -184,16 +184,14 @@ def test_batched_kernel_matches_the_one_attack_references():
         for config in configs:
             priors = np.array(config.priors)
             rows = attack._attacked_stack(chi, unitaries, config)
-            d, stacks = metrics._ensembles(rows, config)
-            entropies = metrics._subsystem_entropies(stacks, anc)
-            mixtures = metrics._subsystem_entropies(stacks[:, 0], anc)
-            assert np.array_equal(mixtures, entropies[:, :, 0])
+            d, buffer = metrics._ensembles(rows, config)
+            entropies = metrics._subsystem_entropies(buffer, anc)
             d_alone, mixed = metrics._ensembles(rows, config, members=False)
-            assert np.array_equal(d_alone, d) and np.array_equal(mixed, stacks[:, 0])
+            assert np.array_equal(d_alone, d) and np.array_equal(mixed, buffer[0, :, 0])
             for counts in ((5, 0, 0), (0, 5, 0), (0, 0, 5), (2, 1, 2), (0, 3, 2), (1, 4, 0)):
                 subsystems = np.repeat([0, 1, 2], counts)
                 selected = metrics._subsystem_entropies(mixed, anc, counts)
-                assert np.array_equal(selected, mixtures[subsystems, np.arange(5)])
+                assert np.array_equal(selected, entropies[subsystems, np.arange(5), 0])
             composite, travel, ancilla = entropies
             for i, unitary in enumerate(unitaries):
                 spec = pp.AttackSpec(anc, chi, unitary)
@@ -224,6 +222,70 @@ def test_batched_kernel_matches_the_one_attack_references():
                     assert abs(got["d"] - want_d) < 1e-12
                     assert abs(got["i0t"] - oracles.binary_entropy(want_d)) < 1e-10
                     assert abs(got["i0c"] - oracles.dephased_mixture_entropy(psi, anc)) < 1e-10
+
+
+_REPORT_FIELDS = ("d", "i0t", "i0a", "i0c", "holevo_t", "holevo_c")
+# float.hex of every InfoReport field for search.sample_random_attack(ancilla, 7)
+# in each configuration, then for the builtin counterexample in the default
+# simplified |0> + {I, Z} one.  Any change to the evaluation kernel that moves
+# a bit of a report shows here.
+PINNED_REPORTS = (
+    ("simplified", "iz", 1, ("0x1.b39567b1abe5fp-1", "0x1.3746d0398c7d2p-1", "0x1.71547652b82fdp-53",
+                             "0x1.3746d0398c7d2p-1", "0x1.3746d0398c7d1p-1", "0x1.3746d0398c7d1p-1")),
+    ("simplified", "iz", 2, ("0x1.3a9eb58fc2f06p-1", "0x1.ec76358673943p-1", "0x1.299cf894bd5c6p-2",
+                             "0x1.ec76358673972p-1", "0x1.57a7b93c14e63p-1", "0x1.ec7635867391cp-1")),
+    ("simplified", "iz", 4, ("0x1.57ce31cd3bf20p-1", "0x1.d3a811365bc0ap-1", "0x1.d056cce1cf778p-1",
+                             "0x1.d3a811365bc4ep-1", "0x1.a8a22a4625500p-8", "0x1.d3a811365bbf2p-1")),
+    ("simplified", "paulis", 1, ("0x1.b39567b1abe5fp-1", "0x1.0000000000000p+0", "0x1.71547652b82fep-52",
+                                 "0x1.0000000000000p+0", "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1")),
+    ("simplified", "paulis", 2, ("0x1.3a9eb58fc2f06p-1", "0x1.0000000000000p+0", "0x1.299cf894bd5c6p-2",
+                                 "0x1.4a673e252f570p+0", "0x1.6b3183b5a1521p-1", "0x1.4a673e252f542p+0")),
+    ("simplified", "paulis", 4, ("0x1.57ce31cd3bf20p-1", "0x1.fffffffffffffp-1", "0x1.d056cce1cf764p-1",
+                                 "0x1.e82b6670e7bb8p+0", "0x1.7d4998f1844f8p-4", "0x1.e82b6670e7b97p+0")),
+    ("bell", "iz", 1, ("0x1.b39567b1abe60p-1", "0x1.fffffffffffffp-1", "0x0.0p+0",
+                       "0x1.fffffffffffffp-1", "-0x1.0000000000000p-53", "-0x1.0000000000000p-53")),
+    ("bell", "iz", 2, ("0x1.079c04fa0c05ap-1", "0x1.f13cc24eeac36p-1", "0x1.a91f875b6c32cp-1",
+                       "0x1.af00040908e70p+0", "0x1.4ebde07c16a30p-4", "0x1.5e00081211cd2p-1")),
+    ("bell", "iz", 4, ("0x1.5fdb42d27b5b8p-1", "0x1.ffa2785bef922p-1", "0x1.68bdb8c2efc91p+0",
+                       "0x1.bb5a07320a169p+0", "0x1.c509378d7e308p-4", "0x1.76b40e64142a6p-1")),
+    ("bell", "paulis", 1, ("0x1.b39567b1abe60p-1", "0x1.fffffffffffffp-1", "0x0.0p+0",
+                           "0x1.fffffffffffffp-1", "-0x1.0000000000000p-53", "-0x1.0000000000000p-53")),
+    ("bell", "paulis", 2, ("0x1.079c04fa0c05ap-1", "0x1.0000000000000p+0", "0x1.a91f875b6c32cp-1",
+                           "0x1.d48fc3adb6194p+0", "0x1.c4d7ce04c0880p-4", "0x1.a91f875b6c320p-1")),
+    ("bell", "paulis", 4, ("0x1.5fdb42d27b5b8p-1", "0x1.ffffffffffffep-1", "0x1.68bdb8c2efc92p+0",
+                           "0x1.345edc6177e4ap+1", "0x1.c7f574ae019e8p-4", "0x1.68bdb8c2efc7dp+0")),
+    ("counterexample", ("0x1.ffffffffffffcp-2", "0x1.ffffffffffffep-1", "0x0.0p+0",
+                        "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1", "0x1.fffffffffffa7p-1")),
+)
+
+
+def test_seeded_reports_are_pinned(counterexample, simplified_config):
+    *seeded, (_, builtin) = PINNED_REPORTS
+    got = []
+    for mode, encoding, anc, _ in seeded:
+        report = metrics.information_report(
+            search.sample_random_attack(anc, 7), pp.make_config(mode, encoding=encoding)
+        )
+        got.append((mode, encoding, anc, tuple(float.hex(getattr(report, f)) for f in _REPORT_FIELDS)))
+    assert tuple(got) == tuple(seeded)
+    report = metrics.information_report(counterexample, simplified_config)
+    assert tuple(float.hex(getattr(report, f)) for f in _REPORT_FIELDS) == builtin
+
+
+def test_cnot_leaks_undetected_where_the_control_round_cannot_see_it():
+    """The builtin cnot copies the travel qubit's computational basis, which
+    is all a control round measures, so d = 0.  The X of the Pauli encoding
+    flips what it copied: one Holevo bit leaks.  In bell mode the copied
+    state is diagonal once the home qubit is traced out, so the phases of
+    {I, Z} leave it unchanged and nothing leaks."""
+    cnot = pp.builtin_attack("cnot")
+    bell_paulis = metrics.information_report(cnot, pp.make_config("bell", encoding="paulis"))
+    assert abs(bell_paulis.d) < 1e-12
+    assert abs(bell_paulis.holevo_c - 1.0) < 1e-12
+    bell_iz = metrics.information_report(cnot, pp.make_config("bell", encoding="iz"))
+    assert abs(bell_iz.holevo_c) < 1e-12
+    simplified_paulis = metrics.information_report(cnot, pp.make_config("simplified", encoding="paulis"))
+    assert abs(simplified_paulis.holevo_t - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
