@@ -133,10 +133,11 @@ def validate_attack(spec: AttackSpec) -> list[str]:
 
 
 def _lift(chi: np.ndarray, unitaries: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
-    """(N, H, n) rows U_i(<h|_home|initial>⊗|χ>) for an (N, n, n) coupling stack."""
+    """(N, H, n) rows U_i(<h|_home|initial>⊗|χ_i>) for an (N, n, n) coupling stack
+    and one (m,) ancilla state χ or an (N, m) stack of them."""
     initial = config.bob_initial.amplitudes.reshape(-1, 2)
-    lifted = (initial[:, :, None] * chi).reshape(len(initial), -1)
-    return lifted @ unitaries.transpose(0, 2, 1)
+    lifted = initial[:, :, None] * chi[..., None, None, :]
+    return lifted.reshape(chi.shape[:-1] + (len(initial), -1)) @ unitaries.transpose(0, 2, 1)
 
 
 def _attacked_rows(spec: AttackSpec, config: "ProtocolConfig") -> np.ndarray:
@@ -177,6 +178,28 @@ def _attacked_stack(
         raise InvalidAttackError("\n".join(violations))
     rows = _lift(chi, unitaries, config)
     violations = [f"row {i}: {v}" for i, v in _trace_violations(rows).items()]
+    if violations:
+        raise InvalidAttackError("\n".join(violations))
+    return rows
+
+
+def _attacked_batch(specs: list[AttackSpec], config: "ProtocolConfig") -> np.ndarray:
+    """Validated (N, H, n) attacked rows of N attacks on one ancilla dimension.
+
+    ``_attacked_rows`` for a list: each spec is validated by
+    ``validate_attack`` and each attacked state's trace checked, with every
+    violation line naming its attack.  Specs of different ancilla
+    dimensions raise ValueError; the list must not be empty.
+    """
+    violations = [f"attack {i}: {v}" for i, spec in enumerate(specs) for v in validate_attack(spec)]
+    if violations:
+        raise InvalidAttackError("\n".join(violations))
+    dims = sorted({int(spec.ancilla_dim) for spec in specs})
+    if len(dims) > 1:
+        raise ValueError(f"a batch of attacks needs one ancilla_dim, got {dims}")
+    chis = np.array([spec.ancilla_state for spec in specs])
+    rows = _lift(chis, np.array([spec.unitary for spec in specs]), config)
+    violations = [f"attack {i}: {v}" for i, v in _trace_violations(rows).items()]
     if violations:
         raise InvalidAttackError("\n".join(violations))
     return rows

@@ -251,9 +251,8 @@ def check_dephased_travel_marginal() -> CheckResult:
 def check_travel_entropy_binary_identity() -> CheckResult:
     config = protocol_mod.make_config("simplified")
     worst = 0.0
-    for seed in range(300):
-        spec = search_mod.sample_random_attack(2, seed)
-        report = metrics.information_report(spec, config)
+    specs = [search_mod.sample_random_attack(2, seed) for seed in range(300)]
+    for report in metrics._information_reports(specs, config):
         worst = max(worst, abs(report.i0t - metrics.binary_entropy(report.d)))
     return _result(
         "travel_entropy_binary_identity", 1e-10, worst,
@@ -266,8 +265,8 @@ def check_holevo_within_entropy() -> CheckResult:
     worst = 0.0
     for mode in protocol_mod.MODES:
         config = protocol_mod.make_config(mode)
-        for _ in range(50):
-            report = metrics.information_report(search_mod.sample_random_attack(2, rng), config)
+        specs = [search_mod.sample_random_attack(2, rng) for _ in range(50)]
+        for report in metrics._information_reports(specs, config):
             worst = max(
                 worst,
                 report.holevo_t - report.i0t,
@@ -285,8 +284,8 @@ def check_product_attack_composite_travel() -> CheckResult:
     rng = np.random.default_rng(109)
     config = protocol_mod.make_config("simplified")
     worst = 0.0
-    for _ in range(100):
-        report = metrics.information_report(_random_product_attack(rng), config)
+    specs = [_random_product_attack(rng) for _ in range(100)]
+    for report in metrics._information_reports(specs, config):
         worst = max(worst, abs(report.i0c - report.i0t), report.i0a)
     return _result(
         "product_attack_composite_travel", 1e-8, worst,
@@ -296,10 +295,9 @@ def check_product_attack_composite_travel() -> CheckResult:
 
 def check_entropy_inequalities_random() -> CheckResult:
     worst = -math.inf
+    specs = [search_mod.sample_random_attack(2, seed) for seed in range(500)]
     for mode in protocol_mod.MODES:
-        config = protocol_mod.make_config(mode)
-        for seed in range(500):
-            report = metrics.information_report(search_mod.sample_random_attack(2, seed), config)
+        for report in metrics._information_reports(specs, protocol_mod.make_config(mode)):
             diag = metrics.entropy_inequality_check(report)
             margin = min(diag.margins.values())
             worst = max(worst, -margin)

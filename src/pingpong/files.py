@@ -90,7 +90,10 @@ def save_attack(spec: attack_mod.AttackSpec, path) -> None:
 def load_attack(path) -> attack_mod.AttackSpec:
     """Read an attack file.  I/O errors propagate; malformed content raises
     AttackFileError naming the line or field."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:  # a ValueError, not an OSError
+        raise AttackFileError("not UTF-8 text") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pingpong as pp
-from pingpong import attack, cli, files, qlinalg, search
+from pingpong import attack, checks, cli, files, metrics, qlinalg, search
 
 
 @pytest.fixture
@@ -98,6 +99,14 @@ def test_report_corrupt_json_exits_3(capsys, tmp_path):
     path.write_text("{not json\n")
     assert cli.main(["report", str(path)]) == 3
     assert "line 1" in capsys.readouterr().err
+
+
+def test_non_utf8_attack_file_exits_3(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    for command in ("report", "simulate"):
+        assert cli.main([command, str(path)]) == 3
+        assert capsys.readouterr().err == "invalid attack file: not UTF-8 text\n"
 
 
 def test_report_invalid_attack_exits_3(capsys, tmp_path):
@@ -375,6 +384,46 @@ def test_verify_catches_a_wrong_entropy_base(capsys, monkeypatch):
     assert cli.main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL entropy_maximal_mixing" in out
+
+
+# The verify lines of the suites that report random attacks in batches, as
+# one information_report call per attack printed them.
+PINNED_VERIFY = (
+    "PASS travel_entropy_binary_identity     margin=+1.000e-10  "
+    "worst |i0t - H(d)| = 2.26e-15 over 300 random attacks",
+    "PASS holevo_within_entropy              margin=+1.000e-08  "
+    "worst Holevo excess over entropy = 0 over 100 attacks",
+    "PASS product_attack_composite_travel    margin=+1.000e-08  "
+    "worst of (|i0c - i0t|, i0a) = 1.14e-14 over 100 product attacks",
+    "PASS entropy_inequalities_random        margin=+2.263e-04  "
+    "worst inequality deficit = -0.000226 over 500 attacks × 2 modes",
+)
+
+
+def test_verify_batched_suites_are_pinned(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "ALL_CHECKS", (
+        checks.check_travel_entropy_binary_identity,
+        checks.check_holevo_within_entropy,
+        checks.check_product_attack_composite_travel,
+        checks.check_entropy_inequalities_random,
+    ))
+    assert cli.main(["verify"]) == 0
+    *lines, total = capsys.readouterr().out.splitlines()
+    assert tuple(lines) == PINNED_VERIFY
+    assert total == "4 suites: 4 passed, 0 failed"
+
+
+def test_verify_catches_swapped_travel_and_ancilla_entropies(capsys, monkeypatch):
+    # sabotage the report assembly that report and the batched suites share
+    row = metrics._report_row
+
+    def swapped(*args):
+        report = row(*args)
+        return dataclasses.replace(report, i0t=report.i0a, i0a=report.i0t)
+
+    monkeypatch.setattr(metrics, "_report_row", swapped)
+    assert cli.main(["verify"]) == 1
+    assert "FAIL travel_entropy_binary_identity" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

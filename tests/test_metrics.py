@@ -101,6 +101,17 @@ def test_claim_audit_requires_the_exact_arrays(simplified_config):
     assert rep.claim_deviation is None
 
 
+def test_claim_audit_tolerance_on_the_ancilla_state(simplified_config):
+    base = pp.builtin_attack("counterexample")
+    for offset, flagged in ((5e-13, True), (2e-12, False)):
+        spec = pp.AttackSpec(2, base.ancilla_state + np.array([offset, 0.0]), base.unitary)
+        assert (metrics.information_report(spec, simplified_config).claim_deviation is not None) == flagged
+        (batched,) = metrics._information_reports([spec], simplified_config)
+        assert (batched.claim_deviation is not None) == flagged
+    nan = pp.AttackSpec(2, np.array([np.nan, base.ancilla_state[1]]), base.unitary)
+    assert not metrics._is_canonical_counterexample(nan, simplified_config)
+
+
 def test_travel_entropy_equals_binary_entropy_of_detection(simplified_config):
     rng = np.random.default_rng(47)
     for _ in range(50):
@@ -270,6 +281,53 @@ def test_seeded_reports_are_pinned(counterexample, simplified_config):
     assert tuple(got) == tuple(seeded)
     report = metrics.information_report(counterexample, simplified_config)
     assert tuple(float.hex(getattr(report, f)) for f in _REPORT_FIELDS) == builtin
+
+
+def _report_bits(report):
+    return tuple(float.hex(getattr(report, f)) for f in _REPORT_FIELDS), report.claim_deviation
+
+
+def test_batched_reports_equal_information_report_to_the_bit():
+    builtins = [pp.builtin_attack(name) for name in attack.BUILTIN_ATTACK_NAMES]
+    for mode in ("simplified", "bell"):
+        for encoding in ("iz", "paulis"):
+            config = pp.make_config(mode, encoding=encoding)
+            for anc in (1, 2, 4):
+                specs = [search.sample_random_attack(anc, seed) for seed in range(25)]
+                reports = metrics._information_reports(specs, config)
+                assert len(reports) == len(specs)
+                for spec, report in zip(specs, reports):
+                    assert _report_bits(report) == _report_bits(metrics.information_report(spec, config))
+            for spec, report in zip(builtins, metrics._information_reports(builtins, config)):
+                assert _report_bits(report) == _report_bits(metrics.information_report(spec, config))
+
+
+def test_batched_reports_name_the_invalid_attack(simplified_config, monkeypatch):
+    calls = []
+    validate = attack.validate_attack
+    monkeypatch.setattr(attack, "validate_attack", lambda spec: calls.append(spec) or validate(spec))
+    specs = [search.sample_random_attack(2, seed) for seed in range(4)]
+    malformed = pp.AttackSpec(2, np.array([1.0, 1.0]), np.ones((4, 4)))
+    assert len(validate(malformed)) == 2
+    for k in (0, 3):
+        batch = specs[:k] + [malformed] + specs[k + 1:]
+        calls.clear()
+        with pytest.raises(attack.InvalidAttackError) as excinfo:
+            metrics._information_reports(batch, simplified_config)
+        assert str(excinfo.value) == "\n".join(f"attack {k}: {v}" for v in validate(malformed))
+        assert calls == batch
+    # 1 + 0.9e-10 passes the norm check but not the attacked state's trace
+    untraced = pp.AttackSpec(2, np.array([1.0 + 0.9e-10, 0.0]), np.eye(4))
+    with pytest.raises(attack.InvalidAttackError, match=r"^attack 2: attacked state norm²"):
+        metrics._information_reports(specs[:2] + [untraced], simplified_config)
+
+
+def test_batched_reports_need_one_ancilla_dim_and_accept_none(simplified_config):
+    mixed = [search.sample_random_attack(1, 0), search.sample_random_attack(2, 0)]
+    with pytest.raises(ValueError, match="one ancilla_dim") as excinfo:
+        metrics._information_reports(mixed, simplified_config)
+    assert excinfo.type is ValueError
+    assert metrics._information_reports([], simplified_config) == []
 
 
 def test_cnot_leaks_undetected_where_the_control_round_cannot_see_it():
