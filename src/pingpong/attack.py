@@ -214,13 +214,11 @@ def _encoded_rows(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return np.einsum("kts,hsa->khta", ops, psi).reshape((len(ops),) + rows.shape)
 
 
-def _encoded_members(
-    rows: np.ndarray, config: "ProtocolConfig", out: np.ndarray | None = None
-) -> np.ndarray:
+def _encoded_members(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
     """(N, K, n, n) post-encoding states on travel⊗ancilla, home traced out,
-    for an (N, H, n) stack of attacked rows; written to ``out`` when given."""
+    for an (N, H, n) stack of attacked rows."""
     encoded = _encoded_rows(rows, config.op_stack)
-    return np.einsum("knhi,knhj->nkij", encoded, encoded.conj(), out=out)
+    return np.einsum("knhi,knhj->nkij", encoded, encoded.conj())
 
 
 def _detection(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:

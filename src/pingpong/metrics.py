@@ -17,7 +17,7 @@ from . import attack as attack_mod
 from . import protocol as protocol_mod
 from . import qlinalg
 
-# Subsystems of travel⊗ancilla, in the row order of _subsystem_entropies.
+# Subsystems of travel⊗ancilla, in the argument order of _subsystem_entropies.
 _SUBSYSTEMS = ("composite", "travel", "ancilla")
 _CLAIMED_COMPOSITE_BITS = 2.0
 _INEQUALITY_TOL = 1e-8
@@ -80,68 +80,37 @@ def _mixtures(priors: np.ndarray, members: np.ndarray) -> np.ndarray:
 
 
 def _subsystem_entropies(
-    stack: np.ndarray, ancilla_dim: int, counts: tuple[int, int, int] | None = None
+    composite: np.ndarray, travel: np.ndarray, ancilla: np.ndarray
 ) -> np.ndarray:
-    """Entropies of composite, travel and ancilla, from one eigensolve.
-
-    Without ``counts``, ``stack`` is the zero (3, ..., n, n) buffer of
-    ``_ensembles`` with the states in block 0.  Blocks 1 and 2 are filled
-    with their travel and ancilla marginals, and the (3, ...) result holds
-    the three entropies of each state.
-
-    With ``counts`` (c0, c1, c2) and an (N, n, n) stack, one subsystem per
-    matrix is solved instead: the composite of the first c0 matrices, the
-    travel marginal of the next c1 and the ancilla marginal of the last c2.
-    The (N,) result equals the matching entries of the buffer's exactly.
+    """Entropies of three (·, n, n) stacks of travel⊗ancilla states, from
+    one eigensolve: the composite entropy of each ``composite`` matrix, then
+    the travel-marginal entropy of each ``travel`` matrix, then the
+    ancilla-marginal entropy of each ``ancilla`` matrix, concatenated.
 
     The marginals are zero-padded to n×n so that one eigensolve covers
     every matrix; padding adds only zero eigenvalues, which contribute
     0·log 0 = 0.
     """
-    n, m = stack.shape[-1], ancilla_dim
-    flat = stack.reshape(-1, n, n)
-    if counts is None:
-        a = len(flat) // 3
-        b = 2 * a
-        padded = flat
-        travel = ancilla = flat[:a]
-    else:
-        a, b = counts[0], counts[0] + counts[1]
-        travel, ancilla = flat[a:b], flat[b:]
-        padded = np.zeros_like(flat)
-        padded[:a] = flat[:a]
+    n = composite.shape[-1]
+    m = n // 2
+    a, b = len(composite), len(composite) + len(travel)
+    padded = np.zeros((b + len(ancilla), n, n), dtype=complex)
+    padded[:a] = composite
     np.einsum("kiaja->kij", travel.reshape(-1, 2, m, 2, m), out=padded[a:b, :2, :2])
     np.einsum("kiaib->kab", ancilla.reshape(-1, 2, m, 2, m), out=padded[b:, :m, :m])
-    entropies = qlinalg._entropies(padded)
-    return entropies.reshape(stack.shape[:-2]) if counts is None else entropies
+    return qlinalg._entropies(padded)
 
 
 def _ensembles(
-    rows: np.ndarray, config: protocol_mod.ProtocolConfig, members: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """The evaluation kernel shared by ``information_report`` and the search.
+    rows: np.ndarray, config: protocol_mod.ProtocolConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The evaluation kernel shared by the reports and the search.
 
-    For an (N, H, n) stack of validated attacked rows: d (N,) and the
-    post-encoding ensembles in a zero (3, N, K+1, n, n) buffer for
-    ``_subsystem_entropies``.  Block 0 holds each ensemble, its mixture
-    first and then its K members; blocks 1 and 2 are left for the
-    marginals.  With ``members=False``: d and only the (N, n, n) mixtures.
+    For an (N, H, n) stack of validated attacked rows: d (N,), the (N, n, n)
+    post-encoding mixtures and the (N, K, n, n) members they mix.
     """
-    d = attack_mod._detection(rows, config)
-    priors = config.prior_array
-    if not members:
-        return d, _mixtures(priors, attack_mod._encoded_members(rows, config))
-    n = rows.shape[-1]
-    buffer = np.zeros((3, len(rows), len(priors) + 1, n, n), dtype=complex)
-    ensembles = buffer[0]
-    attack_mod._encoded_members(rows, config, out=ensembles[:, 1:])
-    ensembles[:, 0] = _mixtures(priors, ensembles[:, 1:])
-    return d, buffer
-
-
-def _holevo(priors: np.ndarray, entropies: np.ndarray) -> float:
-    """χ from one subsystem's entropies of an ensemble: S(mixture) - Σ p S(ρ)."""
-    return float(entropies[0] - priors.dot(entropies[1:]))
+    members = attack_mod._encoded_members(rows, config)
+    return attack_mod._detection(rows, config), _mixtures(config.prior_array, members), members
 
 
 def holevo_bound(ensemble: attack_mod.EncodingEnsemble, subsystem: str) -> float:
@@ -154,8 +123,10 @@ def holevo_bound(ensemble: attack_mod.EncodingEnsemble, subsystem: str) -> float
     priors = np.array([p for p, _ in ensemble.members])
     members = np.array([rho.entries for _, rho in ensemble.members])
     stack = np.concatenate([_mixtures(priors, members[None]), members])
-    counts = tuple(len(stack) if name == subsystem else 0 for name in _SUBSYSTEMS)
-    return _holevo(priors, _subsystem_entropies(stack, members.shape[1] // 2, counts))
+    entropies = _subsystem_entropies(
+        *(stack if name == subsystem else stack[:0] for name in _SUBSYSTEMS)
+    )
+    return float(entropies[0] - priors.dot(entropies[1:]))
 
 
 def _is_canonical_counterexample(
@@ -184,14 +155,14 @@ def _report_row(
     spec: attack_mod.AttackSpec,
     config: protocol_mod.ProtocolConfig,
     d: float,
-    composite: np.ndarray,
-    travel: np.ndarray,
-    ancilla: np.ndarray,
+    i0c: float,
+    i0t: float,
+    i0a: float,
+    holevo_t: float,
+    holevo_c: float,
 ) -> InfoReport:
-    """The report of one attack from its d and its ensemble's (K+1,) entropies
-    on each subsystem, mixture first."""
-    priors = config.prior_array
-    i0c = float(composite[0])
+    """The report of one attack from its computed quantities, with the
+    claim audit where it applies."""
     deviation = None
     if _is_canonical_counterexample(spec, config):
         deviation = ClaimDeviation(
@@ -200,14 +171,29 @@ def _report_row(
             delta=i0c - _CLAIMED_COMPOSITE_BITS,
         )
     return InfoReport(
-        d=float(d),
-        i0t=float(travel[0]),
-        i0a=float(ancilla[0]),
-        i0c=i0c,
-        holevo_t=_holevo(priors, travel),
-        holevo_c=_holevo(priors, composite),
+        d=d, i0t=i0t, i0a=i0a, i0c=i0c, holevo_t=holevo_t, holevo_c=holevo_c,
         claim_deviation=deviation,
     )
+
+
+def _reports(
+    specs: list[attack_mod.AttackSpec], rows: np.ndarray, config: protocol_mod.ProtocolConfig
+) -> list[InfoReport]:
+    """The report of each spec from its validated attacked rows, one
+    eigensolve over five matrices per attack.
+
+    The encodings act on the travel qubit alone, so every member of an
+    ensemble is a local-unitary image of member 0 and has its composite
+    and travel entropies: each Holevo bound is S(mixture) - S(member 0).
+    """
+    d, mixtures, members = _ensembles(rows, config)
+    both = np.concatenate([mixtures, members[:, 0]])
+    entropies = _subsystem_entropies(both, both, mixtures).reshape(5, len(rows))
+    c, c0, t, t0, a = entropies.tolist()
+    return [
+        _report_row(spec, config, d_i, c_i, t_i, a_i, t_i - t0_i, c_i - c0_i)
+        for spec, d_i, c_i, c0_i, t_i, t0_i, a_i in zip(specs, d.tolist(), c, c0, t, t0, a)
+    ]
 
 
 def information_report(
@@ -218,9 +204,7 @@ def information_report(
     All quantities are computed from the post-encoding ensemble the
     eavesdropper faces; nothing is assumed from any claimed value.
     """
-    d, buffer = _ensembles(attack_mod._attacked_rows(spec, config)[None], config)
-    composite, travel, ancilla = _subsystem_entropies(buffer, spec.ancilla_dim)[:, 0]
-    return _report_row(spec, config, d[0], composite, travel, ancilla)
+    return _reports([spec], attack_mod._attacked_rows(spec, config)[None], config)[0]
 
 
 def _information_reports(
@@ -234,12 +218,7 @@ def _information_reports(
     """
     if not specs:
         return []
-    d, buffer = _ensembles(attack_mod._attacked_batch(specs, config), config)
-    entropies = _subsystem_entropies(buffer, specs[0].ancilla_dim).swapaxes(0, 1)
-    return [
-        _report_row(spec, config, d_i, *rows)
-        for spec, d_i, rows in zip(specs, d.tolist(), entropies)
-    ]
+    return _reports(specs, attack_mod._attacked_batch(specs, config), config)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -31,7 +31,7 @@ EXCEEDANCE_MARGIN = 0.01  # bits by which i0a or i0c must beat i0t to be flagged
 # Nelder–Mead convergence tolerances, as scipy.optimize.minimize's options.
 _XATOL = 1e-7
 _FATOL = 1e-12
-# Row of each objective in metrics._subsystem_entropies' (composite, travel, ancilla).
+# Position of each objective's stack among metrics._subsystem_entropies' arguments.
 _ENTROPY_ROW = {"i0c": 0, "i0t": 1, "i0a": 2}
 # Most restarts one search may hold: the lockstep search keeps every restart
 # (its generator, simplex and best points) in memory at once.
@@ -231,8 +231,10 @@ class SweepConfig:
                 f"{total:,} restarts (grid points × objectives × restarts) exceed "
                 f"{MAX_RESTARTS:,}: the search holds every restart in memory at once"
             )
-        if self.detection_tolerance <= 0:
-            raise ValueError("detection_tolerance must be positive")
+        if not 0.0 < self.detection_tolerance < math.inf:  # NaN fails too
+            raise ValueError(
+                f"detection_tolerance must be finite and positive, got {self.detection_tolerance!r}"
+            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -351,8 +353,8 @@ def _search(
 
     Every restart of every task advances in lockstep: each step stacks the
     pending point of every live restart, builds the stack with one
-    ``family.build_stack`` call, validates it at once, forms only the
-    mixtures with one ``metrics._ensembles`` call and eigensolves, per
+    ``family.build_stack`` call, validates it at once, reads only the
+    mixtures of one ``metrics._ensembles`` call and eigensolves, per
     restart, just the subsystem its objective names.  The live restarts
     stay grouped by that subsystem, as ``metrics._subsystem_entropies``
     takes them.  A restart's best feasible and closest points are kept per
@@ -386,8 +388,9 @@ def _search(
     while live:
         thetas = np.array([r.point for r in live])
         rows = attack_mod._attacked_stack(chi, family.build_stack(thetas), config)
-        d, mixtures = metrics._ensembles(rows, config, members=False)
-        values = metrics._subsystem_entropies(mixtures, family.ancilla_dim, counts)
+        d, mixtures, _ = metrics._ensembles(rows, config)
+        a, b = counts[0], counts[0] + counts[1]
+        values = metrics._subsystem_entropies(mixtures[:a], mixtures[a:b], mixtures[b:])
         still, counts = [], [0, 0, 0]
         for r, theta, d_i, value in zip(live, thetas, d.tolist(), values.tolist()):
             gap = abs(d_i - tasks[r.task][1])

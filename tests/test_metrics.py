@@ -183,8 +183,9 @@ def test_batched_kernel_matches_the_one_attack_references():
     """The kernel on N couplings equals information_report row by row
     (exactly), the density-matrix reference within 1e-12, and, for the
     {I, Z} encoding in simplified mode, the rank-2 oracle for I0c and H(d).
-    The mixtures alone are the same, and so is each mixture entropy the
-    search takes: one subsystem per row, rows grouped by subsystem."""
+    The search's rows give the same d and mixtures as the reports' rows,
+    and each mixture entropy the search takes equals the full solve's:
+    one subsystem per matrix, matrices grouped by subsystem."""
     rng = np.random.default_rng(73)
     configs = [
         pp.make_config(m, encoding=e) for m in ("simplified", "bell") for e in ("iz", "paulis")
@@ -192,24 +193,26 @@ def test_batched_kernel_matches_the_one_attack_references():
     for anc in (1, 2, 4):
         chi = search.random_pure_state(anc, rng)
         unitaries = np.array([search.haar_random_unitary(2 * anc, rng) for _ in range(5)])
+        specs = [pp.AttackSpec(anc, chi, unitary) for unitary in unitaries]
         for config in configs:
-            priors = np.array(config.priors)
-            rows = attack._attacked_stack(chi, unitaries, config)
-            d, buffer = metrics._ensembles(rows, config)
-            entropies = metrics._subsystem_entropies(buffer, anc)
-            d_alone, mixed = metrics._ensembles(rows, config, members=False)
-            assert np.array_equal(d_alone, d) and np.array_equal(mixed, buffer[0, :, 0])
+            d, mixed, members = metrics._ensembles(attack._attacked_batch(specs, config), config)
+            d_search, mixed_search, _ = metrics._ensembles(
+                attack._attacked_stack(chi, unitaries, config), config
+            )
+            assert np.array_equal(d_search, d) and np.array_equal(mixed_search, mixed)
+            full = metrics._subsystem_entropies(mixed, mixed, mixed).reshape(3, 5)
+            composite, travel, ancilla = full
+            first = members[:, 0]
+            member_c, member_t = metrics._subsystem_entropies(first, first, first[:0]).reshape(2, 5)
             for counts in ((5, 0, 0), (0, 5, 0), (0, 0, 5), (2, 1, 2), (0, 3, 2), (1, 4, 0)):
-                subsystems = np.repeat([0, 1, 2], counts)
-                selected = metrics._subsystem_entropies(mixed, anc, counts)
-                assert np.array_equal(selected, entropies[subsystems, np.arange(5), 0])
-            composite, travel, ancilla = entropies
-            for i, unitary in enumerate(unitaries):
-                spec = pp.AttackSpec(anc, chi, unitary)
+                a, b = counts[0], counts[0] + counts[1]
+                selected = metrics._subsystem_entropies(mixed[:a], mixed[a:b], mixed[b:])
+                assert np.array_equal(selected, full[np.repeat([0, 1, 2], counts), np.arange(5)])
+            for i, spec in enumerate(specs):
                 got = {
-                    "d": d[i], "i0t": travel[i, 0], "i0a": ancilla[i, 0], "i0c": composite[i, 0],
-                    "holevo_t": metrics._holevo(priors, travel[i]),
-                    "holevo_c": metrics._holevo(priors, composite[i]),
+                    "d": d[i], "i0t": travel[i], "i0a": ancilla[i], "i0c": composite[i],
+                    "holevo_t": travel[i] - member_t[i],
+                    "holevo_c": composite[i] - member_c[i],
                 }
                 report = metrics.information_report(spec, config)
                 reference = _reference_report(spec, config)
@@ -227,8 +230,8 @@ def test_batched_kernel_matches_the_one_attack_references():
                     # d from all four (home, travel) outcome weights, 00 + 11, to the bit
                     outcomes = np.sum(np.abs(one_rows.reshape(4, -1)) ** 2, axis=1)
                     assert got["d"] == min(max(outcomes[0] + outcomes[3], 0.0), 1.0)
-                if config.mode == "simplified" and len(priors) == 2:
-                    psi = oracles.attacked_state([1.0, 0.0], list(chi), [list(r) for r in unitary])
+                if config.mode == "simplified" and len(config.priors) == 2:
+                    psi = oracles.attacked_state([1.0, 0.0], list(chi), [list(r) for r in spec.unitary])
                     want_d = 1.0 - sum(abs(a) ** 2 for a in psi[:anc])
                     assert abs(got["d"] - want_d) < 1e-12
                     assert abs(got["i0t"] - oracles.binary_entropy(want_d)) < 1e-10
@@ -248,11 +251,11 @@ PINNED_REPORTS = (
     ("simplified", "iz", 4, ("0x1.57ce31cd3bf20p-1", "0x1.d3a811365bc0ap-1", "0x1.d056cce1cf778p-1",
                              "0x1.d3a811365bc4ep-1", "0x1.a8a22a4625500p-8", "0x1.d3a811365bbf2p-1")),
     ("simplified", "paulis", 1, ("0x1.b39567b1abe5fp-1", "0x1.0000000000000p+0", "0x1.71547652b82fep-52",
-                                 "0x1.0000000000000p+0", "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1")),
+                                 "0x1.0000000000000p+0", "0x1.fffffffffffffp-1", "0x1.fffffffffffffp-1")),
     ("simplified", "paulis", 2, ("0x1.3a9eb58fc2f06p-1", "0x1.0000000000000p+0", "0x1.299cf894bd5c6p-2",
-                                 "0x1.4a673e252f570p+0", "0x1.6b3183b5a1521p-1", "0x1.4a673e252f542p+0")),
+                                 "0x1.4a673e252f570p+0", "0x1.6b3183b5a1520p-1", "0x1.4a673e252f545p+0")),
     ("simplified", "paulis", 4, ("0x1.57ce31cd3bf20p-1", "0x1.fffffffffffffp-1", "0x1.d056cce1cf764p-1",
-                                 "0x1.e82b6670e7bb8p+0", "0x1.7d4998f1844f8p-4", "0x1.e82b6670e7b97p+0")),
+                                 "0x1.e82b6670e7bb8p+0", "0x1.7d4998f1844f8p-4", "0x1.e82b6670e7b8ap+0")),
     ("bell", "iz", 1, ("0x1.b39567b1abe60p-1", "0x1.fffffffffffffp-1", "0x0.0p+0",
                        "0x1.fffffffffffffp-1", "-0x1.0000000000000p-53", "-0x1.0000000000000p-53")),
     ("bell", "iz", 2, ("0x1.079c04fa0c05ap-1", "0x1.f13cc24eeac36p-1", "0x1.a91f875b6c32cp-1",
@@ -262,9 +265,9 @@ PINNED_REPORTS = (
     ("bell", "paulis", 1, ("0x1.b39567b1abe60p-1", "0x1.fffffffffffffp-1", "0x0.0p+0",
                            "0x1.fffffffffffffp-1", "-0x1.0000000000000p-53", "-0x1.0000000000000p-53")),
     ("bell", "paulis", 2, ("0x1.079c04fa0c05ap-1", "0x1.0000000000000p+0", "0x1.a91f875b6c32cp-1",
-                           "0x1.d48fc3adb6194p+0", "0x1.c4d7ce04c0880p-4", "0x1.a91f875b6c320p-1")),
+                           "0x1.d48fc3adb6194p+0", "0x1.c4d7ce04c0880p-4", "0x1.a91f875b6c31ap-1")),
     ("bell", "paulis", 4, ("0x1.5fdb42d27b5b8p-1", "0x1.ffffffffffffep-1", "0x1.68bdb8c2efc92p+0",
-                           "0x1.345edc6177e4ap+1", "0x1.c7f574ae019e8p-4", "0x1.68bdb8c2efc7dp+0")),
+                           "0x1.345edc6177e4ap+1", "0x1.c7f574ae019e8p-4", "0x1.68bdb8c2efc7ep+0")),
     ("counterexample", ("0x1.ffffffffffffcp-2", "0x1.ffffffffffffep-1", "0x0.0p+0",
                         "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1", "0x1.fffffffffffa7p-1")),
 )
@@ -385,6 +388,56 @@ def test_holevo_nonnegative_and_bounded_by_average_entropy(simplified_config):
             chi = metrics.holevo_bound(ens, sub)
             assert chi > -1e-12
         assert metrics.holevo_bound(ens, "composite") <= avg_entropy + 1e-10
+
+
+def _every_configuration():
+    """Seeded random attacks on ancillas 1, 2 and 4 in all four configurations."""
+    for mode in ("simplified", "bell"):
+        for encoding in ("iz", "paulis"):
+            config = pp.make_config(mode, encoding=encoding)
+            for anc in (1, 2, 4):
+                for seed in range(6):
+                    yield search.sample_random_attack(anc, seed), config
+
+
+def test_report_holevo_bounds_equal_the_general_form():
+    # a report takes S(mixture) - S(member 0); holevo_bound sums p S(ρ) over every member
+    for spec, config in _every_configuration():
+        report = metrics.information_report(spec, config)
+        ensemble = attack.post_encoding_ensemble(spec, config)
+        assert abs(report.holevo_t - metrics.holevo_bound(ensemble, "travel")) < 1e-13
+        assert abs(report.holevo_c - metrics.holevo_bound(ensemble, "composite")) < 1e-13
+
+
+def test_members_share_the_entropies_of_member_zero():
+    # The encodings act on the travel qubit alone, so each member is a local-unitary
+    # image of member 0: pure in simplified mode, and in bell mode as mixed as the
+    # home qubit, which the attack never touches.
+    for spec, config in _every_configuration():
+        _, _, members = metrics._ensembles(attack._attacked_rows(spec, config)[None], config)
+        each = members[0]
+        composite, travel = metrics._subsystem_entropies(each, each, each[:0]).reshape(2, -1)
+        assert abs(composite[0] - (1.0 if config.mode == "bell" else 0.0)) < 1e-12
+        assert np.max(np.abs(composite - composite[0])) < 1e-12
+        assert np.max(np.abs(travel - travel[0])) < 1e-12
+
+
+def test_composite_holevo_bound_in_closed_form():
+    # {I, Z} with equal priors mixes ρ' with its travel-dephased image Δ_t ρ';
+    # the four Paulis twirl the travel qubit into I/2 ⊗ ρ'_a.
+    entropy = pp.von_neumann_entropy
+    for spec, config in _every_configuration():
+        anc = spec.ancilla_dim
+        rho = attack.apply_attack(spec, config)
+        if config.mode == "bell":
+            rho = pp.partial_trace(rho, (2, 2, anc), (1, 2))
+        if len(config.priors) == 2:
+            dephased = rho.entries.reshape(2, anc, 2, anc).copy()
+            dephased[0, :, 1] = dephased[1, :, 0] = 0.0
+            want = entropy(pp.DensityMatrix(dephased.reshape(2 * anc, 2 * anc))) - entropy(rho)
+        else:
+            want = 1.0 + entropy(pp.partial_trace(rho, (2, anc), 1)) - entropy(rho)
+        assert abs(metrics.information_report(spec, config).holevo_c - want) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,13 @@ def test_sweep_config_validation():
         search.SweepConfig(d_grid=(0.1,), detection_tolerance=0.0)
 
 
+def test_sweep_config_rejects_a_non_finite_or_non_positive_tolerance():
+    # an infinite band made every evaluation feasible, a NaN one none
+    for tol in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            search.SweepConfig(d_grid=(0.3,), detection_tolerance=tol)
+
+
 def test_sweep_config_caps_the_restarts_of_one_search():
     search.SweepConfig(d_grid=(0.1,), restarts=search.MAX_RESTARTS, objectives=("i0t",))
     with pytest.raises(ValueError, match="in memory at once"):
