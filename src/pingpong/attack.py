@@ -8,7 +8,6 @@ travel⊗ancilla factor; the home qubit (bell mode) is never touched.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -75,9 +74,8 @@ class EncodingEnsemble:
 
 def _norm_violations(chi: np.ndarray) -> list[str]:
     """The ancilla state's norm violation, if any, with its measured deviation."""
-    # hypot scales internally: a huge entry gives its true norm, not an overflow.
-    norm = math.hypot(*chi.real.tolist(), *chi.imag.tolist())
-    if not abs(norm - 1.0) <= qlinalg.ATOL_NORM:
+    norm = qlinalg._off_norm(chi)
+    if norm is not None:
         return [f"ancilla state norm {norm:.12g} differs from 1 by {abs(norm - 1.0):.3g}"]
     return []
 
@@ -90,23 +88,6 @@ def _coupling_violations(unitaries: np.ndarray) -> dict[int, str]:
     return {
         int(i): f"coupling matrix is not unitary: max |U†U - I| = {devs[i]:.3g}"
         for i in np.flatnonzero(~(devs <= qlinalg.ATOL_UNITARY))
-    }
-
-
-def _trace_violations(rows: np.ndarray) -> dict[int, str]:
-    """Row → violation for each attacked state of an (N, H, n) stack that is not normalized.
-
-    A norm and a unitarity deviation, each within its tolerance, can add up
-    past 1e-10 here: the attack is then invalid for this sent state.
-    """
-    flat = rows.reshape(len(rows), -1).view(np.float64)  # (re, im) pairs
-    traces = np.einsum("ij,ij->i", flat, flat)
-    deviations = np.abs(traces - 1.0)
-    if deviations.max() <= qlinalg.ATOL_TRACE:  # NaN fails this too
-        return {}
-    return {
-        int(i): f"attacked state norm² {traces[i]:.12g} is not 1 within {qlinalg.ATOL_TRACE}"
-        for i in np.flatnonzero(~(deviations <= qlinalg.ATOL_TRACE))
     }
 
 
@@ -132,32 +113,52 @@ def validate_attack(spec: AttackSpec) -> list[str]:
     return violations
 
 
-def _lift(chi: np.ndarray, unitaries: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
+def _checked_lift(
+    chi: np.ndarray, unitaries: np.ndarray, config: "ProtocolConfig", label: str
+) -> np.ndarray:
     """(N, H, n) rows U_i(<h|_home|initial>⊗|χ_i>) for an (N, n, n) coupling stack
-    and one (m,) ancilla state χ or an (N, m) stack of them."""
+    and one (m,) ancilla state χ or an (N, m) stack of them, each row's trace checked.
+
+    A norm and a unitarity deviation, each within its tolerance, can add up
+    past 1e-10 here: the attack is then invalid for this sent state.  The
+    InvalidAttackError line of row i starts with ``label.format(i)``.
+    """
     initial = config.bob_initial.amplitudes.reshape(-1, 2)
     lifted = initial[:, :, None] * chi[..., None, None, :]
-    return lifted.reshape(chi.shape[:-1] + (len(initial), -1)) @ unitaries.transpose(0, 2, 1)
+    rows = lifted.reshape(chi.shape[:-1] + (len(initial), -1)) @ unitaries.transpose(0, 2, 1)
+    flat = rows.reshape(len(rows), -1).view(np.float64)  # (re, im) pairs
+    traces = np.einsum("ij,ij->i", flat, flat)
+    deviations = np.abs(traces - 1.0)
+    if deviations.max() <= qlinalg.ATOL_TRACE:  # NaN fails this too
+        return rows
+    raise InvalidAttackError("\n".join(
+        f"{label.format(i)}attacked state norm² {traces[i]:.12g} is not 1 within {qlinalg.ATOL_TRACE}"
+        for i in np.flatnonzero(~(deviations <= qlinalg.ATOL_TRACE))
+    ))
 
 
-def _attacked_rows(spec: AttackSpec, config: "ProtocolConfig") -> np.ndarray:
-    """Validated attacked amplitudes, one row per home-qubit value.
+def _attacked_rows(specs: list[AttackSpec], config: "ProtocolConfig") -> np.ndarray:
+    """Validated (N, H, n) attacked amplitudes of N attacks on one ancilla dimension.
 
-    Row h holds U(<h|_home|initial>⊗|χ>) over travel⊗ancilla: a single
-    row U(|b>⊗|χ>) in simplified mode, two rows (home = 0, 1) in bell
-    mode.  This is the one place a consumer's attack is checked: it is
-    validated here, and the trace of the attacked state checked, once;
-    everything derived from the rows is trusted.  The InvalidAttackError
-    carries one violation per line.
+    Row h of attack i holds U_i(<h|_home|initial>⊗|χ_i>) over travel⊗ancilla:
+    a single row U(|b>⊗|χ>) in simplified mode, two rows (home = 0, 1) in
+    bell mode.  This is the one place a consumer's attack is checked: each
+    spec is validated by ``validate_attack`` once and each attacked state's
+    trace checked; everything derived from the rows is trusted.  The
+    InvalidAttackError carries one violation per line, naming its attack
+    when the list holds more than one.  Specs of different ancilla
+    dimensions raise ValueError; the list must not be empty.
     """
-    violations = validate_attack(spec)
-    if violations:
-        raise InvalidAttackError("\n".join(violations))
-    rows = _lift(spec.ancilla_state, spec.unitary[None], config)
-    violations = list(_trace_violations(rows).values())
-    if violations:
-        raise InvalidAttackError("\n".join(violations))
-    return rows[0]
+    label = "attack {}: " if len(specs) > 1 else ""
+    found = list(map(validate_attack, specs))
+    if any(found):
+        raise InvalidAttackError("\n".join(label.format(i) + v for i, vs in enumerate(found) for v in vs))
+    try:
+        chis = np.array([spec.ancilla_state for spec in specs])
+    except ValueError:  # valid states of different ancilla dimensions are ragged
+        dims = sorted({int(spec.ancilla_dim) for spec in specs})
+        raise ValueError(f"a batch of attacks needs one ancilla_dim, got {dims}") from None
+    return _checked_lift(chis, np.array([spec.unitary for spec in specs]), config, label)
 
 
 def _attacked_stack(
@@ -165,9 +166,9 @@ def _attacked_stack(
 ) -> np.ndarray:
     """Validated (N, H, n) attacked rows of N couplings on one ancilla state.
 
-    The search's counterpart of ``_attacked_rows``: the same checks (χ's
-    norm, max |U†U - I| per coupling, the attacked state's trace) made on
-    the whole stack at once.  Each violation line names its row.
+    The search's counterpart of ``_attacked_rows``, over the same
+    ``_checked_lift``: χ's norm is checked once and max |U†U - I| row by
+    row, before each attacked state's trace.  Each violation line names its row.
     """
     n = 2 * chi.size
     if unitaries.ndim != 3 or unitaries.shape[1:] != (n, n):
@@ -176,33 +177,7 @@ def _attacked_stack(
     violations += [f"row {i}: {v}" for i, v in _coupling_violations(unitaries).items()]
     if violations:
         raise InvalidAttackError("\n".join(violations))
-    rows = _lift(chi, unitaries, config)
-    violations = [f"row {i}: {v}" for i, v in _trace_violations(rows).items()]
-    if violations:
-        raise InvalidAttackError("\n".join(violations))
-    return rows
-
-
-def _attacked_batch(specs: list[AttackSpec], config: "ProtocolConfig") -> np.ndarray:
-    """Validated (N, H, n) attacked rows of N attacks on one ancilla dimension.
-
-    ``_attacked_rows`` for a list: each spec is validated by
-    ``validate_attack`` and each attacked state's trace checked, with every
-    violation line naming its attack.  Specs of different ancilla
-    dimensions raise ValueError; the list must not be empty.
-    """
-    violations = [f"attack {i}: {v}" for i, spec in enumerate(specs) for v in validate_attack(spec)]
-    if violations:
-        raise InvalidAttackError("\n".join(violations))
-    dims = sorted({int(spec.ancilla_dim) for spec in specs})
-    if len(dims) > 1:
-        raise ValueError(f"a batch of attacks needs one ancilla_dim, got {dims}")
-    chis = np.array([spec.ancilla_state for spec in specs])
-    rows = _lift(chis, np.array([spec.unitary for spec in specs]), config)
-    violations = [f"attack {i}: {v}" for i, v in _trace_violations(rows).items()]
-    if violations:
-        raise InvalidAttackError("\n".join(violations))
-    return rows
+    return _checked_lift(chi, unitaries, config, "row {}: ")
 
 
 def _encoded_rows(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -243,7 +218,7 @@ def apply_attack(spec: AttackSpec, config: "ProtocolConfig") -> qlinalg.DensityM
     Returns the full density matrix: travel⊗ancilla in simplified mode,
     home⊗travel⊗ancilla in bell mode.  Trace is preserved within 1e-12.
     """
-    psi = _attacked_rows(spec, config).ravel()
+    psi = _attacked_rows([spec], config)[0].ravel()
     return qlinalg.DensityMatrix(np.outer(psi, psi.conj()))
 
 
@@ -254,7 +229,7 @@ def post_encoding_ensemble(spec: AttackSpec, config: "ProtocolConfig") -> Encodi
     (A_j⊗I_anc)ρ'(A_j⊗I_anc)† on travel⊗ancilla; in bell mode the home
     qubit is traced out first since it is never accessible.
     """
-    members = _encoded_members(_attacked_rows(spec, config)[None], config)[0]
+    members = _encoded_members(_attacked_rows([spec], config), config)[0]
     pairs = tuple((p, qlinalg.DensityMatrix(rho)) for p, rho in zip(config.priors, members))
     return EncodingEnsemble(members=pairs, config=config)
 
@@ -268,7 +243,7 @@ def detection_probability(spec: AttackSpec, config: "ProtocolConfig") -> float:
     home; the unattacked pair is perfectly anticorrelated, so d is the
     probability the outcomes are equal.
     """
-    return float(_detection(_attacked_rows(spec, config)[None], config)[0])
+    return float(_detection(_attacked_rows([spec], config), config)[0])
 
 
 def _counterexample_unitary() -> np.ndarray:

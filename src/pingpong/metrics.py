@@ -176,26 +176,6 @@ def _report_row(
     )
 
 
-def _reports(
-    specs: list[attack_mod.AttackSpec], rows: np.ndarray, config: protocol_mod.ProtocolConfig
-) -> list[InfoReport]:
-    """The report of each spec from its validated attacked rows, one
-    eigensolve over five matrices per attack.
-
-    The encodings act on the travel qubit alone, so every member of an
-    ensemble is a local-unitary image of member 0 and has its composite
-    and travel entropies: each Holevo bound is S(mixture) - S(member 0).
-    """
-    d, mixtures, members = _ensembles(rows, config)
-    both = np.concatenate([mixtures, members[:, 0]])
-    entropies = _subsystem_entropies(both, both, mixtures).reshape(5, len(rows))
-    c, c0, t, t0, a = entropies.tolist()
-    return [
-        _report_row(spec, config, d_i, c_i, t_i, a_i, t_i - t0_i, c_i - c0_i)
-        for spec, d_i, c_i, c0_i, t_i, t0_i, a_i in zip(specs, d.tolist(), c, c0, t, t0, a)
-    ]
-
-
 def information_report(
     spec: attack_mod.AttackSpec, config: protocol_mod.ProtocolConfig
 ) -> InfoReport:
@@ -204,21 +184,31 @@ def information_report(
     All quantities are computed from the post-encoding ensemble the
     eavesdropper faces; nothing is assumed from any claimed value.
     """
-    return _reports([spec], attack_mod._attacked_rows(spec, config)[None], config)[0]
+    return _information_reports([spec], config)[0]
 
 
 def _information_reports(
     specs: list[attack_mod.AttackSpec], config: protocol_mod.ProtocolConfig
 ) -> list[InfoReport]:
-    """``information_report`` of each spec, to the bit, from one pass of the
-    kernel over the whole list.
+    """``information_report`` of each spec from one pass of the kernel over
+    the whole list, one eigensolve over five matrices per attack.
 
+    The encodings act on the travel qubit alone, so every member of an
+    ensemble is a local-unitary image of member 0 and has its composite
+    and travel entropies: each Holevo bound is S(mixture) - S(member 0).
     The specs must share one ancilla dimension (ValueError otherwise); an
-    invalid spec raises InvalidAttackError with each line naming its index.
+    invalid spec raises InvalidAttackError (see ``attack._attacked_rows``).
     """
     if not specs:
         return []
-    return _reports(specs, attack_mod._attacked_batch(specs, config), config)
+    d, mixtures, members = _ensembles(attack_mod._attacked_rows(specs, config), config)
+    both = np.concatenate([mixtures, members[:, 0]])
+    entropies = _subsystem_entropies(both, both, mixtures).reshape(5, len(specs))
+    c, c0, t, t0, a = entropies.tolist()
+    return [
+        _report_row(spec, config, d_i, c_i, t_i, a_i, t_i - t0_i, c_i - c0_i)
+        for spec, d_i, c_i, c0_i, t_i, t0_i, a_i in zip(specs, d.tolist(), c, c0, t, t0, a)
+    ]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -148,7 +148,7 @@ class MessageRoundResult:
 
 
 def _decode_table(rows: np.ndarray, config: ProtocolConfig) -> np.ndarray | None:
-    """Bob's (K, K+1) decode table for attacked rows (``attack._attacked_rows``).
+    """Bob's (K, K+1) decode table for one attack's rows (``attack._attacked_rows``).
 
     Row k holds, for bit k sent, the probability that Bob's measurement
     reports each encoding, then the weight outside every decode projector.
@@ -184,7 +184,7 @@ def run_message_round(
     """
     if not 0 <= bit < len(config.encoding_ops):
         raise ValueError(f"bit {bit!r} does not index {len(config.encoding_ops)} encoding ops")
-    table = _decode_table(attack_mod._attacked_rows(spec, config), config)
+    table = _decode_table(attack_mod._attacked_rows([spec], config)[0], config)
     if table is None:
         return MessageRoundResult(
             decoded_bit=None,
@@ -234,8 +234,8 @@ def monte_carlo(
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     rng = np.random.default_rng(seed)
-    rows = attack_mod._attacked_rows(spec, config)
-    d = float(attack_mod._detection(rows[None], config)[0])
+    rows = attack_mod._attacked_rows([spec], config)
+    d = float(attack_mod._detection(rows, config)[0])
     is_control = rng.random(rounds) < config.control_probability
     n_control = int(is_control.sum())
     n_message = rounds - n_control
@@ -243,7 +243,7 @@ def monte_carlo(
 
     n_ops = len(config.encoding_ops)
     bits = rng.choice(n_ops, size=n_message, p=config.prior_array)
-    table = _decode_table(rows, config)
+    table = _decode_table(rows[0], config)
     if n_message and table is not None:
         table = np.clip(table, 0.0, None)
         table /= table.sum(axis=1, keepdims=True)

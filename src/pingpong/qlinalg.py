@@ -66,9 +66,8 @@ class StateVector:
         arr = _frozen_complex(amplitudes, "vector")
         if arr.size < 2:
             raise DimensionMismatchError(f"state needs dimension >= 2, got {arr.size}")
-        # hypot scales internally: a huge entry gives its true norm, not an overflow.
-        norm = math.hypot(*arr.real.tolist(), *arr.imag.tolist())
-        if not abs(norm - 1.0) <= ATOL_NORM:
+        norm = _off_norm(arr)
+        if norm is not None:
             raise ValueError(f"state norm {norm:.12g} is not 1 within {ATOL_NORM}")
         object.__setattr__(self, "amplitudes", arr)
 
@@ -234,3 +233,10 @@ def _unitarity_deviation(arr: np.ndarray) -> float | np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         dev = np.abs(arr.conj().swapaxes(-1, -2) @ arr - _identity(arr.shape[-1]))
         return dev.reshape(arr.shape[:-2] + (-1,)).max(axis=-1)
+
+
+def _off_norm(amplitudes: np.ndarray) -> float | None:
+    """The Euclidean norm of a vector when it is not 1 within ATOL_NORM, else None."""
+    # hypot scales internally: a huge entry gives its true norm, not an overflow.
+    norm = math.hypot(*amplitudes.real.tolist(), *amplitudes.imag.tolist())
+    return None if abs(norm - 1.0) <= ATOL_NORM else norm  # NaN is returned

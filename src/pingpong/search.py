@@ -204,7 +204,8 @@ def product_family(ancilla_dim: int = 2) -> AttackFamily:
 class SweepConfig:
     """Grid, budgets and seed for a frontier sweep.
 
-    The grid is stored sorted; every value must lie in [0, 1].
+    The grid is stored sorted; every value must lie in [0, 1].  The
+    restarts, budget and seed are integers, the seed non-negative.
     """
 
     d_grid: tuple[float, ...]
@@ -223,8 +224,10 @@ class SweepConfig:
         unknown = [o for o in self.objectives if o not in OBJECTIVES]
         if unknown or not self.objectives:
             raise ValueError(f"objectives must be drawn from {OBJECTIVES}, got {self.objectives!r}")
-        if self.restarts < 1 or self.budget_per_restart < 1:
-            raise ValueError("restarts and budget_per_restart must be >= 1")
+        for name, least in (("restarts", 1), ("budget_per_restart", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         total = len(grid) * len(self.objectives) * self.restarts
         if total > MAX_RESTARTS:
             raise ValueError(

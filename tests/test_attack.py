@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pingpong as pp
-from pingpong import attack, search
+from pingpong import attack, metrics, protocol, search
 
 import oracles
 
@@ -250,7 +250,7 @@ def test_attacked_stack_rows_equal_one_attack_rows(bell_config):
     stack = attack._attacked_stack(chi, unitaries, bell_config)
     for rows, unitary in zip(stack, unitaries):
         spec = pp.AttackSpec(3, chi, unitary)
-        assert np.array_equal(rows, attack._attacked_rows(spec, bell_config))
+        assert np.array_equal(rows, attack._attacked_rows([spec], bell_config)[0])
 
 
 def test_attacked_stack_names_every_violating_row(simplified_config):
@@ -275,3 +275,29 @@ def test_attacked_stack_names_every_violating_row(simplified_config):
     assert "attacked state norm²" in str(info.value)
     with pytest.raises(attack.InvalidAttackError, match="coupling stack shape"):
         attack._attacked_stack(chi, np.eye(6, dtype=complex)[None], simplified_config)
+
+
+def test_one_attack_violations_are_unnamed_and_a_list_names_each(simplified_config, bell_config):
+    malformed = pp.AttackSpec(2, np.array([1.0, 1.0]), np.ones((4, 4)))
+    # 1 + 0.9e-10 passes the norm check but not the attacked state's trace
+    untraced = pp.AttackSpec(2, np.array([1.0 + 0.9e-10, 0.0]), np.eye(4))
+    trace_line = "attacked state norm² 1.00000000018 is not 1 within 1e-10"
+    for spec, want in (
+        (malformed, "\n".join(attack.validate_attack(malformed))),
+        (untraced, trace_line),
+    ):
+        for call, args in (
+            (metrics.information_report, (spec, simplified_config)),
+            (attack.detection_probability, (spec, bell_config)),
+            (protocol.monte_carlo, (bell_config, spec, 10, 0)),
+        ):
+            with pytest.raises(attack.InvalidAttackError) as info:
+                call(*args)
+            assert str(info.value) == want
+    valid = pp.builtin_attack("counterexample")
+    with pytest.raises(attack.InvalidAttackError) as info:
+        attack._attacked_rows([valid, malformed], simplified_config)
+    assert str(info.value) == "\n".join(f"attack 1: {v}" for v in attack.validate_attack(malformed))
+    with pytest.raises(attack.InvalidAttackError) as info:
+        attack._attacked_rows([valid, untraced], simplified_config)
+    assert str(info.value) == f"attack 1: {trace_line}"

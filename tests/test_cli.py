@@ -82,6 +82,17 @@ def test_report_bell_mode(capsys, attack_path):
     assert abs(payload["d"] - 0.5) < 1e-12
     assert payload["holevo_c"] == 0.0
     assert payload["claim_deviation"] is None
+    # the entangled-pair variant: the composite Holevo bound is 0, not the claimed 2 bits
+    assert cli.main(["report", attack_path, "--mode", "bell"]) == 0
+    assert "Holevo(composite) = 0.000000000000" in capsys.readouterr().out.splitlines()
+
+
+def test_report_validates_the_attack_once(capsys, monkeypatch, attack_path):
+    calls = []
+    original = attack.validate_attack
+    monkeypatch.setattr(attack, "validate_attack", lambda spec: calls.append(spec) or original(spec))
+    assert cli.main(["report", attack_path, "--mode", "bell"]) == 0
+    assert len(calls) == 1
 
 
 def test_report_missing_file_exits_2(capsys, tmp_path):

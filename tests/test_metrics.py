@@ -195,7 +195,7 @@ def test_batched_kernel_matches_the_one_attack_references():
         unitaries = np.array([search.haar_random_unitary(2 * anc, rng) for _ in range(5)])
         specs = [pp.AttackSpec(anc, chi, unitary) for unitary in unitaries]
         for config in configs:
-            d, mixed, members = metrics._ensembles(attack._attacked_batch(specs, config), config)
+            d, mixed, members = metrics._ensembles(attack._attacked_rows(specs, config), config)
             d_search, mixed_search, _ = metrics._ensembles(
                 attack._attacked_stack(chi, unitaries, config), config
             )
@@ -219,7 +219,7 @@ def test_batched_kernel_matches_the_one_attack_references():
                 for name, value in got.items():
                     assert value == getattr(report, name), name
                     assert abs(value - reference[name]) < 1e-12, name
-                one_rows = attack._attacked_rows(spec, config)
+                one_rows = attack._attacked_rows([spec], config)[0]
                 if config.mode == "simplified":
                     # d as one attack's vdot forms it, to the bit: sweeps are pinned on it
                     b = config.bob_initial.amplitudes
@@ -414,7 +414,7 @@ def test_members_share_the_entropies_of_member_zero():
     # image of member 0: pure in simplified mode, and in bell mode as mixed as the
     # home qubit, which the attack never touches.
     for spec, config in _every_configuration():
-        _, _, members = metrics._ensembles(attack._attacked_rows(spec, config)[None], config)
+        _, _, members = metrics._ensembles(attack._attacked_rows([spec], config), config)
         each = members[0]
         composite, travel = metrics._subsystem_entropies(each, each, each[:0]).reshape(2, -1)
         assert abs(composite[0] - (1.0 if config.mode == "bell" else 0.0)) < 1e-12

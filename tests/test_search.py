@@ -196,6 +196,10 @@ def test_sweep_config_validation():
         search.SweepConfig(d_grid=(0.1,), restarts=0)
     with pytest.raises(ValueError):
         search.SweepConfig(d_grid=(0.1,), detection_tolerance=0.0)
+    # each of these once died mid-sweep, in range() or in SeedSequence
+    for bad in ({"restarts": 2.5}, {"budget_per_restart": 20.5}, {"seed": 1.5}, {"seed": -1}):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer"):
+            search.SweepConfig(d_grid=(0.1,), **bad)
 
 
 def test_sweep_config_rejects_a_non_finite_or_non_positive_tolerance():
