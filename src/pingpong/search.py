@@ -166,12 +166,12 @@ def _family(
     name: str, ancilla_dim: int, param_count: int,
     build_stack: Callable[[NDArray[np.float64]], NDArray[np.complex128]],
 ) -> AttackFamily:
-    """A family whose ``build`` is ``build_stack`` on a stack of one."""
-    chi = _ground_ancilla(ancilla_dim)
+    """A family whose ``build`` is ``build_stack`` on a stack of one; making it allocates nothing."""
 
     def build(theta: NDArray[np.float64]) -> attack_mod.AttackSpec:
         unitary = build_stack(np.asarray(theta, dtype=float)[None])[0]
-        return attack_mod.AttackSpec(ancilla_dim=ancilla_dim, ancilla_state=chi, unitary=unitary)
+        return attack_mod.AttackSpec(
+            ancilla_dim=ancilla_dim, ancilla_state=_ground_ancilla(ancilla_dim), unitary=unitary)
 
     return AttackFamily(name, ancilla_dim, param_count, build, build_stack)
 
@@ -267,13 +267,14 @@ class CurvePoint:
 
 
 def _simplex_moves(x0: np.ndarray) -> Generator[np.ndarray, float, None]:
-    """scipy 1.17's adaptive Nelder–Mead with xatol 1e-7 and fatol 1e-12, unbudgeted.
+    """scipy 1.17's adaptive Nelder–Mead with xatol 1e-7 and fatol 1e-12.
 
     Yields each point to evaluate and takes its value through ``send``;
-    returns once the simplex passes the xatol/fatol test.  The arithmetic
-    and the (unstable) argsorts are scipy's, so the points asked are
-    scipy's bit for bit.  scipy's reflection coefficient is 1 and drops
-    out exactly; its other coefficients adapt to the dimension.
+    returns once the simplex passes the xatol/fatol test, while the search
+    caps each restart's calls at its budget as scipy's ``maxfev`` does.
+    The arithmetic and the (unstable) argsorts are scipy's, so the points
+    asked are scipy's bit for bit.  scipy's reflection coefficient is 1
+    and drops out exactly; its other coefficients adapt to the dimension.
     """
     n = len(x0)
     chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
@@ -321,19 +322,6 @@ def _simplex_moves(x0: np.ndarray) -> Generator[np.ndarray, float, None]:
         sim, fsim = sim[ind], fsim[ind]
 
 
-def _nelder_mead(x0: np.ndarray, maxfev: int) -> Generator[np.ndarray, float, None]:
-    """``_simplex_moves`` that, like scipy's ``maxfev`` wrapper, asks for
-    no point once it has made ``maxfev`` calls."""
-    moves = _simplex_moves(x0)
-    value = None
-    for _ in range(maxfev):
-        try:
-            point = moves.send(value)
-        except StopIteration:
-            return
-        value = yield point
-
-
 @dataclasses.dataclass(eq=False)
 class _Restart:
     """One Nelder–Mead restart of a search task and the best points it saw."""
@@ -342,6 +330,7 @@ class _Restart:
     subsystem: int  # _ENTROPY_ROW of the task's objective
     moves: Generator[np.ndarray, float, None]
     point: np.ndarray
+    asked: int = 1  # points ``moves`` has yielded, ``point`` included
     best: tuple[float, np.ndarray] | None = None  # (value, θ), feasible only
     closest: tuple[float, np.ndarray] | None = None  # (gap, θ)
 
@@ -363,7 +352,8 @@ def _search(
     takes them.  A restart's best feasible and closest points are kept per
     restart and merged in restart order with the serial loop's strict
     comparisons, so ties break as they would if the restarts ran one
-    after another.
+    after another.  Like scipy's ``maxfev``, a restart that has asked
+    ``budget_per_restart`` points stops without sending the last value.
     """
     count, p = len(tasks) * sweep_cfg.restarts, family.param_count
     nbytes = count * (p + 1) * p * 8
@@ -372,7 +362,7 @@ def _search(
             f"{count:,} restarts of a {p + 1}×{p} simplex take {nbytes:,} bytes, over "
             f"{MAX_SIMPLEX_BYTES:,}: the search holds every restart in memory at once"
         )
-    tol = sweep_cfg.detection_tolerance
+    tol, budget = sweep_cfg.detection_tolerance, sweep_cfg.budget_per_restart
     chi = _ground_ancilla(family.ancilla_dim)
     restarts: list[_Restart] = []
     for index, (objective, _, rng) in enumerate(tasks):
@@ -382,10 +372,9 @@ def _search(
             for _ in range(sweep_cfg.restarts - 1)
         ]
         for x0 in starts:
-            moves = _nelder_mead(x0, sweep_cfg.budget_per_restart)
+            moves = _simplex_moves(x0)
             restarts.append(_Restart(index, _ENTROPY_ROW[objective], moves, next(moves)))
 
-    evaluations = [0] * len(tasks)
     live = sorted(restarts, key=lambda r: r.subsystem)
     counts = [sum(r.subsystem == row for r in live) for row in range(3)]
     while live:
@@ -397,15 +386,17 @@ def _search(
         still, counts = [], [0, 0, 0]
         for r, theta, d_i, value in zip(live, thetas, d.tolist(), values.tolist()):
             gap = abs(d_i - tasks[r.task][1])
-            evaluations[r.task] += 1
             if gap <= tol and (r.best is None or value > r.best[0]):
                 r.best = (value, theta.copy())
             if r.closest is None or gap < r.closest[0]:
                 r.closest = (gap, theta.copy())
+            if r.asked == budget:
+                continue
             try:
                 r.point = r.moves.send(-(value - PENALTY_WEIGHT * max(0.0, gap - tol) ** 2))
             except StopIteration:
                 continue
+            r.asked += 1
             still.append(r)
             counts[r.subsystem] += 1
         live = still
@@ -413,7 +404,8 @@ def _search(
     points = []
     for index, (objective, d_target, _) in enumerate(tasks):
         best = closest = None
-        for r in restarts[index * sweep_cfg.restarts:(index + 1) * sweep_cfg.restarts]:
+        group = restarts[index * sweep_cfg.restarts:(index + 1) * sweep_cfg.restarts]
+        for r in group:
             if r.best is not None and (best is None or r.best[0] > best[0]):
                 best = r.best
             if closest is None or r.closest[0] < closest[0]:
@@ -429,7 +421,7 @@ def _search(
             best_i0a=report.i0a,
             best_i0c=report.i0c,
             theta_best=tuple(float(t) for t in theta),
-            evaluations=evaluations[index],
+            evaluations=sum(r.asked for r in group),
             feasible=feasible,
         ))
     return points

@@ -274,7 +274,7 @@ def test_sweep_over_the_restart_cap_exits_2_before_any_restart(capsys, monkeypat
     def no_restarts(*args, **kwargs):
         raise AssertionError("a restart was built")
 
-    monkeypatch.setattr(search, "_nelder_mead", no_restarts)
+    monkeypatch.setattr(search, "_simplex_moves", no_restarts)
     assert cli.main(["sweep", "--restarts", "1000000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("bad sweep configuration: 18,000,000 restarts")
@@ -285,11 +285,14 @@ def test_sweep_over_the_simplex_byte_bound_exits_2_before_any_restart(capsys, mo
     def no_restarts(*args, **kwargs):
         raise AssertionError("a restart was built")
 
-    monkeypatch.setattr(search, "_nelder_mead", no_restarts)
-    assert cli.main(["sweep", "--ancilla-dim", "32"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("bad sweep configuration: 360 restarts of a 4097×4096 simplex")
-    assert "in memory at once" in err
+    monkeypatch.setattr(search, "_simplex_moves", no_restarts)
+    # at 10^12 the ancilla state alone would take 14.6 TiB: the bound comes
+    # before anything of the family's size is allocated
+    for ancilla_dim, simplex in (("32", "4097×4096 simplex"), ("1000000000000", "")):
+        assert cli.main(["sweep", "--ancilla-dim", ancilla_dim]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bad sweep configuration: 360 restarts of a {simplex}")
+        assert "in memory at once" in err
 
 
 def test_sweep_single_point_csv(capsys):
