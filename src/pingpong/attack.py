@@ -72,25 +72,6 @@ class EncodingEnsemble:
         return qlinalg.DensityMatrix(acc)
 
 
-def _norm_violations(chi: np.ndarray) -> list[str]:
-    """The ancilla state's norm violation, if any, with its measured deviation."""
-    norm = qlinalg._off_norm(chi)
-    if norm is not None:
-        return [f"ancilla state norm {norm:.12g} differs from 1 by {abs(norm - 1.0):.3g}"]
-    return []
-
-
-def _coupling_violations(unitaries: np.ndarray) -> dict[int, str]:
-    """Row → violation for each coupling of an (N, n, n) stack that is not unitary."""
-    devs = qlinalg._unitarity_deviation(unitaries)
-    if devs.max() <= qlinalg.ATOL_UNITARY:  # NaN fails this too
-        return {}
-    return {
-        int(i): f"coupling matrix is not unitary: max |U†U - I| = {devs[i]:.3g}"
-        for i in np.flatnonzero(~(devs <= qlinalg.ATOL_UNITARY))
-    }
-
-
 def validate_attack(spec: AttackSpec) -> list[str]:
     """Check every attack invariant; returns violations with measured deviations.
 
@@ -104,12 +85,16 @@ def validate_attack(spec: AttackSpec) -> list[str]:
     if chi.ndim != 1 or chi.size != dim:
         violations.append(f"ancilla state shape {chi.shape} does not match ancilla_dim {dim}")
     else:
-        violations += _norm_violations(chi)
+        norm = qlinalg._off_norm(chi)
+        if norm is not None:
+            violations.append(f"ancilla state norm {norm:.12g} differs from 1 by {abs(norm - 1.0):.3g}")
     u = spec.unitary
     if u.shape != (2 * dim, 2 * dim):
         violations.append(f"unitary shape {u.shape} is not ({2 * dim}, {2 * dim})")
     else:
-        violations += _coupling_violations(u[None]).values()
+        dev = qlinalg._unitarity_deviation(u)
+        if not dev <= qlinalg.ATOL_UNITARY:  # NaN fails this too
+            violations.append(f"coupling matrix is not unitary: max |U†U - I| = {dev:.3g}")
     return violations
 
 
@@ -122,6 +107,9 @@ def _checked_lift(
     A norm and a unitarity deviation, each within its tolerance, can add up
     past 1e-10 here: the attack is then invalid for this sent state.  The
     InvalidAttackError line of row i starts with ``label.format(i)``.
+    ``_attacked_rows`` calls this after ``validate_attack``; the search calls
+    it alone on each step's couplings, since unit-trace rows are all the
+    kernel needs for its states to be density matrices.
     """
     initial = config.bob_initial.amplitudes.reshape(-1, 2)
     lifted = initial[:, :, None] * chi[..., None, None, :]
@@ -159,25 +147,6 @@ def _attacked_rows(specs: list[AttackSpec], config: "ProtocolConfig") -> np.ndar
         dims = sorted({int(spec.ancilla_dim) for spec in specs})
         raise ValueError(f"a batch of attacks needs one ancilla_dim, got {dims}") from None
     return _checked_lift(chis, np.array([spec.unitary for spec in specs]), config, label)
-
-
-def _attacked_stack(
-    chi: np.ndarray, unitaries: np.ndarray, config: "ProtocolConfig"
-) -> np.ndarray:
-    """Validated (N, H, n) attacked rows of N couplings on one ancilla state.
-
-    The search's counterpart of ``_attacked_rows``, over the same
-    ``_checked_lift``: χ's norm is checked once and max |U†U - I| row by
-    row, before each attacked state's trace.  Each violation line names its row.
-    """
-    n = 2 * chi.size
-    if unitaries.ndim != 3 or unitaries.shape[1:] != (n, n):
-        raise InvalidAttackError(f"coupling stack shape {unitaries.shape} is not (N, {n}, {n})")
-    violations = _norm_violations(chi)
-    violations += [f"row {i}: {v}" for i, v in _coupling_violations(unitaries).items()]
-    if violations:
-        raise InvalidAttackError("\n".join(violations))
-    return _checked_lift(chi, unitaries, config, "row {}: ")
 
 
 def _encoded_rows(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:

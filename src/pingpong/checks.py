@@ -330,7 +330,7 @@ def check_parameterized_unitary_basics() -> CheckResult:
     for _ in range(100):
         theta = rng.uniform(-math.pi, math.pi, 16)
         u = search_mod.parameterize_unitary(theta, 4).entries
-        worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(4)))) - 0.0)
+        worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(4)))))
     return _result(
         "parameterized_unitary_basics", 1e-9, worst,
         f"worst of (|U(0) - I|, unitarity residual) = {worst:.3g}",

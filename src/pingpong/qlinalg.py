@@ -224,15 +224,14 @@ def _identity(dim: int) -> np.ndarray:
     return eye
 
 
-def _unitarity_deviation(arr: np.ndarray) -> float | np.ndarray:
-    """max-entry |U†U - I| of a raw square matrix, or of each matrix in a stack.
+def _unitarity_deviation(arr: np.ndarray) -> float:
+    """max-entry |U†U - I| of a raw square matrix.
 
     Huge, infinite or NaN entries give inf or NaN without a numpy warning;
     ``dev <= tol`` is False for both, so such a matrix fails every tolerance.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = np.abs(arr.conj().swapaxes(-1, -2) @ arr - _identity(arr.shape[-1]))
-        return dev.reshape(arr.shape[:-2] + (-1,)).max(axis=-1)
+        return float(np.abs(arr.conj().T @ arr - _identity(len(arr))).max())
 
 
 def _off_norm(amplitudes: np.ndarray) -> float | None:

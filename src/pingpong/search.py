@@ -96,12 +96,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (n, n))
 
 
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> NDArray[np.complex128]:
     """Haar-distributed unitary: QR of a complex Ginibre matrix, phase-fixed."""
     ginibre = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
@@ -122,7 +116,7 @@ def sample_random_attack(ancilla_dim: int, rng_seed) -> attack_mod.AttackSpec:
     Deterministic per integer seed; a numpy Generator is also accepted.
     """
     _check_ancilla_dim(ancilla_dim)
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)  # returns a Generator unchanged
     return attack_mod.AttackSpec(
         ancilla_dim=ancilla_dim,
         ancilla_state=random_pure_state(ancilla_dim, rng),
@@ -138,8 +132,10 @@ class AttackFamily:
     ``build_stack`` maps an (N, param_count) array to the (N, n, n) stack
     of couplings, the ancilla pinned to |0>; the search builds every
     pending point with one call.  ``build`` is the same map for one
-    vector, as an AttackSpec.  Both must give a valid attack for any
-    real parameters.
+    vector, as an AttackSpec.  Both must build unitary couplings for any
+    real parameters: the search checks only the traces of the attacked
+    states it evaluates, and the full ``validate_attack`` runs once per
+    returned point, when ``information_report`` re-evaluates it.
     """
 
     name: str
@@ -204,8 +200,9 @@ def product_family(ancilla_dim: int = 2) -> AttackFamily:
 class SweepConfig:
     """Grid, budgets and seed for a frontier sweep.
 
-    The grid is stored sorted; every value must lie in [0, 1].  The
-    restarts, budget and seed are integers, the seed non-negative.
+    The grid is stored sorted; its values must be distinct and lie in
+    [0, 1], and the objectives distinct.  The restarts, budget and seed
+    are integers, the seed non-negative.
     """
 
     d_grid: tuple[float, ...]
@@ -219,11 +216,15 @@ class SweepConfig:
         grid = tuple(sorted(float(v) for v in self.d_grid))
         if any(not 0.0 <= v <= 1.0 for v in grid):
             raise ValueError(f"grid values must lie in [0, 1], got {self.d_grid!r}")
+        if len(set(grid)) != len(grid):
+            raise ValueError(f"grid values must be distinct, got {grid!r}")
         object.__setattr__(self, "d_grid", grid)
         object.__setattr__(self, "objectives", tuple(self.objectives))
         unknown = [o for o in self.objectives if o not in OBJECTIVES]
         if unknown or not self.objectives:
             raise ValueError(f"objectives must be drawn from {OBJECTIVES}, got {self.objectives!r}")
+        if len(set(self.objectives)) != len(self.objectives):
+            raise ValueError(f"objectives must be distinct, got {self.objectives!r}")
         for name, least in (("restarts", 1), ("budget_per_restart", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
@@ -345,7 +346,9 @@ def _search(
 
     Every restart of every task advances in lockstep: each step stacks the
     pending point of every live restart, builds the stack with one
-    ``family.build_stack`` call, validates it at once, reads only the
+    ``family.build_stack`` call, checks the trace of every attacked state
+    (the family must build unitaries; U†U is checked only on each returned
+    point's ``family.build``, by ``information_report``), reads only the
     mixtures of one ``metrics._ensembles`` call and eigensolves, per
     restart, just the subsystem its objective names.  The live restarts
     stay grouped by that subsystem, as ``metrics._subsystem_entropies``
@@ -379,7 +382,7 @@ def _search(
     counts = [sum(r.subsystem == row for r in live) for row in range(3)]
     while live:
         thetas = np.array([r.point for r in live])
-        rows = attack_mod._attacked_stack(chi, family.build_stack(thetas), config)
+        rows = attack_mod._checked_lift(chi, family.build_stack(thetas), config, "row {}: ")
         d, mixtures, _ = metrics._ensembles(rows, config)
         a, b = counts[0], counts[0] + counts[1]
         values = metrics._subsystem_entropies(mixtures[:a], mixtures[a:b], mixtures[b:])

@@ -243,38 +243,53 @@ def test_detection_probability_ignores_global_phase(counterexample, simplified_c
     assert abs(d0 - d1) < 1e-12
 
 
-def test_attacked_stack_rows_equal_one_attack_rows(bell_config):
+def test_checked_lift_of_one_state_equals_one_attack_rows(bell_config):
     rng = np.random.default_rng(37)
     chi = search.random_pure_state(3, rng)
     unitaries = np.array([search.haar_random_unitary(6, rng) for _ in range(4)])
-    stack = attack._attacked_stack(chi, unitaries, bell_config)
+    stack = attack._checked_lift(chi, unitaries, bell_config, "row {}: ")
     for rows, unitary in zip(stack, unitaries):
         spec = pp.AttackSpec(3, chi, unitary)
         assert np.array_equal(rows, attack._attacked_rows([spec], bell_config)[0])
 
 
-def test_attacked_stack_names_every_violating_row(simplified_config):
+def test_checked_lift_names_every_row_off_its_trace(simplified_config):
     chi = np.array([1.0, 0.0], dtype=complex)
     unitaries = np.array([np.eye(4)] * 4, dtype=complex)
     unitaries[1] *= 1.5
     unitaries[3, 0, 0] = np.nan
     with pytest.raises(attack.InvalidAttackError) as info:
-        attack._attacked_stack(chi, unitaries, simplified_config)
+        attack._checked_lift(chi, unitaries, simplified_config, "row {}: ")
     lines = str(info.value).splitlines()
-    assert [line.split(":")[0] for line in lines] == ["row 1", "row 3"]
-    assert all("coupling matrix is not unitary" in line for line in lines)
+    assert lines == [
+        "row 1: attacked state norm² 2.25 is not 1 within 1e-10",
+        "row 3: attacked state norm² nan is not 1 within 1e-10",
+    ]
 
     eye = np.array([np.eye(4)] * 2, dtype=complex)
-    with pytest.raises(attack.InvalidAttackError, match="ancilla state norm"):
-        attack._attacked_stack(np.array([1.0, 1.0], dtype=complex), eye, simplified_config)
+    with pytest.raises(attack.InvalidAttackError) as info:
+        attack._checked_lift(np.array([1.0, 1.0], dtype=complex), eye, simplified_config, "row {}: ")
+    assert [line.split(":")[0] for line in str(info.value).splitlines()] == ["row 0", "row 1"]
     # within the norm tolerance, but the attacked state's trace is off
     with pytest.raises(attack.InvalidAttackError) as info:
         chi_off = np.array([1.0 + 0.9e-10, 0.0], dtype=complex)
-        attack._attacked_stack(chi_off, eye, simplified_config)
+        attack._checked_lift(chi_off, eye, simplified_config, "row {}: ")
     assert [line.split(":")[0] for line in str(info.value).splitlines()] == ["row 0", "row 1"]
     assert "attacked state norm²" in str(info.value)
-    with pytest.raises(attack.InvalidAttackError, match="coupling stack shape"):
-        attack._attacked_stack(chi, np.eye(6, dtype=complex)[None], simplified_config)
+
+
+def test_checked_lift_checks_traces_only(simplified_config):
+    """A coupling broken only where |b>⊗|χ> never reaches passes the lift:
+    ``validate_attack`` is what rejects it."""
+    chi = np.array([1.0, 0.0], dtype=complex)
+    unitaries = np.array([np.eye(4)] * 2, dtype=complex)
+    unitaries[1, :, -1] *= 1.5
+    rows = attack._checked_lift(chi, unitaries, simplified_config, "row {}: ")
+    assert np.array_equal(rows[1], rows[0])
+    broken = pp.AttackSpec(2, chi, unitaries[1])
+    assert attack.validate_attack(broken) == [
+        "coupling matrix is not unitary: max |U†U - I| = 1.25"
+    ]
 
 
 def test_one_attack_violations_are_unnamed_and_a_list_names_each(simplified_config, bell_config):

@@ -344,6 +344,15 @@ def test_sweep_out_directory_exits_2(capsys, tmp_path):
     assert "cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0.3,0.3", "0.1,0.3,0.1", "1:1:4e-10", "0.9999999999:1:5e-10"])
+def test_sweep_repeated_grid_value_exits_2(capsys, grid):
+    # a repeat once ran twice, and the summary counted it as one grid point
+    assert cli.main(["sweep", f"--grid={grid}", "--restarts", "1", "--budget", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad sweep configuration: grid values must be distinct")
+
+
 def test_sweep_malformed_grid_exits_2(capsys):
     assert cli.main(["sweep", "--grid", "abc"]) == 2
 
@@ -454,7 +463,7 @@ def _counts(highest: int):
 # most 3 grid points x 3 objectives x 2 restarts x 20 evaluations at ancilla 3.
 _SWEEP_VALUES = {
     "--grid": st.sampled_from([
-        "0.1", "0.2,0.4", "0:0.5:0.25", "0,1", "1", "0.3,0.1",
+        "0.1", "0.2,0.4", "0:0.5:0.25", "0,1", "1", "0.3,0.1", "0.3,0.3",
         "", "nan", "-0.1", "1.5", "abc", "0:1", "0.5:0.1:0.1",
     ]),
     "--restarts": _counts(2),

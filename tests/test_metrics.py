@@ -197,7 +197,7 @@ def test_batched_kernel_matches_the_one_attack_references():
         for config in configs:
             d, mixed, members = metrics._ensembles(attack._attacked_rows(specs, config), config)
             d_search, mixed_search, _ = metrics._ensembles(
-                attack._attacked_stack(chi, unitaries, config), config
+                attack._checked_lift(chi, unitaries, config, "row {}: "), config
             )
             assert np.array_equal(d_search, d) and np.array_equal(mixed_search, mixed)
             full = metrics._subsystem_entropies(mixed, mixed, mixed).reshape(3, 5)

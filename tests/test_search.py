@@ -201,6 +201,11 @@ def test_sweep_config_validation():
     for bad in ({"restarts": 2.5}, {"budget_per_restart": 20.5}, {"seed": 1.5}, {"seed": -1}):
         with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer"):
             search.SweepConfig(d_grid=(0.1,), **bad)
+    # a repeat once ran twice and the summary kept only its second copy
+    for bad in ({"d_grid": (0.3, 0.3)}, {"d_grid": (0.0, 0.5, -0.0)},
+                {"d_grid": (0.3,), "objectives": ("i0t", "i0a", "i0t")}):
+        with pytest.raises(ValueError, match="must be distinct"):
+            search.SweepConfig(**bad)
 
 
 def test_sweep_config_rejects_a_non_finite_or_non_positive_tolerance():
@@ -580,20 +585,59 @@ def test_maximize_information_equals_its_sweep_point(simplified_config):
     assert point == search.sweep(family, simplified_config, cfg).points[0]
 
 
-def test_a_non_unitary_row_stops_the_search(simplified_config):
+@pytest.mark.parametrize("make_family", [search.full_unitary_family, search.product_family])
+def test_a_row_off_its_norm_stops_the_search_at_its_step(simplified_config, make_family):
     cfg = search.SweepConfig(d_grid=(0.3,), restarts=3, budget_per_restart=50, objectives=("i0t",))
-    for base in (search.full_unitary_family(1), search.product_family(1)):
+    base = make_family(1)
 
-        def build_stack(thetas, base=base):
-            unitaries = base.build_stack(thetas)
-            unitaries[1] *= 1.5
-            return unitaries
+    def build_stack(thetas):
+        unitaries = base.build_stack(thetas)
+        unitaries[1] *= 1.5
+        return unitaries
 
-        family = dataclasses.replace(base, name="broken", build_stack=build_stack)
-        with pytest.raises(attack.InvalidAttackError,
-                           match="row 1: coupling matrix is not unitary") as info:
-            search.sweep(family, simplified_config, cfg)
-        assert "row 0" not in str(info.value) and "row 2" not in str(info.value)
+    family = dataclasses.replace(base, name="broken", build_stack=build_stack)
+    with pytest.raises(attack.InvalidAttackError) as info:
+        search.sweep(family, simplified_config, cfg)
+    assert str(info.value) == "row 1: attacked state norm² 2.25 is not 1 within 1e-10"
+
+
+@pytest.mark.parametrize("make_family", [search.full_unitary_family, search.product_family])
+def test_a_norm_keeping_break_stops_the_search_before_any_point(
+    simplified_config, monkeypatch, make_family
+):
+    """The last column maps |1>⊗|0>, which the sent |0>⊗|0> never reaches: every
+    trace in the search passes, and validate_attack on the winner rejects it."""
+    cfg = search.SweepConfig(d_grid=(0.3, 0.5), restarts=3, budget_per_restart=50)
+    base = make_family(1)
+
+    def build_stack(thetas):
+        unitaries = base.build_stack(thetas)
+        unitaries[..., -1] *= 1.5
+        return unitaries
+
+    family = search._family("broken", 1, base.param_count, build_stack)
+    violations = attack.validate_attack(family.build(np.zeros(base.param_count)))
+    assert violations == ["coupling matrix is not unitary: max |U†U - I| = 1.25"]
+
+    def no_points(*args, **kwargs):
+        raise AssertionError("a CurvePoint was made")
+
+    monkeypatch.setattr(search, "CurvePoint", no_points)
+    with pytest.raises(attack.InvalidAttackError, match="^coupling matrix is not unitary"):
+        search.sweep(family, simplified_config, cfg)
+
+
+@pytest.mark.parametrize("make_family", [search.full_unitary_family, search.product_family])
+@pytest.mark.parametrize("ancilla_dim", [1, 2, 3, 4, 8])
+def test_family_stacks_stay_unitary_far_outside_the_restart_range(make_family, ancilla_dim):
+    """The search checks no U†U, so the families must build unitaries wherever
+    Nelder–Mead wanders: here |θ| up to 1e6."""
+    family = make_family(ancilla_dim)
+    rng = np.random.default_rng(ancilla_dim)
+    scales = np.logspace(0, 6, 7)[:, None, None]
+    thetas = (scales * rng.uniform(-1.0, 1.0, (7, 3, family.param_count))).reshape(-1, family.param_count)
+    worst = max(qlinalg._unitarity_deviation(u) for u in family.build_stack(thetas))
+    assert worst <= qlinalg.ATOL_UNITARY
 
 
 def test_family_build_is_its_stack_builder_on_one_row():
