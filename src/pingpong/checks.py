@@ -35,6 +35,14 @@ def _result(name: str, tol: float, worst: float, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=margin >= 0.0, margin=margin, detail=detail)
 
 
+def _kernel(
+    specs: list[attack_mod.AttackSpec], config: protocol_mod.ProtocolConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """d, the mixtures and the members of every spec, from one pass of the
+    evaluation kernel that ``report`` and ``sweep`` read (``metrics._ensembles``)."""
+    return metrics._ensembles(attack_mod._attacked_rows(specs, config), config)
+
+
 def _random_density(dim: int, rng: np.random.Generator) -> qlinalg.DensityMatrix:
     ginibre = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = ginibre @ ginibre.conj().T
@@ -120,7 +128,7 @@ def check_protocol_noiseless_correctness() -> CheckResult:
     worst = 0.0
     wrong = 0
     for config in configs:
-        worst = max(worst, attack_mod.detection_probability(identity, config))
+        worst = max(worst, float(_kernel([identity], config)[0][0]))
         for bit in range(len(config.encoding_ops)):
             outcome = protocol_mod.run_message_round(config, identity, bit)
             if outcome.decoded_bit != bit:
@@ -137,8 +145,8 @@ def check_protocol_monte_carlo_agreement() -> CheckResult:
         config = protocol_mod.make_config(mode)
         for name in attack_mod.BUILTIN_ATTACK_NAMES:
             spec = attack_mod.builtin_attack(name)
-            d = attack_mod.detection_probability(spec, config)
             stats = protocol_mod.monte_carlo(config, spec, rounds=100_000, seed=42)
+            d = stats.analytic_d
             n = stats.counts["control_rounds"]
             sigma = math.sqrt(d * (1.0 - d) / n)
             worst = max(worst, abs(stats.empirical_d - d) - 4.0 * sigma)
@@ -153,16 +161,11 @@ def check_detection_range_and_phase() -> CheckResult:
     worst = 0.0
     for mode in protocol_mod.MODES:
         config = protocol_mod.make_config(mode)
-        for _ in range(30):
-            spec = search_mod.sample_random_attack(2, rng)
-            d = attack_mod.detection_probability(spec, config)
-            worst = max(worst, -d, d - 1.0)
-            rotated = attack_mod.AttackSpec(
-                ancilla_dim=spec.ancilla_dim,
-                ancilla_state=spec.ancilla_state,
-                unitary=np.exp(0.7345j) * spec.unitary,
-            )
-            worst = max(worst, abs(attack_mod.detection_probability(rotated, config) - d))
+        specs = [search_mod.sample_random_attack(2, rng) for _ in range(30)]
+        rotated = [dataclasses.replace(s, unitary=np.exp(0.7345j) * s.unitary) for s in specs]
+        d = _kernel(specs, config)[0]
+        shift = np.abs(_kernel(rotated, config)[0] - d)
+        worst = max(worst, float(np.max(-d)), float(np.max(d - 1.0)), float(np.max(shift)))
     return _result(
         "detection_range_and_phase", 1e-12, worst,
         f"worst of (range violation, phase-shift |Δd|) = {worst:.3g}",
@@ -172,14 +175,13 @@ def check_detection_range_and_phase() -> CheckResult:
 def check_encoding_fixes_basis_state() -> CheckResult:
     config = protocol_mod.make_config("simplified")
     identity = attack_mod.builtin_attack("identity")
-    ensemble = attack_mod.post_encoding_ensemble(identity, config)
-    (_, first), (_, second) = ensemble.members
+    first, second = _kernel([identity], config)[2][0]
     expected = np.kron(
         np.array([[1.0, 0.0], [0.0, 0.0]]),
         np.outer(identity.ancilla_state, identity.ancilla_state.conj()),
     )
-    worst = float(np.max(np.abs(first.entries - second.entries)))
-    worst = max(worst, float(np.max(np.abs(first.entries - expected))))
+    worst = float(np.max(np.abs(first - second)))
+    worst = max(worst, float(np.max(np.abs(first - expected))))
     return _result(
         "encoding_fixes_basis_state", 1e-12, worst,
         f"max member deviation = {worst:.3g} (phase encoding fixes |0>)",
@@ -201,11 +203,10 @@ def check_product_attack_ancilla_pure() -> CheckResult:
     worst = 0.0
     for mode in protocol_mod.MODES:
         config = protocol_mod.make_config(mode)
-        for _ in range(50):
-            spec = _random_product_attack(rng)
-            for _, member in attack_mod.post_encoding_ensemble(spec, config).members:
-                anc = qlinalg.partial_trace(member, (2, 2), 1)
-                worst = max(worst, qlinalg.von_neumann_entropy(anc))
+        members = _kernel([_random_product_attack(rng) for _ in range(50)], config)[2]
+        stack = members.reshape(-1, 4, 4)
+        entropies = metrics._subsystem_entropies(stack[:0], stack[:0], stack)
+        worst = max(worst, float(np.max(entropies)))
     return _result(
         "product_attack_ancilla_pure", 1e-8, worst,
         f"worst member S(ancilla) = {worst:.3g} over 100 product attacks",
@@ -215,18 +216,9 @@ def check_product_attack_ancilla_pure() -> CheckResult:
 def check_attack_global_phase_invariance() -> CheckResult:
     rng = np.random.default_rng(106)
     config = protocol_mod.make_config("simplified")
-    worst = 0.0
-    for _ in range(50):
-        spec = search_mod.sample_random_attack(2, rng)
-        rotated = attack_mod.AttackSpec(
-            ancilla_dim=spec.ancilla_dim,
-            ancilla_state=spec.ancilla_state,
-            unitary=np.exp(1.234j) * spec.unitary,
-        )
-        base = attack_mod.post_encoding_ensemble(spec, config)
-        shifted = attack_mod.post_encoding_ensemble(rotated, config)
-        for (_, a), (_, b) in zip(base.members, shifted.members):
-            worst = max(worst, float(np.max(np.abs(a.entries - b.entries))))
+    specs = [search_mod.sample_random_attack(2, rng) for _ in range(50)]
+    rotated = [dataclasses.replace(s, unitary=np.exp(1.234j) * s.unitary) for s in specs]
+    worst = float(np.max(np.abs(_kernel(specs, config)[2] - _kernel(rotated, config)[2])))
     return _result(
         "attack_global_phase_invariance", 1e-12, worst,
         f"worst member change under e^(iφ)U = {worst:.3g} over 50 attacks",
@@ -236,12 +228,10 @@ def check_attack_global_phase_invariance() -> CheckResult:
 def check_dephased_travel_marginal() -> CheckResult:
     rng = np.random.default_rng(107)
     config = protocol_mod.make_config("simplified")
-    worst = 0.0
-    for _ in range(100):
-        spec = search_mod.sample_random_attack(2, rng)
-        avg = attack_mod.post_encoding_ensemble(spec, config).average()
-        travel = qlinalg.partial_trace(avg, (2, 2), 0)
-        worst = max(worst, abs(travel.entries[0, 1]), abs(travel.entries[1, 0]))
+    specs = [search_mod.sample_random_attack(2, rng) for _ in range(100)]
+    mixtures = _kernel(specs, config)[1]
+    travel = np.einsum("kiaja->kij", mixtures.reshape(-1, 2, 2, 2, 2))
+    worst = float(np.max(np.abs(travel[:, [0, 1], [1, 0]])))
     return _result(
         "dephased_travel_marginal", 1e-12, worst,
         f"worst off-diagonal of the averaged travel marginal = {worst:.3g}",
@@ -315,11 +305,9 @@ def check_family_builds_valid_attacks() -> CheckResult:
             theta = rng.uniform(-math.pi, math.pi, family.param_count)
             if attack_mod.validate_attack(family.build(theta)):
                 bad += 1
-    return CheckResult(
-        "family_builds_valid_attacks",
-        passed=bad == 0,
-        margin=0.0 if bad == 0 else -float(bad),
-        detail=f"{bad} invalid builds over 100 sampled parameter vectors",
+    return _result(
+        "family_builds_valid_attacks", 0.0, float(bad),
+        f"{bad} invalid builds over 100 sampled parameter vectors",
     )
 
 

@@ -98,6 +98,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.rounds > protocol_mod.MAX_ROUNDS:
+        print(f"too many rounds: {args.rounds} is above the cap of {protocol_mod.MAX_ROUNDS}",
+              file=sys.stderr)
+        return EXIT_USAGE_IO
     spec = _load_attack(args.attack_file)
     if isinstance(spec, int):
         return spec
@@ -288,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="Monte Carlo check of the analytic d")
     _add_attack_io(simulate)
-    simulate.add_argument("--rounds", type=_positive_int, default=100_000)
+    simulate.add_argument("--rounds", type=_positive_int, default=100_000,
+                          help=f"control rounds, at most {protocol_mod.MAX_ROUNDS}")
     simulate.add_argument("--seed", type=_non_negative_int, default=0)
     simulate.set_defaults(func=cmd_simulate)
 

@@ -128,7 +128,7 @@ class CurveRow:
 
 
 def read_curve_csv(path) -> list[CurveRow]:
-    """Parse a curve CSV back into typed rows (used by tests and scripts)."""
+    """Parse a curve CSV back into typed rows (used by the tests and ``bench/workloads.py``)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader))

@@ -22,6 +22,10 @@ ENCODING_NAMES = ("iz", "paulis")
 
 _SQRT_HALF = math.sqrt(0.5)
 
+# Most rounds one monte_carlo call simulates: its arrays take about 50 MB
+# per million rounds at control probability 0.5, so the cap is near 0.5 GB.
+MAX_ROUNDS = 10_000_000
+
 
 def bell_pair() -> qlinalg.StateVector:
     """The anticorrelated pair (|01> + |10>)/√2 over (home, travel)."""
@@ -169,18 +173,15 @@ def _decode_table(rows: np.ndarray, config: ProtocolConfig) -> np.ndarray | None
 
 
 def run_message_round(
-    config: ProtocolConfig,
-    spec: attack_mod.AttackSpec,
-    bit: int,
-    rng: np.random.Generator | None = None,
+    config: ProtocolConfig, spec: attack_mod.AttackSpec, bit: int
 ) -> MessageRoundResult:
     """One message round: prepare, attack, encode, return, decode.
 
     Bob's decoding measures the projectors onto the encoded images of the
     initial state (their orthogonality is what makes decoding possible).
-    Without an rng the reported decoded_bit is the modal outcome, so the
-    call is deterministic; with an rng the outcome is sampled.  With the
-    identity attack the decoded bit always equals ``bit``.
+    The reported decoded_bit is the modal outcome, so the call is
+    deterministic; ``monte_carlo`` samples outcomes.  With the identity
+    attack the decoded bit always equals ``bit``.
     """
     if not 0 <= bit < len(config.encoding_ops):
         raise ValueError(f"bit {bit!r} does not index {len(config.encoding_ops)} encoding ops")
@@ -193,11 +194,7 @@ def run_message_round(
             orthogonal_decoding=False,
         )
     outcomes = table[bit]
-    if rng is None:
-        decoded = int(np.argmax(outcomes))
-    else:
-        weights = np.clip(outcomes, 0.0, None)
-        decoded = int(rng.choice(len(outcomes), p=weights / weights.sum()))
+    decoded = int(np.argmax(outcomes))
     return MessageRoundResult(
         decoded_bit=None if decoded == len(outcomes) - 1 else decoded,
         decode_probabilities=tuple(float(p) for p in outcomes[:-1]),
@@ -229,10 +226,11 @@ def monte_carlo(
     the encoding priors.  ``empirical_d`` is the detected fraction of
     control rounds (nan with none), ``empirical_decode_accuracy`` the
     correctly decoded fraction of message rounds (undecodable rounds count
-    as incorrect; nan with no message rounds).
+    as incorrect; nan with no message rounds).  ``rounds`` runs from 1 to
+    ``MAX_ROUNDS``; outside, ValueError is raised before anything is drawn.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if not 1 <= rounds <= MAX_ROUNDS:
+        raise ValueError(f"rounds must be from 1 to {MAX_ROUNDS}, got {rounds}")
     rng = np.random.default_rng(seed)
     rows = attack_mod._attacked_rows([spec], config)
     d = float(attack_mod._detection(rows, config)[0])

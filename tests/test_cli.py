@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pingpong as pp
-from pingpong import attack, checks, cli, files, metrics, qlinalg, search
+from pingpong import attack, checks, cli, files, metrics, protocol, qlinalg, search
 
 
 @pytest.fixture
@@ -242,6 +242,23 @@ def test_simulate_validates_the_attack_once(capsys, monkeypatch, attack_path):
     assert len(calls) == 1
 
 
+def test_simulate_over_the_round_cap_exits_2_before_monte_carlo(capsys, monkeypatch, attack_path):
+    asked = []
+
+    def recorded(config, spec, rounds, seed):
+        asked.append(rounds)
+        raise RuntimeError("monte_carlo was called")
+
+    monkeypatch.setattr(protocol, "monte_carlo", recorded)
+    for rounds in (protocol.MAX_ROUNDS + 1, 10**11):
+        assert cli.main(["simulate", attack_path, "--rounds", str(rounds)]) == 2
+        assert f"{rounds} is above the cap of 10000000" in capsys.readouterr().err
+    assert asked == []
+    # The cap itself is allowed through.
+    assert cli.main(["simulate", attack_path, "--rounds", str(protocol.MAX_ROUNDS)]) == 1
+    assert asked == [protocol.MAX_ROUNDS]
+
+
 def test_simulate_deterministic(capsys, attack_path):
     cli.main(["simulate", attack_path, "--rounds", "5000", "--seed", "11"])
     first = capsys.readouterr().out
@@ -411,7 +428,23 @@ def test_verify_catches_a_wrong_entropy_base(capsys, monkeypatch):
 
 # The verify lines of the suites that report random attacks in batches, as
 # one information_report call per attack printed them.
+# The parent's lines for every suite that evaluates attacks through the kernel
+# (in ALL_CHECKS order), and for family_builds_valid_attacks.
 PINNED_VERIFY = (
+    "PASS protocol_noiseless_correctness     margin=+9.996e-13  "
+    "max noiseless d = 4.44e-16, wrong decodes = 0",
+    "PASS protocol_monte_carlo_agreement     margin=+0.000e+00  "
+    "worst |empirical - analytic| - 4σ = 0 over builtins × modes",
+    "PASS detection_range_and_phase          margin=+9.996e-13  "
+    "worst of (range violation, phase-shift |Δd|) = 4.44e-16",
+    "PASS encoding_fixes_basis_state         margin=+1.000e-12  "
+    "max member deviation = 0 (phase encoding fixes |0>)",
+    "PASS product_attack_ancilla_pure        margin=+1.000e-08  "
+    "worst member S(ancilla) = 1.29e-14 over 100 product attacks",
+    "PASS attack_global_phase_invariance     margin=+9.997e-13  "
+    "worst member change under e^(iφ)U = 3.33e-16 over 50 attacks",
+    "PASS dephased_travel_marginal           margin=+1.000e-12  "
+    "worst off-diagonal of the averaged travel marginal = 0",
     "PASS travel_entropy_binary_identity     margin=+1.000e-10  "
     "worst |i0t - H(d)| = 2.26e-15 over 300 random attacks",
     "PASS holevo_within_entropy              margin=+1.000e-08  "
@@ -420,20 +453,19 @@ PINNED_VERIFY = (
     "worst of (|i0c - i0t|, i0a) = 1.14e-14 over 100 product attacks",
     "PASS entropy_inequalities_random        margin=+2.263e-04  "
     "worst inequality deficit = -0.000226 over 500 attacks × 2 modes",
+    "PASS family_builds_valid_attacks        margin=+0.000e+00  "
+    "0 invalid builds over 100 sampled parameter vectors",
 )
 
 
 def test_verify_batched_suites_are_pinned(capsys, monkeypatch):
-    monkeypatch.setattr(checks, "ALL_CHECKS", (
-        checks.check_travel_entropy_binary_identity,
-        checks.check_holevo_within_entropy,
-        checks.check_product_attack_composite_travel,
-        checks.check_entropy_inequalities_random,
-    ))
+    pinned = {line.split()[1] for line in PINNED_VERIFY}
+    suites = tuple(c for c in checks.ALL_CHECKS if c.__name__.removeprefix("check_") in pinned)
+    monkeypatch.setattr(checks, "ALL_CHECKS", suites)
     assert cli.main(["verify"]) == 0
     *lines, total = capsys.readouterr().out.splitlines()
     assert tuple(lines) == PINNED_VERIFY
-    assert total == "4 suites: 4 passed, 0 failed"
+    assert total == "12 suites: 12 passed, 0 failed"
 
 
 def test_verify_catches_swapped_travel_and_ancilla_entropies(capsys, monkeypatch):
