@@ -428,8 +428,8 @@ def test_verify_catches_a_wrong_entropy_base(capsys, monkeypatch):
 
 # The verify lines of the suites that report random attacks in batches, as
 # one information_report call per attack printed them.
-# The parent's lines for every suite that evaluates attacks through the kernel
-# (in ALL_CHECKS order), and for family_builds_valid_attacks.
+# The verify lines of every suite that evaluates attacks (in ALL_CHECKS order)
+# and of family_builds_valid_attacks, as the one-attack-at-a-time suites printed them.
 PINNED_VERIFY = (
     "PASS protocol_noiseless_correctness     margin=+9.996e-13  "
     "max noiseless d = 4.44e-16, wrong decodes = 0",
