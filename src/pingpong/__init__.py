@@ -50,7 +50,6 @@ from .search import (
     AttackFamily,
     CurvePoint,
     SweepConfig,
-    SweepResult,
     full_unitary_family,
     maximize_information,
     parameterize_unitary,
@@ -72,7 +71,6 @@ __all__ = [
     "ProtocolConfig",
     "StateVector",
     "SweepConfig",
-    "SweepResult",
     "UnitaryOperator",
     "apply_attack",
     "basis_state",

@@ -59,7 +59,6 @@ class EncodingEnsemble:
     """Post-encoding mixture on travel⊗ancilla: (probability, state) members."""
 
     members: tuple[tuple[float, qlinalg.DensityMatrix], ...]
-    config: "ProtocolConfig"
 
     def __post_init__(self) -> None:
         total = sum(p for p, _ in self.members)
@@ -200,7 +199,7 @@ def post_encoding_ensemble(spec: AttackSpec, config: "ProtocolConfig") -> Encodi
     """
     members = _encoded_members(_attacked_rows([spec], config), config)[0]
     pairs = tuple((p, qlinalg.DensityMatrix(rho)) for p, rho in zip(config.priors, members))
-    return EncodingEnsemble(members=pairs, config=config)
+    return EncodingEnsemble(members=pairs)
 
 
 def detection_probability(spec: AttackSpec, config: "ProtocolConfig") -> float:

@@ -333,7 +333,7 @@ def check_search_point_self_consistency() -> CheckResult:
     )
     first = search_mod.sweep(family, config, cfg)
     second = search_mod.sweep(family, config, cfg)
-    point = first.points[0]
+    point = first[0]
     if not point.feasible:
         return CheckResult(
             "search_point_self_consistency", False, -1.0,

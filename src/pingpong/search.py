@@ -3,8 +3,9 @@
 Attacks are drawn from smooth parameterized families; a derivative-free
 search with random restarts maximizes an entropy objective subject to a
 detection-probability target.  Results are lower bounds on the true
-frontier: the summary says "empirical max found", never anything
-stronger, because the search carries no optimality certificate.
+frontier: the sweep summary ``cli`` prints says "empirical max found",
+never anything stronger, because the search carries no optimality
+certificate.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import dataclasses
 import functools
 import itertools
 import math
-from typing import Callable, Generator
+from typing import Callable, ClassVar, Generator
 
 import numpy as np
 import scipy.optimize  # noqa: F401  bench/run.py::import_times needs its importtime samples
@@ -26,7 +27,6 @@ from . import qlinalg
 
 OBJECTIVES = ("i0t", "i0a", "i0c")
 PENALTY_WEIGHT = 100.0  # bits per squared excess detection gap
-EXCEEDANCE_MARGIN = 0.01  # bits by which i0a or i0c must beat i0t to be flagged
 
 # Nelder–Mead convergence tolerances, as scipy.optimize.minimize's options.
 _XATOL = 1e-7
@@ -206,11 +206,12 @@ class SweepConfig:
     """
 
     d_grid: tuple[float, ...]
-    detection_tolerance: float = 1e-3
     restarts: int = 20
     budget_per_restart: int = 2000
     seed: int = 0
     objectives: tuple[str, ...] = OBJECTIVES
+    # Half-width of the band around d_target inside which a point is feasible.
+    detection_tolerance: ClassVar[float] = 1e-3
 
     def __post_init__(self) -> None:
         grid = tuple(sorted(float(v) for v in self.d_grid))
@@ -234,10 +235,6 @@ class SweepConfig:
             raise ValueError(
                 f"{total:,} restarts (grid points × objectives × restarts) exceed "
                 f"{MAX_RESTARTS:,}: the search holds every restart in memory at once"
-            )
-        if not 0.0 < self.detection_tolerance < math.inf:  # NaN fails too
-            raise ValueError(
-                f"detection_tolerance must be finite and positive, got {self.detection_tolerance!r}"
             )
 
 
@@ -456,61 +453,10 @@ def maximize_information(
     return _search(family, config, sweep_cfg, [(objective, d_target, rng)])[0]
 
 
-@dataclasses.dataclass(frozen=True)
-class SummaryRow:
-    """Per-grid-value comparison of the objectives' best entropies.
-
-    The exceedance flags are None when either side is missing or
-    infeasible at this grid value.
-    """
-
-    d_target: float
-    best: dict[str, float]
-    i0a_exceeds_i0t: bool | None
-    i0c_exceeds_i0t: bool | None
-    infeasible_objectives: tuple[str, ...]
-
-
-@dataclasses.dataclass(frozen=True)
-class SweepSummary:
-    rows: tuple[SummaryRow, ...]
-    note: str = "empirical max found; search values are lower bounds with no optimality certificate"
-
-
-@dataclasses.dataclass(frozen=True)
-class SweepResult:
-    points: tuple[CurvePoint, ...]
-    summary: SweepSummary
-
-
-def _summarize(points: tuple[CurvePoint, ...]) -> SweepSummary:
-    rows = []
-    for d_target in sorted({p.d_target for p in points}):
-        here = {p.objective: p for p in points if p.d_target == d_target}
-        best = {name: point.best_value for name, point in here.items() if point.feasible}
-        infeasible = tuple(name for name, point in sorted(here.items()) if not point.feasible)
-
-        def compare(name: str) -> bool | None:
-            if "i0t" not in best or name not in best:
-                return None
-            return best[name] > best["i0t"] + EXCEEDANCE_MARGIN
-
-        rows.append(
-            SummaryRow(
-                d_target=d_target,
-                best=best,
-                i0a_exceeds_i0t=compare("i0a"),
-                i0c_exceeds_i0t=compare("i0c"),
-                infeasible_objectives=infeasible,
-            )
-        )
-    return SweepSummary(rows=tuple(rows))
-
-
 def sweep(
     family: AttackFamily, config: protocol_mod.ProtocolConfig, sweep_cfg: SweepConfig
-) -> SweepResult:
-    """One CurvePoint per (grid value, objective) plus a comparison summary.
+) -> tuple[CurvePoint, ...]:
+    """One CurvePoint per (grid value, objective).
 
     Point seeds derive deterministically from the master seed, so the
     result is reproducible and independent of evaluation order; points
@@ -523,5 +469,4 @@ def sweep(
         (objective, d_target, np.random.default_rng(child))
         for (d_target, objective), child in zip(pairs, children)
     ]
-    points = tuple(_search(family, config, sweep_cfg, tasks))
-    return SweepResult(points=points, summary=_summarize(points))
+    return tuple(_search(family, config, sweep_cfg, tasks))

@@ -149,10 +149,8 @@ def test_criterion_07_entropy_inequalities(capsys):
 def test_criterion_08_frontier_sanity(capsys):
     start = time.perf_counter()
     cfg = search.SweepConfig(d_grid=(0.0, 0.5), seed=2026, objectives=("i0t",))
-    result = search.sweep(
-        search.full_unitary_family(2), pp.make_config("simplified"), cfg
-    )
-    by_target = {p.d_target: p for p in result.points}
+    points = search.sweep(search.full_unitary_family(2), pp.make_config("simplified"), cfg)
+    by_target = {p.d_target: p for p in points}
     quiet, busy = by_target[0.0], by_target[0.5]
     ok = (
         quiet.feasible

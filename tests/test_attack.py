@@ -184,10 +184,10 @@ def test_post_encoding_identity_members_coincide_with_zero_input(
     assert np.max(np.abs(rho0.entries - rho1.entries)) < 1e-15
 
 
-def test_ensemble_rejects_bad_priors(simplified_config):
+def test_ensemble_rejects_bad_priors():
     rho = pp.DensityMatrix(np.eye(4) / 4)
     with pytest.raises(ValueError, match="sum"):
-        attack.EncodingEnsemble(members=((0.7, rho), (0.7, rho)), config=simplified_config)
+        attack.EncodingEnsemble(members=((0.7, rho), (0.7, rho)))
 
 
 # ---------------------------------------------------------------------------

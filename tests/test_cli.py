@@ -352,6 +352,41 @@ def test_sweep_out_file(capsys, tmp_path):
     assert captured.out.startswith("sweep summary:")
 
 
+PINNED_SWEEP_SUMMARY = """\
+sweep summary: empirical max found; search values are lower bounds with no optimality certificate
+  d_target 0.0000: i0t=1.000000 i0a=0.000031 i0c=1.000031 | no exceedance
+  d_target 0.2000: i0t=1.000000 i0c=1.313740 | i0c exceeds i0t by 0.313740; infeasible: i0a
+  d_target 0.4000: i0a=0.661588 i0c=1.831082 | infeasible: i0t
+flagged grid points: 1 of 3
+"""
+
+
+def test_sweep_summary_is_pinned(capsys):
+    # a flagged row, a row with an infeasible objective, and one whose i0t is
+    # infeasible, which leaves its i0c unflagged
+    assert cli.main([
+        "sweep", "--encoding", "paulis", "--grid", "0,0.2,0.4",
+        "--restarts", "2", "--budget", "120", "--seed", "2",
+    ]) == 0
+    assert capsys.readouterr().err == PINNED_SWEEP_SUMMARY
+
+
+def test_summary_flags_use_the_margin():
+    def point(objective, value):
+        values = {"best_i0t": 0.0, "best_i0a": 0.0, "best_i0c": 0.0}
+        values["best_" + objective] = value
+        return search.CurvePoint(
+            d_target=0.3, d_achieved=0.3, objective=objective,
+            theta_best=(), evaluations=1, **values
+        )
+
+    points = (point("i0t", 0.5), point("i0a", 0.505), point("i0c", 0.52))
+    row, count = cli._render_summary(points, search.OBJECTIVES)[1:]
+    # i0a is within the margin, i0c beyond it
+    assert row == "  d_target 0.3000: i0t=0.500000 i0a=0.505000 i0c=0.520000 | i0c exceeds i0t by 0.020000"
+    assert count == "flagged grid points: 1 of 1"
+
+
 def test_sweep_out_directory_exits_2(capsys, tmp_path):
     code = cli.main([
         "sweep", "--grid", "0.0", "--objective", "i0t",

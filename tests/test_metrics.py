@@ -368,7 +368,7 @@ def test_holevo_counterexample_bell_composite_vanishes(counterexample, bell_conf
 
 def test_holevo_single_member_is_zero(counterexample, simplified_config):
     rho = attack.apply_attack(counterexample, simplified_config)
-    ens = attack.EncodingEnsemble(members=((1.0, rho),), config=simplified_config)
+    ens = attack.EncodingEnsemble(members=((1.0, rho),))
     assert abs(metrics.holevo_bound(ens, "composite")) < 1e-12
 
 
