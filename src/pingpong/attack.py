@@ -20,7 +20,18 @@ if TYPE_CHECKING:
 
 _SQRT_HALF = np.sqrt(0.5)
 
-BUILTIN_ATTACK_NAMES = ("identity", "counterexample", "cnot")
+# The builtin attacks as (ancilla state χ, coupling U on travel⊗ancilla).
+_BUILTINS = {
+    "identity": ([1.0, 0.0], np.eye(4)),
+    # A 45-degree rotation of the travel qubit ⊗ I.  The + 0.0 turns the two
+    # -0.0 entries the kron makes into 0.0: without it the attack file prints -0.0.
+    "counterexample": (
+        [_SQRT_HALF, _SQRT_HALF],
+        _SQRT_HALF * np.kron([[1, -1], [1, 1]], np.eye(2)) + 0.0,
+    ),
+    "cnot": ([1.0, 0.0], np.eye(4)[[0, 1, 3, 2]]),
+}
+BUILTIN_ATTACK_NAMES = tuple(_BUILTINS)
 
 
 class InvalidAttackError(ValueError):
@@ -214,25 +225,6 @@ def detection_probability(spec: AttackSpec, config: "ProtocolConfig") -> float:
     return float(_detection(_attacked_rows([spec], config), config)[0])
 
 
-def _counterexample_unitary() -> np.ndarray:
-    # Eight outer-product terms |row><col| with coefficient ±sqrt(1/2);
-    # algebraically a 45-degree rotation of the travel qubit alone.
-    terms = (
-        (0, 0, +1.0),
-        (0, 2, -1.0),
-        (1, 1, +1.0),
-        (1, 3, -1.0),
-        (2, 0, +1.0),
-        (2, 2, +1.0),
-        (3, 1, +1.0),
-        (3, 3, +1.0),
-    )
-    u = np.zeros((4, 4), dtype=complex)
-    for row, col, sign in terms:
-        u[row, col] += sign
-    return _SQRT_HALF * u
-
-
 def builtin_attack(name: str) -> AttackSpec:
     """Named reference attacks.
 
@@ -242,25 +234,7 @@ def builtin_attack(name: str) -> AttackSpec:
     the classic detectable-but-informative example this package audits.
     ``cnot``: travel qubit controls a NOT on a |0> ancilla.
     """
-    if name == "identity":
-        return AttackSpec(
-            ancilla_dim=2,
-            ancilla_state=np.array([1.0, 0.0], dtype=complex),
-            unitary=np.eye(4, dtype=complex),
-        )
-    if name == "counterexample":
-        return AttackSpec(
-            ancilla_dim=2,
-            ancilla_state=np.array([_SQRT_HALF, _SQRT_HALF], dtype=complex),
-            unitary=_counterexample_unitary(),
-        )
-    if name == "cnot":
-        cnot = np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-        return AttackSpec(
-            ancilla_dim=2,
-            ancilla_state=np.array([1.0, 0.0], dtype=complex),
-            unitary=cnot,
-        )
-    raise ValueError(f"unknown builtin attack {name!r}; known: {BUILTIN_ATTACK_NAMES}")
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin attack {name!r}; known: {BUILTIN_ATTACK_NAMES}")
+    chi, unitary = _BUILTINS[name]
+    return AttackSpec(ancilla_dim=2, ancilla_state=chi, unitary=unitary)

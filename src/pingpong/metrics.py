@@ -21,8 +21,8 @@ from . import qlinalg
 _SUBSYSTEMS = ("composite", "travel", "ancilla")
 _CLAIMED_COMPOSITE_BITS = 2.0
 _INEQUALITY_TOL = 1e-8
-# The canonical counterexample setting, in the order _is_canonical_counterexample
-# reads it: χ, U, the sent |0>, the stacked {I, Z} encoding and its priors.
+# The canonical counterexample setting, in the order _claim_deviation reads it:
+# χ, U, the sent |0>, the stacked {I, Z} encoding and its priors.
 _COUNTEREXAMPLE = attack_mod.builtin_attack("counterexample")
 _SIMPLIFIED_IZ = protocol_mod.make_config("simplified")
 _CANONICAL = (
@@ -129,15 +129,17 @@ def holevo_bound(ensemble: attack_mod.EncodingEnsemble, subsystem: str) -> float
     return float(entropies[0] - priors.dot(entropies[1:]))
 
 
-def _is_canonical_counterexample(
-    spec: attack_mod.AttackSpec, config: protocol_mod.ProtocolConfig
-) -> bool:
-    """Simplified mode, |0> sent, {I, Z} encoding, builtin counterexample arrays."""
+def _claim_deviation(
+    spec: attack_mod.AttackSpec, config: protocol_mod.ProtocolConfig, i0c: float
+) -> ClaimDeviation | None:
+    """The claimed-vs-computed I0c when ``spec`` and ``config`` are the canonical
+    counterexample setting (simplified mode, |0> sent, {I, Z} encoding, the
+    builtin counterexample arrays), else None."""
     if config.mode != "simplified" or spec.ancilla_state.shape != _CANONICAL[0].shape:
-        return False
+        return None
     # A random attack fails on χ's first entry: decide that without the arrays.
     if not abs(complex(spec.ancilla_state[0]) - _CANONICAL_CHI0) <= 1e-12:  # NaN fails too
-        return False
+        return None
     actual = (
         spec.ancilla_state,
         spec.unitary,
@@ -145,34 +147,13 @@ def _is_canonical_counterexample(
         config.op_stack,
         config.prior_array,
     )
-    return all(
+    if not all(
         np.shape(got) == want.shape and np.max(np.abs(np.subtract(got, want))) <= 1e-12
         for got, want in zip(actual, _CANONICAL)
-    )
-
-
-def _report_row(
-    spec: attack_mod.AttackSpec,
-    config: protocol_mod.ProtocolConfig,
-    d: float,
-    i0c: float,
-    i0t: float,
-    i0a: float,
-    holevo_t: float,
-    holevo_c: float,
-) -> InfoReport:
-    """The report of one attack from its computed quantities, with the
-    claim audit where it applies."""
-    deviation = None
-    if _is_canonical_counterexample(spec, config):
-        deviation = ClaimDeviation(
-            claimed=_CLAIMED_COMPOSITE_BITS,
-            computed=i0c,
-            delta=i0c - _CLAIMED_COMPOSITE_BITS,
-        )
-    return InfoReport(
-        d=d, i0t=i0t, i0a=i0a, i0c=i0c, holevo_t=holevo_t, holevo_c=holevo_c,
-        claim_deviation=deviation,
+    ):
+        return None
+    return ClaimDeviation(
+        claimed=_CLAIMED_COMPOSITE_BITS, computed=i0c, delta=i0c - _CLAIMED_COMPOSITE_BITS
     )
 
 
@@ -206,7 +187,10 @@ def _information_reports(
     entropies = _subsystem_entropies(both, both, mixtures).reshape(5, len(specs))
     c, c0, t, t0, a = entropies.tolist()
     return [
-        _report_row(spec, config, d_i, c_i, t_i, a_i, t_i - t0_i, c_i - c0_i)
+        InfoReport(
+            d=d_i, i0t=t_i, i0a=a_i, i0c=c_i, holevo_t=t_i - t0_i, holevo_c=c_i - c0_i,
+            claim_deviation=_claim_deviation(spec, config, c_i),
+        )
         for spec, d_i, c_i, c0_i, t_i, t0_i, a_i in zip(specs, d.tolist(), c, c0, t, t0, a)
     ]
 

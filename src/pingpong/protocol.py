@@ -18,7 +18,14 @@ from . import attack as attack_mod
 from . import qlinalg
 
 MODES = ("simplified", "bell")
-ENCODING_NAMES = ("iz", "paulis")
+# Alice's encoding sets, each op acting on the travel qubit.
+_ENCODINGS = {
+    "iz": (qlinalg.PAULI_I, qlinalg.PAULI_Z),
+    "paulis": (
+        qlinalg.PAULI_I, qlinalg.PAULI_Z, qlinalg.PAULI_X, qlinalg.PAULI_X @ qlinalg.PAULI_Z,
+    ),
+}
+ENCODING_NAMES = tuple(_ENCODINGS)
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -38,21 +45,10 @@ def encoding_set(name: str) -> tuple[tuple[qlinalg.UnitaryOperator, ...], tuple[
     ``iz``: phase encoding {identity, Z}, equal priors.
     ``paulis``: the four-operation set {identity, Z, X, XZ}, equal priors.
     """
-    if name == "iz":
-        ops = (
-            qlinalg.UnitaryOperator(qlinalg.PAULI_I),
-            qlinalg.UnitaryOperator(qlinalg.PAULI_Z),
-        )
-        return ops, (0.5, 0.5)
-    if name == "paulis":
-        ops = (
-            qlinalg.UnitaryOperator(qlinalg.PAULI_I),
-            qlinalg.UnitaryOperator(qlinalg.PAULI_Z),
-            qlinalg.UnitaryOperator(qlinalg.PAULI_X),
-            qlinalg.UnitaryOperator(qlinalg.PAULI_X @ qlinalg.PAULI_Z),
-        )
-        return ops, (0.25, 0.25, 0.25, 0.25)
-    raise ValueError(f"unknown encoding {name!r}; known: {ENCODING_NAMES}")
+    if name not in _ENCODINGS:
+        raise ValueError(f"unknown encoding {name!r}; known: {ENCODING_NAMES}")
+    ops = tuple(map(qlinalg.UnitaryOperator, _ENCODINGS[name]))
+    return ops, (1 / len(ops),) * len(ops)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -214,7 +214,7 @@ class SweepConfig:
     detection_tolerance: ClassVar[float] = 1e-3
 
     def __post_init__(self) -> None:
-        grid = tuple(sorted(float(v) for v in self.d_grid))
+        grid = tuple(sorted(float(v) + 0.0 for v in self.d_grid))  # + 0.0 turns -0.0 into 0.0
         if any(not 0.0 <= v <= 1.0 for v in grid):
             raise ValueError(f"grid values must lie in [0, 1], got {self.d_grid!r}")
         if len(set(grid)) != len(grid):

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import pingpong as pp
-from pingpong import attack, metrics, protocol, search
+from pingpong import attack, files, metrics, protocol, search
 
 import oracles
 
@@ -47,6 +48,37 @@ def test_spec_arrays_are_read_only():
     spec = pp.builtin_attack("identity")
     with pytest.raises((ValueError, AttributeError)):
         spec.unitary[0, 0] = 0.0
+
+
+# json.dumps of files.attack_to_dict for each builtin: the bytes of its attack file.
+PINNED_BUILTIN_FILES = {
+    "identity": (
+        '{"ancilla_dim": 2, "chi": [[1.0, 0.0], [0.0, 0.0]], "unitary": [[[1.0, 0.0], '
+        '[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], '
+        '[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], '
+        '[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}'
+    ),
+    "counterexample": (
+        '{"ancilla_dim": 2, "chi": [[0.7071067811865476, 0.0], [0.7071067811865476, '
+        '0.0]], "unitary": [[[0.7071067811865476, 0.0], [0.0, 0.0], '
+        '[-0.7071067811865476, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.7071067811865476, '
+        '0.0], [0.0, 0.0], [-0.7071067811865476, 0.0]], [[0.7071067811865476, 0.0], '
+        '[0.0, 0.0], [0.7071067811865476, 0.0], [0.0, 0.0]], [[0.0, 0.0], '
+        '[0.7071067811865476, 0.0], [0.0, 0.0], [0.7071067811865476, 0.0]]]}'
+    ),
+    "cnot": (
+        '{"ancilla_dim": 2, "chi": [[1.0, 0.0], [0.0, 0.0]], "unitary": [[[1.0, 0.0], '
+        '[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], '
+        '[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], '
+        '[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", attack.BUILTIN_ATTACK_NAMES)
+def test_builtin_attack_files_are_pinned(name):
+    # the counterexample coupling is a kron, whose two -0.0 entries must not reach the file
+    assert json.dumps(files.attack_to_dict(pp.builtin_attack(name))) == PINNED_BUILTIN_FILES[name]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -339,6 +338,15 @@ def test_sweep_colon_grid(capsys):
     assert targets == ["0", "0.25", "0.5"]
 
 
+def test_sweep_negative_zero_grid_reads_zero(capsys):
+    # the grid once kept -0.0, which the CSV wrote as -0 and the summary as -0.0000
+    assert cli.main(["sweep", "--grid", "-0", "--restarts", "1", "--budget", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].startswith("0,")
+    assert "d_target 0.0000" in captured.err
+    assert not math.copysign(1.0, search.SweepConfig(d_grid=(-0.0,)).d_grid[0]) < 0
+
+
 def test_sweep_out_file(capsys, tmp_path):
     out = tmp_path / "curve.csv"
     code = cli.main([
@@ -505,13 +513,12 @@ def test_verify_batched_suites_are_pinned(capsys, monkeypatch):
 
 def test_verify_catches_swapped_travel_and_ancilla_entropies(capsys, monkeypatch):
     # sabotage the report assembly that report and the batched suites share
-    row = metrics._report_row
+    report = metrics.InfoReport
 
-    def swapped(*args):
-        report = row(*args)
-        return dataclasses.replace(report, i0t=report.i0a, i0a=report.i0t)
+    def swapped(**fields):
+        return report(**dict(fields, i0t=fields["i0a"], i0a=fields["i0t"]))
 
-    monkeypatch.setattr(metrics, "_report_row", swapped)
+    monkeypatch.setattr(metrics, "InfoReport", swapped)
     assert cli.main(["verify"]) == 1
     assert "FAIL travel_entropy_binary_identity" in capsys.readouterr().out
 

@@ -109,7 +109,7 @@ def test_claim_audit_tolerance_on_the_ancilla_state(simplified_config):
         (batched,) = metrics._information_reports([spec], simplified_config)
         assert (batched.claim_deviation is not None) == flagged
     nan = pp.AttackSpec(2, np.array([np.nan, base.ancilla_state[1]]), base.unitary)
-    assert not metrics._is_canonical_counterexample(nan, simplified_config)
+    assert metrics._claim_deviation(nan, simplified_config, 1.0) is None
 
 
 def test_travel_entropy_equals_binary_entropy_of_detection(simplified_config):

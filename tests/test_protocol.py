@@ -30,7 +30,9 @@ def test_encoding_set_paulis():
     assert priors == (0.25, 0.25, 0.25, 0.25)
     assert len(ops) == 4
     want_last = qlinalg.PAULI_X @ qlinalg.PAULI_Z
-    assert np.allclose(ops[3].entries, want_last, atol=1e-15)
+    assert np.array_equal(ops[3].entries, want_last)
+    # the --encoding choices, in the order --help lists them
+    assert protocol.ENCODING_NAMES == ("iz", "paulis")
 
 
 def test_encoding_set_unknown_name():
