@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 
 from . import attack as attack_mod
@@ -31,7 +32,7 @@ def _fmt(value: float) -> str:
     return f"{value:.12f}"
 
 
-def _render_report(report: metrics.InfoReport) -> list[str]:
+def _render_report(report: metrics.InfoReport, config: protocol_mod.ProtocolConfig) -> list[str]:
     lines = [
         f"d = {_fmt(report.d)}",
         f"I0t = {_fmt(report.i0t)}",
@@ -41,6 +42,9 @@ def _render_report(report: metrics.InfoReport) -> list[str]:
         f"Holevo(travel) = {_fmt(report.holevo_t)}",
         f"Holevo(composite) = {_fmt(report.holevo_c)}",
     ]
+    if protocol_mod.decoding_states(config) is None:
+        lines += ["", "no message: the encoded images of the sent state are not orthogonal, "
+                      "so Bob cannot decode any bit"]
     deviation = report.claim_deviation
     if deviation is not None:
         lines += [
@@ -66,7 +70,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print("counterexample attack audit")
     print("mode simplified, Bob sends |0>, encoding {I, Z} with equal priors")
     print()
-    print("\n".join(_render_report(report)))
+    print("\n".join(_render_report(report, config)))
     solid = abs(report.d - 0.5) <= 1e-9 and abs(report.i0t - 1.0) <= 1e-9
     return EXIT_OK if solid else EXIT_INTERNAL
 
@@ -94,7 +98,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     else:
         print(f"attack report ({args.mode} mode, encoding {args.encoding})")
         print()
-        print("\n".join(_render_report(report)))
+        print("\n".join(_render_report(report, config)))
     return EXIT_OK
 
 
@@ -336,13 +340,23 @@ def main(argv: list[str] | None = None) -> int:
         for violation in str(exc).splitlines():
             print(f"invalid attack: {violation}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError:  # the reader closed stdout: an I/O end, not an internal error
+        return EXIT_USAGE_IO
     except Exception as exc:  # stable exit-code contract over stack traces
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point fd 1 at devnull so the interpreter's own last flush of the
+        # buffered rest prints no "Exception ignored" line.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -147,19 +147,34 @@ class MessageRoundResult:
     orthogonal_decoding: bool
 
 
-def _decode_table(rows: np.ndarray, config: ProtocolConfig) -> np.ndarray | None:
-    """Bob's (K, K+1) decode table for one attack's rows (``attack._attacked_rows``).
+def decoding_states(config: ProtocolConfig) -> np.ndarray | None:
+    """The states Bob projects onto to decode, one row per encoding: the
+    encoded images of the sent state, over home⊗travel (bell) or travel.
 
-    Row k holds, for bit k sent, the probability that Bob's measurement
-    reports each encoding, then the weight outside every decode projector.
-    The table is None when the decode candidates (the encoded images of
-    the initial state) are not orthogonal, so that no decoding is defined.
+    None when they are not mutually orthogonal (within 1e-10), so the
+    configuration carries no message.  That holds in simplified mode with
+    the default |0>, since Z|0> = |0>.
     """
     ops = config.op_stack
     base = config.bob_initial.amplitudes.reshape(-1, 2)
     candidates = attack_mod._encoded_rows(base, ops).reshape(len(ops), -1)
     if np.any(np.abs(np.triu(candidates.conj() @ candidates.T, 1)) > 1e-10):
         return None
+    return candidates
+
+
+def _decode_table(rows: np.ndarray, config: ProtocolConfig) -> np.ndarray | None:
+    """Bob's (K, K+1) decode table for one attack's rows (``attack._attacked_rows``).
+
+    Row k holds, for bit k sent, the probability that Bob's measurement
+    reports each encoding, then the weight outside every decode projector.
+    The table is None when ``decoding_states`` is, so that no decoding is
+    defined.
+    """
+    candidates = decoding_states(config)
+    if candidates is None:
+        return None
+    ops = config.op_stack
     encoded = attack_mod._encoded_rows(rows, ops)
     # Bob projects home⊗travel (bell) or travel onto each candidate.
     amplitudes = candidates.conj() @ encoded.reshape(len(ops), candidates.shape[1], -1)

@@ -322,7 +322,8 @@ def _simplex_moves(x0: np.ndarray) -> Generator[np.ndarray, float, None]:
 
 @dataclasses.dataclass(eq=False)
 class _Restart:
-    """One Nelder–Mead restart of a search task and the best points it saw."""
+    """One Nelder–Mead restart of one (grid value, objective) task of a sweep
+    and the best points it saw."""
 
     task: int
     subsystem: int  # _ENTROPY_ROW of the task's objective
@@ -333,15 +334,22 @@ class _Restart:
     closest: tuple[float, np.ndarray] | None = None  # (gap, θ)
 
 
-def _search(
-    family: AttackFamily,
-    config: protocol_mod.ProtocolConfig,
-    sweep_cfg: SweepConfig,
-    tasks: list[tuple[str, float, np.random.Generator]],
-) -> list[CurvePoint]:
-    """One CurvePoint per (objective, d_target, rng) task, in task order.
+def sweep(
+    family: AttackFamily, config: protocol_mod.ProtocolConfig, sweep_cfg: SweepConfig
+) -> tuple[CurvePoint, ...]:
+    """One CurvePoint per (grid value, objective), sorted by grid value, then
+    by the configured objective order.
 
-    Every restart of every task advances in lockstep: each step stacks the
+    Each point runs ``restarts`` Nelder–Mead restarts (the first from zero,
+    the rest uniform in [-π, π] from the point's own ``SeedSequence``
+    child of the master seed) maximizing objective - 100·max(0, |d -
+    d_target| - tolerance)².  The returned point is the best *feasible*
+    evaluation seen anywhere in its restarts (the penalized optimum may
+    sit outside the band); with none, an explicit infeasible point carries
+    the closest attempt.  Its evaluation count never exceeds restarts ×
+    budget.
+
+    Every restart of every point advances in lockstep: each step stacks the
     pending point of every live restart, builds the stack with one
     ``family.build_stack`` call, checks the trace of every attacked state
     (the family must build unitaries; U†U is checked only on each returned
@@ -355,6 +363,7 @@ def _search(
     after another.  Like scipy's ``maxfev``, a restart that has asked
     ``budget_per_restart`` points stops without sending the last value.
     """
+    tasks = list(itertools.product(sweep_cfg.d_grid, sweep_cfg.objectives))
     count, p = len(tasks) * sweep_cfg.restarts, family.param_count
     nbytes = count * (p + 1) * p * 8
     if nbytes > MAX_SIMPLEX_BYTES:
@@ -365,12 +374,11 @@ def _search(
     tol, budget = sweep_cfg.detection_tolerance, sweep_cfg.budget_per_restart
     chi = _ground_ancilla(family.ancilla_dim)
     restarts: list[_Restart] = []
-    for index, (objective, _, rng) in enumerate(tasks):
-        starts = [np.zeros(family.param_count)]
-        starts += [
-            rng.uniform(-math.pi, math.pi, family.param_count)
-            for _ in range(sweep_cfg.restarts - 1)
-        ]
+    children = np.random.SeedSequence(sweep_cfg.seed).spawn(len(tasks))
+    for index, ((_, objective), child) in enumerate(zip(tasks, children)):
+        rng = np.random.default_rng(child)
+        starts = [np.zeros(p)]
+        starts += [rng.uniform(-math.pi, math.pi, p) for _ in range(sweep_cfg.restarts - 1)]
         for x0 in starts:
             moves = _simplex_moves(x0)
             restarts.append(_Restart(index, _ENTROPY_ROW[objective], moves, next(moves)))
@@ -385,7 +393,7 @@ def _search(
         values = metrics._subsystem_entropies(mixtures[:a], mixtures[a:b], mixtures[b:])
         still, counts = [], [0, 0, 0]
         for r, theta, d_i, value in zip(live, thetas, d.tolist(), values.tolist()):
-            gap = abs(d_i - tasks[r.task][1])
+            gap = abs(d_i - tasks[r.task][0])
             if gap <= tol and (r.best is None or value > r.best[0]):
                 r.best = (value, theta.copy())
             if r.closest is None or gap < r.closest[0]:
@@ -402,7 +410,7 @@ def _search(
         live = still
 
     points = []
-    for index, (objective, d_target, _) in enumerate(tasks):
+    for index, (d_target, objective) in enumerate(tasks):
         best = closest = None
         group = restarts[index * sweep_cfg.restarts:(index + 1) * sweep_cfg.restarts]
         for r in group:
@@ -424,7 +432,7 @@ def _search(
             evaluations=sum(r.asked for r in group),
             feasible=feasible,
         ))
-    return points
+    return tuple(points)
 
 
 def maximize_information(
@@ -433,40 +441,11 @@ def maximize_information(
     objective: str,
     d_target: float,
     sweep_cfg: SweepConfig,
-    rng: np.random.Generator | None = None,
 ) -> CurvePoint:
-    """Best attack found for one objective at one detection target.
+    """``sweep``'s point for one objective at one detection target.
 
-    Nelder-Mead restarts maximize objective - 100·max(0, |d - d_target| -
-    tolerance)².  The returned point is the best *feasible* evaluation
-    seen anywhere in the search (the penalized optimum may sit outside
-    the band); with no feasible evaluation an explicit infeasible point
-    carrying the closest attempt is returned instead of an exception.
-    Deterministic given the seed (or rng).  The evaluation counter covers
-    the search itself and never exceeds restarts × budget.
+    ``sweep_cfg`` gives the restarts, budget and seed; its grid and
+    objectives are replaced by these, and ``SweepConfig`` validates both.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}; known: {OBJECTIVES}")
-    if not 0.0 <= d_target <= 1.0:
-        raise ValueError(f"d_target must lie in [0, 1], got {d_target}")
-    rng = np.random.default_rng(sweep_cfg.seed) if rng is None else rng
-    return _search(family, config, sweep_cfg, [(objective, d_target, rng)])[0]
-
-
-def sweep(
-    family: AttackFamily, config: protocol_mod.ProtocolConfig, sweep_cfg: SweepConfig
-) -> tuple[CurvePoint, ...]:
-    """One CurvePoint per (grid value, objective).
-
-    Point seeds derive deterministically from the master seed, so the
-    result is reproducible and independent of evaluation order; points
-    come back sorted by grid value, then by the configured objective
-    order.  All points' restarts run in lockstep in one search.
-    """
-    pairs = list(itertools.product(sweep_cfg.d_grid, sweep_cfg.objectives))
-    children = np.random.SeedSequence(sweep_cfg.seed).spawn(max(1, len(pairs)))
-    tasks = [
-        (objective, d_target, np.random.default_rng(child))
-        for (d_target, objective), child in zip(pairs, children)
-    ]
-    return tuple(_search(family, config, sweep_cfg, tasks))
+    one_point = dataclasses.replace(sweep_cfg, d_grid=(d_target,), objectives=(objective,))
+    return sweep(family, config, one_point)[0]

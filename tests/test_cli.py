@@ -1,7 +1,11 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -84,6 +88,20 @@ def test_report_bell_mode(capsys, attack_path):
     # the entangled-pair variant: the composite Holevo bound is 0, not the claimed 2 bits
     assert cli.main(["report", attack_path, "--mode", "bell"]) == 0
     assert "Holevo(composite) = 0.000000000000" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("encoding", protocol.ENCODING_NAMES)
+@pytest.mark.parametrize("mode", protocol.MODES)
+def test_report_says_when_no_message_can_be_carried(capsys, attack_path, mode, encoding):
+    """Only simplified mode's |0> fails: Z|0> = |0>.  --json gains no field."""
+    no_message = ("no message: the encoded images of the sent state are not orthogonal, "
+                  "so Bob cannot decode any bit")
+    argv = ["report", attack_path, "--mode", mode, "--encoding", encoding]
+    assert cli.main(argv) == 0
+    assert (no_message in capsys.readouterr().out.splitlines()) == (mode == "simplified")
+    assert cli.main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload) == sorted(f.name for f in dataclasses.fields(metrics.InfoReport))
 
 
 def test_report_validates_the_attack_once(capsys, monkeypatch, attack_path):
@@ -441,6 +459,24 @@ def test_sweep_oversized_grid_exits_2_without_allocating(capsys, grid):
 
 def test_sweep_grid_at_the_point_limit_parses():
     assert len(cli._parse_grid("0:1:1e-4")) == 10_001
+
+
+def test_sweep_into_a_closed_pipe_exits_2_quietly():
+    """The console entry (``cli.run``) with a reader that takes the CSV header
+    and closes the pipe: the rest of the CSV, about 96 KiB, is more than the
+    pipe and both buffers hold, so it meets the closed pipe."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["sweep", "--grid", "0:1:0.0005", "--restarts", "1", "--budget", "1"]
+    # Unbuffered, so reading the header drains no more of the pipe than the header.
+    with subprocess.Popen([sys.executable, "-m", "pingpong.cli", *argv], bufsize=0, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        header = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert header == b"d_target,d_achieved,objective,best_value,evaluations\n"
+    assert (code, err) == (2, b"")
 
 
 # ---------------------------------------------------------------------------

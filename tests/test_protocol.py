@@ -122,6 +122,19 @@ def test_message_round_paulis_on_zero_state_is_undecodable(identity_attack):
     assert not res.orthogonal_decoding
 
 
+@pytest.mark.parametrize("encoding", protocol.ENCODING_NAMES)
+def test_decoding_states_are_the_orthonormal_encoded_images_or_none(encoding, plus_config):
+    # simplified mode with |0>: Z|0> = |0>, so no message gets through
+    assert protocol.decoding_states(pp.make_config("simplified", encoding=encoding)) is None
+    bell = pp.make_config("bell", encoding=encoding)
+    for config in (bell, plus_config) if encoding == "iz" else (bell,):
+        home = np.eye(config.bob_initial.dim // 2)  # Alice acts on the travel qubit alone
+        want = [np.kron(home, op) @ config.bob_initial.amplitudes for op in config.op_stack]
+        states = protocol.decoding_states(config)
+        assert np.allclose(states, want, atol=1e-15)
+        assert np.allclose(states @ states.conj().T, np.eye(len(states)), atol=1e-12)
+
+
 def test_message_round_decode_oracle(counterexample, bell_config):
     # (I⊗Z⊗I)(I⊗U)(pair⊗χ) assembled with plain loops, then projected by
     # hand onto Bob's two candidates (I⊗I)pair and (I⊗Z)pair

@@ -287,9 +287,9 @@ def test_maximize_reports_infeasible_instead_of_raising(simplified_config):
 
 def test_maximize_rejects_bad_arguments(simplified_config):
     family = search.full_unitary_family(2)
-    with pytest.raises(ValueError, match="objective"):
+    with pytest.raises(ValueError, match="^objectives must be drawn from"):
         search.maximize_information(family, simplified_config, "holevo", 0.5, QUICK)
-    with pytest.raises(ValueError, match="d_target"):
+    with pytest.raises(ValueError, match=r"^grid values must lie in \[0, 1\]"):
         search.maximize_information(family, simplified_config, "i0t", 1.5, QUICK)
 
 
@@ -544,14 +544,18 @@ def test_lockstep_sweep_equals_the_serial_reference_when_a_restart_converges():
     assert any(evaluations < cfg.restarts * cfg.budget_per_restart for _, evaluations, *_ in got)
 
 
-def test_maximize_information_equals_its_sweep_point(simplified_config):
-    family = search.product_family(2)
-    cfg = search.SweepConfig(d_grid=(0.2,), restarts=3, budget_per_restart=100, seed=4,
-                             objectives=("i0a",))
-    child = np.random.SeedSequence(cfg.seed).spawn(1)[0]
-    point = search.maximize_information(
-        family, simplified_config, "i0a", 0.2, cfg, rng=np.random.default_rng(child))
-    assert point == search.sweep(family, simplified_config, cfg)[0]
+@pytest.mark.parametrize("mode", ["simplified", "bell"])
+@pytest.mark.parametrize("family", [search.full_unitary_family(2), search.product_family(2)],
+                         ids=lambda f: f.name)
+def test_maximize_information_equals_its_sweep_point(family, mode):
+    """maximize_information is the one-point sweep at its target and objective,
+    whatever grid and objectives its sweep_cfg carries."""
+    config = pp.make_config(mode)
+    cfg = search.SweepConfig(d_grid=(0.1, 0.4), restarts=3, budget_per_restart=100, seed=4)
+    one_point = search.SweepConfig(d_grid=(0.2,), restarts=3, budget_per_restart=100, seed=4,
+                                   objectives=("i0a",))
+    point = search.maximize_information(family, config, "i0a", 0.2, cfg)
+    assert point == search.sweep(family, config, one_point)[0]
 
 
 @pytest.mark.parametrize("make_family", [search.full_unitary_family, search.product_family])
