@@ -1,16 +1,20 @@
 """Named invariant suites behind the ``verify`` command.
 
-Every suite runs with fixed seeds.  A suite's margin is its worst slack
-against the stated tolerance: non-negative passes, negative fails.  A
-suite that raises is reported as failed rather than crashing the run.
+Every suite runs with fixed seeds.  A suite body returns its worst
+deviation and a detail line; ``@_suite(tol)`` names it after its function
+and grades it: its margin is ``tol - worst``, non-negative passes, negative
+fails.  A suite that raises is reported as failed rather than crashing the
+run.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -25,14 +29,29 @@ from . import search as search_mod
 @dataclasses.dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
     margin: float
     detail: str
 
+    @property
+    def passed(self) -> bool:
+        return bool(self.margin >= 0.0)
 
-def _result(name: str, tol: float, worst: float, detail: str) -> CheckResult:
-    margin = tol - worst
-    return CheckResult(name=name, passed=margin >= 0.0, margin=margin, detail=detail)
+
+def _suite(tol: float) -> Callable[[Callable[[], tuple[float, str]]], Callable[[], CheckResult]]:
+    """Grade a suite body that returns ``(worst, detail)`` against ``tol``.
+    The suite is named after its function, without ``check_``."""
+
+    def grade(body: Callable[[], tuple[float, str]]) -> Callable[[], CheckResult]:
+        name = body.__name__.removeprefix("check_")
+
+        @functools.wraps(body)
+        def check() -> CheckResult:
+            worst, detail = body()
+            return CheckResult(name=name, margin=tol - worst, detail=detail)
+
+        return check
+
+    return grade
 
 
 def _kernel(
@@ -49,7 +68,8 @@ def _random_density(dim: int, rng: np.random.Generator) -> qlinalg.DensityMatrix
     return qlinalg.DensityMatrix(rho / np.trace(rho))
 
 
-def check_entropy_additivity_products() -> CheckResult:
+@_suite(1e-8)
+def check_entropy_additivity_products() -> tuple[float, str]:
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(200):
@@ -62,13 +82,11 @@ def check_entropy_additivity_products() -> CheckResult:
             - qlinalg.von_neumann_entropy(b)
         )
         worst = max(worst, dev)
-    return _result(
-        "entropy_additivity_products", 1e-8, worst,
-        f"worst |S(A⊗B) - S(A) - S(B)| = {worst:.3g} over 200 product states",
-    )
+    return worst, f"worst |S(A⊗B) - S(A) - S(B)| = {worst:.3g} over 200 product states"
 
 
-def check_entropy_unitary_invariance() -> CheckResult:
+@_suite(1e-8)
+def check_entropy_unitary_invariance() -> tuple[float, str]:
     rng = np.random.default_rng(102)
     worst = 0.0
     for _ in range(200):
@@ -77,47 +95,39 @@ def check_entropy_unitary_invariance() -> CheckResult:
         rotated = qlinalg.DensityMatrix(u @ rho.entries @ u.conj().T)
         dev = abs(qlinalg.von_neumann_entropy(rotated) - qlinalg.von_neumann_entropy(rho))
         worst = max(worst, dev)
-    return _result(
-        "entropy_unitary_invariance", 1e-8, worst,
-        f"worst |S(UρU†) - S(ρ)| = {worst:.3g} over 200 pairs",
-    )
+    return worst, f"worst |S(UρU†) - S(ρ)| = {worst:.3g} over 200 pairs"
 
 
-def check_entropy_maximal_mixing() -> CheckResult:
+@_suite(1e-12)
+def check_entropy_maximal_mixing() -> tuple[float, str]:
     worst = 0.0
     for n in (2, 3, 4, 8):
         rho = qlinalg.DensityMatrix(np.eye(n) / n)
         worst = max(worst, abs(qlinalg.von_neumann_entropy(rho) - math.log2(n)))
-    return _result(
-        "entropy_maximal_mixing", 1e-12, worst,
-        f"worst |S(I_n/n) - log2 n| = {worst:.3g} for n in (2, 3, 4, 8)",
-    )
+    return worst, f"worst |S(I_n/n) - log2 n| = {worst:.3g} for n in (2, 3, 4, 8)"
 
 
-def check_entropy_bell_marginal() -> CheckResult:
+@_suite(1e-12)
+def check_entropy_bell_marginal() -> tuple[float, str]:
     pair = qlinalg.to_density(protocol_mod.bell_pair())
     marginal = qlinalg.partial_trace(pair, (2, 2), 1)
     dev = abs(qlinalg.von_neumann_entropy(marginal) - 1.0)
-    return _result(
-        "entropy_bell_marginal", 1e-12, dev,
-        f"|S(marginal) - 1| = {dev:.3g} for the anticorrelated pair",
-    )
+    return dev, f"|S(marginal) - 1| = {dev:.3g} for the anticorrelated pair"
 
 
-def check_unitary_norm_preservation() -> CheckResult:
+@_suite(1e-12)
+def check_unitary_norm_preservation() -> tuple[float, str]:
     rng = np.random.default_rng(103)
     worst = 0.0
     for _ in range(200):
         u = search_mod.haar_random_unitary(4, rng)
         s = search_mod.random_pure_state(4, rng)
         worst = max(worst, abs(float(np.linalg.norm(u @ s)) - 1.0))
-    return _result(
-        "unitary_norm_preservation", 1e-12, worst,
-        f"worst |‖Us‖ - 1| = {worst:.3g} over 200 cases",
-    )
+    return worst, f"worst |‖Us‖ - 1| = {worst:.3g} over 200 cases"
 
 
-def check_protocol_noiseless_correctness() -> CheckResult:
+@_suite(1e-12)
+def check_protocol_noiseless_correctness() -> tuple[float, str]:
     identity = attack_mod.builtin_attack("identity")
     plus = qlinalg.StateVector(np.array([1.0, 1.0]) / math.sqrt(2))
     configs = (
@@ -133,13 +143,11 @@ def check_protocol_noiseless_correctness() -> CheckResult:
             outcome = protocol_mod.run_message_round(config, identity, bit)
             if outcome.decoded_bit != bit:
                 wrong += 1
-    detail = f"max noiseless d = {worst:.3g}, wrong decodes = {wrong}"
-    if wrong:
-        return CheckResult("protocol_noiseless_correctness", False, -float(wrong), detail)
-    return _result("protocol_noiseless_correctness", 1e-12, worst, detail)
+    return max(worst, float(wrong)), f"max noiseless d = {worst:.3g}, wrong decodes = {wrong}"
 
 
-def check_protocol_monte_carlo_agreement() -> CheckResult:
+@_suite(0.0)
+def check_protocol_monte_carlo_agreement() -> tuple[float, str]:
     worst = -math.inf
     for mode in protocol_mod.MODES:
         config = protocol_mod.make_config(mode)
@@ -150,13 +158,11 @@ def check_protocol_monte_carlo_agreement() -> CheckResult:
             n = stats.counts["control_rounds"]
             sigma = math.sqrt(d * (1.0 - d) / n)
             worst = max(worst, abs(stats.empirical_d - d) - 4.0 * sigma)
-    return _result(
-        "protocol_monte_carlo_agreement", 0.0, worst,
-        f"worst |empirical - analytic| - 4σ = {worst:.3g} over builtins × modes",
-    )
+    return worst, f"worst |empirical - analytic| - 4σ = {worst:.3g} over builtins × modes"
 
 
-def check_detection_range_and_phase() -> CheckResult:
+@_suite(1e-12)
+def check_detection_range_and_phase() -> tuple[float, str]:
     rng = np.random.default_rng(104)
     worst = 0.0
     for mode in protocol_mod.MODES:
@@ -166,13 +172,11 @@ def check_detection_range_and_phase() -> CheckResult:
         d = _kernel(specs, config)[0]
         shift = np.abs(_kernel(rotated, config)[0] - d)
         worst = max(worst, float(np.max(-d)), float(np.max(d - 1.0)), float(np.max(shift)))
-    return _result(
-        "detection_range_and_phase", 1e-12, worst,
-        f"worst of (range violation, phase-shift |Δd|) = {worst:.3g}",
-    )
+    return worst, f"worst of (range violation, phase-shift |Δd|) = {worst:.3g}"
 
 
-def check_encoding_fixes_basis_state() -> CheckResult:
+@_suite(1e-12)
+def check_encoding_fixes_basis_state() -> tuple[float, str]:
     config = protocol_mod.make_config("simplified")
     identity = attack_mod.builtin_attack("identity")
     first, second = _kernel([identity], config)[2][0]
@@ -182,10 +186,7 @@ def check_encoding_fixes_basis_state() -> CheckResult:
     )
     worst = float(np.max(np.abs(first - second)))
     worst = max(worst, float(np.max(np.abs(first - expected))))
-    return _result(
-        "encoding_fixes_basis_state", 1e-12, worst,
-        f"max member deviation = {worst:.3g} (phase encoding fixes |0>)",
-    )
+    return worst, f"max member deviation = {worst:.3g} (phase encoding fixes |0>)"
 
 
 def _random_product_attack(rng: np.random.Generator) -> attack_mod.AttackSpec:
@@ -198,7 +199,8 @@ def _random_product_attack(rng: np.random.Generator) -> attack_mod.AttackSpec:
     )
 
 
-def check_product_attack_ancilla_pure() -> CheckResult:
+@_suite(1e-8)
+def check_product_attack_ancilla_pure() -> tuple[float, str]:
     rng = np.random.default_rng(105)
     worst = 0.0
     for mode in protocol_mod.MODES:
@@ -207,50 +209,42 @@ def check_product_attack_ancilla_pure() -> CheckResult:
         stack = members.reshape(-1, 4, 4)
         entropies = metrics._subsystem_entropies(stack[:0], stack[:0], stack)
         worst = max(worst, float(np.max(entropies)))
-    return _result(
-        "product_attack_ancilla_pure", 1e-8, worst,
-        f"worst member S(ancilla) = {worst:.3g} over 100 product attacks",
-    )
+    return worst, f"worst member S(ancilla) = {worst:.3g} over 100 product attacks"
 
 
-def check_attack_global_phase_invariance() -> CheckResult:
+@_suite(1e-12)
+def check_attack_global_phase_invariance() -> tuple[float, str]:
     rng = np.random.default_rng(106)
     config = protocol_mod.make_config("simplified")
     specs = [search_mod.sample_random_attack(2, rng) for _ in range(50)]
     rotated = [dataclasses.replace(s, unitary=np.exp(1.234j) * s.unitary) for s in specs]
     worst = float(np.max(np.abs(_kernel(specs, config)[2] - _kernel(rotated, config)[2])))
-    return _result(
-        "attack_global_phase_invariance", 1e-12, worst,
-        f"worst member change under e^(iφ)U = {worst:.3g} over 50 attacks",
-    )
+    return worst, f"worst member change under e^(iφ)U = {worst:.3g} over 50 attacks"
 
 
-def check_dephased_travel_marginal() -> CheckResult:
+@_suite(1e-12)
+def check_dephased_travel_marginal() -> tuple[float, str]:
     rng = np.random.default_rng(107)
     config = protocol_mod.make_config("simplified")
     specs = [search_mod.sample_random_attack(2, rng) for _ in range(100)]
     mixtures = _kernel(specs, config)[1]
     travel = np.einsum("kiaja->kij", mixtures.reshape(-1, 2, 2, 2, 2))
     worst = float(np.max(np.abs(travel[:, [0, 1], [1, 0]])))
-    return _result(
-        "dephased_travel_marginal", 1e-12, worst,
-        f"worst off-diagonal of the averaged travel marginal = {worst:.3g}",
-    )
+    return worst, f"worst off-diagonal of the averaged travel marginal = {worst:.3g}"
 
 
-def check_travel_entropy_binary_identity() -> CheckResult:
+@_suite(1e-10)
+def check_travel_entropy_binary_identity() -> tuple[float, str]:
     config = protocol_mod.make_config("simplified")
     worst = 0.0
     specs = [search_mod.sample_random_attack(2, seed) for seed in range(300)]
     for report in metrics._information_reports(specs, config):
         worst = max(worst, abs(report.i0t - metrics.binary_entropy(report.d)))
-    return _result(
-        "travel_entropy_binary_identity", 1e-10, worst,
-        f"worst |i0t - H(d)| = {worst:.3g} over 300 random attacks",
-    )
+    return worst, f"worst |i0t - H(d)| = {worst:.3g} over 300 random attacks"
 
 
-def check_holevo_within_entropy() -> CheckResult:
+@_suite(1e-8)
+def check_holevo_within_entropy() -> tuple[float, str]:
     rng = np.random.default_rng(108)
     worst = 0.0
     for mode in protocol_mod.MODES:
@@ -264,26 +258,22 @@ def check_holevo_within_entropy() -> CheckResult:
                 -report.holevo_t - 1e-9,
                 -report.holevo_c - 1e-9,
             )
-    return _result(
-        "holevo_within_entropy", 1e-8, worst,
-        f"worst Holevo excess over entropy = {worst:.3g} over 100 attacks",
-    )
+    return worst, f"worst Holevo excess over entropy = {worst:.3g} over 100 attacks"
 
 
-def check_product_attack_composite_travel() -> CheckResult:
+@_suite(1e-8)
+def check_product_attack_composite_travel() -> tuple[float, str]:
     rng = np.random.default_rng(109)
     config = protocol_mod.make_config("simplified")
     worst = 0.0
     specs = [_random_product_attack(rng) for _ in range(100)]
     for report in metrics._information_reports(specs, config):
         worst = max(worst, abs(report.i0c - report.i0t), report.i0a)
-    return _result(
-        "product_attack_composite_travel", 1e-8, worst,
-        f"worst of (|i0c - i0t|, i0a) = {worst:.3g} over 100 product attacks",
-    )
+    return worst, f"worst of (|i0c - i0t|, i0a) = {worst:.3g} over 100 product attacks"
 
 
-def check_entropy_inequalities_random() -> CheckResult:
+@_suite(1e-8)
+def check_entropy_inequalities_random() -> tuple[float, str]:
     worst = -math.inf
     specs = [search_mod.sample_random_attack(2, seed) for seed in range(500)]
     for mode in protocol_mod.MODES:
@@ -291,13 +281,11 @@ def check_entropy_inequalities_random() -> CheckResult:
             diag = metrics.entropy_inequality_check(report)
             margin = min(diag.margins.values())
             worst = max(worst, -margin)
-    return _result(
-        "entropy_inequalities_random", 1e-8, worst,
-        f"worst inequality deficit = {worst:.3g} over 500 attacks × 2 modes",
-    )
+    return worst, f"worst inequality deficit = {worst:.3g} over 500 attacks × 2 modes"
 
 
-def check_family_builds_valid_attacks() -> CheckResult:
+@_suite(0.0)
+def check_family_builds_valid_attacks() -> tuple[float, str]:
     rng = np.random.default_rng(110)
     bad = 0
     for family in (search_mod.full_unitary_family(2), search_mod.product_family(2)):
@@ -305,13 +293,11 @@ def check_family_builds_valid_attacks() -> CheckResult:
             theta = rng.uniform(-math.pi, math.pi, family.param_count)
             if attack_mod.validate_attack(family.build(theta)):
                 bad += 1
-    return _result(
-        "family_builds_valid_attacks", 0.0, float(bad),
-        f"{bad} invalid builds over 100 sampled parameter vectors",
-    )
+    return float(bad), f"{bad} invalid builds over 100 sampled parameter vectors"
 
 
-def check_parameterized_unitary_basics() -> CheckResult:
+@_suite(1e-9)
+def check_parameterized_unitary_basics() -> tuple[float, str]:
     rng = np.random.default_rng(111)
     ident = search_mod.parameterize_unitary(np.zeros(16), 4)
     worst = float(np.max(np.abs(ident.entries - np.eye(4))))
@@ -319,13 +305,11 @@ def check_parameterized_unitary_basics() -> CheckResult:
         theta = rng.uniform(-math.pi, math.pi, 16)
         u = search_mod.parameterize_unitary(theta, 4).entries
         worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(4)))))
-    return _result(
-        "parameterized_unitary_basics", 1e-9, worst,
-        f"worst of (|U(0) - I|, unitarity residual) = {worst:.3g}",
-    )
+    return worst, f"worst of (|U(0) - I|, unitarity residual) = {worst:.3g}"
 
 
-def check_search_point_self_consistency() -> CheckResult:
+@_suite(0.0)
+def check_search_point_self_consistency() -> tuple[float, str]:
     family = search_mod.full_unitary_family(2)
     config = protocol_mod.make_config("simplified")
     cfg = search_mod.SweepConfig(
@@ -335,10 +319,7 @@ def check_search_point_self_consistency() -> CheckResult:
     second = search_mod.sweep(family, config, cfg)
     point = first[0]
     if not point.feasible:
-        return CheckResult(
-            "search_point_self_consistency", False, -1.0,
-            "search found no feasible point at d_target = 0.5",
-        )
+        return 1.0, "search found no feasible point at d_target = 0.5"
     re_report = metrics.information_report(family.build(np.array(point.theta_best)), config)
     worst = max(
         abs(point.d_achieved - point.d_target) - cfg.detection_tolerance,
@@ -347,14 +328,14 @@ def check_search_point_self_consistency() -> CheckResult:
         0.0 if first == second else 1.0,
         float(point.evaluations - cfg.restarts * cfg.budget_per_restart),
     )
-    return _result(
-        "search_point_self_consistency", 0.0, worst,
+    return worst, (
         f"best i0t = {point.best_i0t:.6f} at d = {point.d_achieved:.6f} "
-        f"in {point.evaluations} evaluations; reruns identical = {first == second}",
+        f"in {point.evaluations} evaluations; reruns identical = {first == second}"
     )
 
 
-def check_attack_file_round_trip() -> CheckResult:
+@_suite(1e-12)
+def check_attack_file_round_trip() -> tuple[float, str]:
     rng = np.random.default_rng(112)
     specs = [attack_mod.builtin_attack("counterexample"), search_mod.sample_random_attack(2, rng)]
     worst = 0.0
@@ -369,10 +350,7 @@ def check_attack_file_round_trip() -> CheckResult:
                 float(np.max(np.abs(loaded.unitary - spec.unitary))),
                 float(len(attack_mod.validate_attack(loaded))),
             )
-    return _result(
-        "attack_file_round_trip", 1e-12, worst,
-        f"worst save/load array deviation = {worst:.3g}",
-    )
+    return worst, f"worst save/load array deviation = {worst:.3g}"
 
 
 ALL_CHECKS = (
@@ -403,11 +381,9 @@ def run_all() -> list[CheckResult]:
     """Run every suite; a raising suite is reported failed, not fatal."""
     results = []
     for check in ALL_CHECKS:
-        name = check.__name__.removeprefix("check_")
         try:
             results.append(check())
         except Exception as exc:  # pragma: no cover - only on injected faults
-            results.append(
-                CheckResult(name=name, passed=False, margin=-math.inf, detail=f"raised {exc!r}")
-            )
+            name = check.__name__.removeprefix("check_")
+            results.append(CheckResult(name=name, margin=-math.inf, detail=f"raised {exc!r}"))
     return results

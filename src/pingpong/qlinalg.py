@@ -29,6 +29,8 @@ ATOL_EIGENVALUE = 1e-10
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+for _pauli in (PAULI_I, PAULI_X, PAULI_Z):  # read by every ProtocolConfig's encoding
+    _pauli.setflags(write=False)
 
 
 class KindMismatchError(TypeError):

@@ -58,11 +58,12 @@ def parameterize_unitary(theta, dim: int) -> qlinalg.UnitaryOperator:
     return qlinalg.UnitaryOperator(_unitary(theta, dim))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16)
 def _generator_gather(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Parameter index and sign of each (re, im) entry of a flat dim×dim
     generator: H[i, i] = θ_i, H[i, j] = θ_k + iθ_(k+1), H[j, i] = θ_k - iθ_(k+1),
-    with k running over the upper triangle row-major from dim."""
+    with k running over the upper triangle row-major from dim.  Both arrays
+    are read-only: every call for one dim shares them."""
     index = np.zeros((dim, dim, 2), dtype=np.intp)
     sign = np.zeros((dim, dim, 2))
     diagonal = np.arange(dim)
@@ -71,7 +72,10 @@ def _generator_gather(dim: int) -> tuple[np.ndarray, np.ndarray]:
     re = dim + 2 * np.arange(len(rows))
     index[rows, cols] = index[cols, rows] = np.column_stack([re, re + 1])
     sign[rows, cols], sign[cols, rows] = (1.0, 1.0), (1.0, -1.0)
-    return index.reshape(-1), sign.reshape(-1)
+    index, sign = index.reshape(-1), sign.reshape(-1)
+    index.setflags(write=False)
+    sign.setflags(write=False)
+    return index, sign
 
 
 def _unitary(theta, dim: int) -> np.ndarray:
@@ -146,8 +150,8 @@ class AttackFamily:
 
 
 def _check_ancilla_dim(ancilla_dim: int) -> None:
-    if ancilla_dim < 1:
-        raise ValueError(f"ancilla_dim must be >= 1, got {ancilla_dim}")
+    if not attack_mod._is_integer_at_least(ancilla_dim, 1):
+        raise ValueError(f"ancilla_dim must be an integer >= 1, got {ancilla_dim!r}")
 
 
 def _ground_ancilla(ancilla_dim: int) -> NDArray[np.complex128]:
@@ -228,7 +232,7 @@ class SweepConfig:
             raise ValueError(f"objectives must be distinct, got {self.objectives!r}")
         for name, least in (("restarts", 1), ("budget_per_restart", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            if not attack_mod._is_integer_at_least(value, least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         total = len(grid) * len(self.objectives) * self.restarts
         if total > MAX_RESTARTS:

@@ -505,8 +505,6 @@ def test_verify_catches_a_wrong_entropy_base(capsys, monkeypatch):
     assert "FAIL entropy_maximal_mixing" in out
 
 
-# The verify lines of the suites that report random attacks in batches, as
-# one information_report call per attack printed them.
 # The verify lines of every suite that evaluates attacks (in ALL_CHECKS order)
 # and of family_builds_valid_attacks, as the one-attack-at-a-time suites printed them.
 PINNED_VERIFY = (

@@ -475,3 +475,80 @@ def test_inequality_check_flags_violations():
     diag = metrics.entropy_inequality_check(rep)
     assert not diag.subadditivity_ok
     assert diag.araki_lieb_ok
+
+
+# ---------------------------------------------------------------------------
+# closed-form identities and attaining attacks
+
+
+def test_simplified_iz_reads_h_of_d_everywhere():
+    # {I, Z} on |0> dephases the travel qubit, so every attack gives
+    # i0c = i0t = holevo_c = H(d), and the ancilla entropy stays below H(d)
+    config = pp.make_config("simplified")
+    for anc in (1, 2, 4):
+        for seed in range(200):
+            report = metrics.information_report(search.sample_random_attack(anc, seed), config)
+            h = metrics.binary_entropy(report.d)
+            assert abs(report.i0c - h) <= 1e-10
+            assert abs(report.i0t - h) <= 1e-10
+            assert abs(report.holevo_c - report.i0c) <= 1e-10
+            assert report.i0a <= h + 1e-10
+
+
+def test_ancilla_holevo_quantity_is_zero_in_every_configuration():
+    # the encodings act on the travel qubit alone, so every member has the
+    # same ancilla marginal
+    for mode in ("simplified", "bell"):
+        for encoding in ("iz", "paulis"):
+            config = pp.make_config(mode, encoding=encoding)
+            for anc in (1, 2, 4):
+                for seed in range(20):
+                    spec = search.sample_random_attack(anc, seed)
+                    ensemble = attack.post_encoding_ensemble(spec, config)
+                    assert abs(metrics.holevo_bound(ensemble, "ancilla")) <= 1e-12
+
+
+def _ket(travel, ancilla, ancilla_dim):
+    """|travel, ancilla> on travel⊗ancilla."""
+    vec = np.zeros(2 * ancilla_dim, dtype=complex)
+    vec[travel * ancilla_dim + ancilla] = 1.0
+    return vec
+
+
+def _attack_with_columns(ancilla_dim, first, second):
+    """The attack with ancilla |0>, U|0,0> = first and U|1,0> = second exactly.
+
+    The other columns are an orthonormal complement.  A QR of the whole
+    unitary would re-orthogonalize the given columns and move d.
+    """
+    n = 2 * ancilla_dim
+    given = np.column_stack([first, second])
+    complement = np.linalg.qr(np.column_stack([given, np.eye(n)]))[0][:, 2:]
+    unitary = np.empty((n, n), dtype=complex)
+    unitary[:, [0, ancilla_dim]] = given
+    unitary[:, [i for i in range(n) if i not in (0, ancilla_dim)]] = complement
+    chi = np.eye(ancilla_dim, dtype=complex)[0]
+    return attack.AttackSpec(ancilla_dim=ancilla_dim, ancilla_state=chi, unitary=unitary)
+
+
+@pytest.mark.parametrize("d", [0.0, 0.02, 0.1, 0.3, 0.5])
+def test_attaining_attacks_reach_the_closed_form_bounds(d):
+    # bell/iz: holevo_c <= H(d), Boström and Felbinger's bound.  The Pauli
+    # encodings: holevo_c <= 1 + H(d), so in the dense-coding variant the
+    # composite carries more than H(d).
+    keep, flip = math.sqrt(1.0 - d), math.sqrt(d)
+    h = metrics.binary_entropy(d)
+    cases = (
+        ("bell", "iz", 2, keep * _ket(0, 0, 2) + flip * _ket(1, 0, 2),
+         flip * _ket(0, 1, 2) + keep * _ket(1, 1, 2), h),
+        ("bell", "paulis", 4, keep * _ket(0, 0, 4) + flip * _ket(1, 1, 4),
+         flip * _ket(0, 2, 4) + keep * _ket(1, 3, 4), 1.0 + h),
+        ("simplified", "paulis", 2, keep * _ket(0, 0, 2) + flip * _ket(1, 1, 2),
+         _ket(0, 1, 2), 1.0 + h),
+    )
+    for mode, encoding, anc, first, second, bound in cases:
+        spec = _attack_with_columns(anc, first, second)
+        assert attack.validate_attack(spec) == []
+        report = metrics.information_report(spec, pp.make_config(mode, encoding=encoding))
+        assert abs(report.d - d) <= 1e-15, (mode, encoding)
+        assert abs(report.holevo_c - bound) <= 1e-12, (mode, encoding)

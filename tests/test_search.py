@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +77,35 @@ def test_parameterization_layout_matches_the_row_major_loop():
             assert np.array_equal(u.entries, _loop_parameterization(theta, dim))
 
 
+def test_shared_arrays_are_read_only():
+    # every _unitary call for one dim gathers with the same cached arrays, and
+    # every make_config encodes with the module's Pauli matrices
+    index, sign = search._generator_gather(4)
+    for shared in (index, sign, qlinalg.PAULI_I, qlinalg.PAULI_X, qlinalg.PAULI_Z):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = shared[1]
+
+
+def test_the_only_scipy_under_src_is_the_import_bench_times():
+    # nothing in the package calls scipy: deleting search.py's one import line
+    # must be all it takes to drop the dependency
+    imports, uses = [], []
+    for path in sorted(Path(search.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                if isinstance(node, ast.Name) and node.id == "scipy":
+                    uses.append(f"{path.name}:{node.lineno}")
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                imports.append((path.name, ast.unparse(node)))
+    assert imports == [("search.py", "import scipy.optimize")]
+    assert uses == []
+
+
 def test_probe_coupling_recoverable_from_perturbed_start():
     # local refinement pulls a +-0.3 perturbation back onto the probe
     theta_star = np.zeros(16)
@@ -117,11 +148,16 @@ def test_random_attack_seed_determinism():
 
 
 def test_random_attack_rejects_bad_dim():
-    with pytest.raises(ValueError):
-        search.sample_random_attack(0, 1)
-    for family in (search.full_unitary_family, search.product_family):
+    # the rule validate_attack and SweepConfig apply: an integer >= 1, not a bool
+    for bad in (0, 2.5, 2.0, True):
         with pytest.raises(ValueError, match="ancilla_dim"):
-            family(0)
+            search.sample_random_attack(bad, 1)
+        for family in (search.full_unitary_family, search.product_family):
+            with pytest.raises(ValueError, match="ancilla_dim"):
+                family(bad)
+    assert attack.validate_attack(search.sample_random_attack(np.int64(2), 1)) == []
+    for family in (search.full_unitary_family, search.product_family):
+        assert family(np.int64(2)).ancilla_dim == 2
 
 
 def test_random_attack_single_dim_ancilla():
