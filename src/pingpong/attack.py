@@ -82,18 +82,13 @@ class EncodingEnsemble:
         return qlinalg.DensityMatrix(acc)
 
 
-def _is_integer_at_least(value, least: int) -> bool:
-    """True for an ``int`` or numpy integer, other than a bool, that is >= ``least``."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
-
-
 def validate_attack(spec: AttackSpec) -> list[str]:
     """Check every attack invariant; returns violations with measured deviations.
 
     Never raises: an empty list means the attack is valid.
     """
     dim = spec.ancilla_dim
-    if not _is_integer_at_least(dim, 1):
+    if not qlinalg._is_integer_at_least(dim, 1):
         return [f"ancilla_dim {dim!r} is not a positive integer"]
     violations: list[str] = []
     chi = spec.ancilla_state

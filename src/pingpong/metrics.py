@@ -21,16 +21,13 @@ from . import qlinalg
 _SUBSYSTEMS = ("composite", "travel", "ancilla")
 _CLAIMED_COMPOSITE_BITS = 2.0
 _INEQUALITY_TOL = 1e-8
-# The canonical counterexample setting, in the order _claim_deviation reads it:
-# χ, U, the sent |0>, the stacked {I, Z} encoding and its priors.
+# The canonical counterexample setting beside simplified mode and the "iz"
+# encoding, in the order _claim_deviation reads it: χ, U and the sent |0>.
 _COUNTEREXAMPLE = attack_mod.builtin_attack("counterexample")
-_SIMPLIFIED_IZ = protocol_mod.make_config("simplified")
 _CANONICAL = (
     _COUNTEREXAMPLE.ancilla_state,
     _COUNTEREXAMPLE.unitary,
-    _SIMPLIFIED_IZ.bob_initial.amplitudes,
-    _SIMPLIFIED_IZ.op_stack,
-    _SIMPLIFIED_IZ.prior_array,
+    qlinalg.basis_state(2, 0).amplitudes,
 )
 _CANONICAL_CHI0 = complex(_CANONICAL[0][0])
 
@@ -133,20 +130,15 @@ def _claim_deviation(
     spec: attack_mod.AttackSpec, config: protocol_mod.ProtocolConfig, i0c: float
 ) -> ClaimDeviation | None:
     """The claimed-vs-computed I0c when ``spec`` and ``config`` are the canonical
-    counterexample setting (simplified mode, |0> sent, {I, Z} encoding, the
+    counterexample setting (simplified mode, the "iz" encoding, |0> sent, the
     builtin counterexample arrays), else None."""
-    if config.mode != "simplified" or spec.ancilla_state.shape != _CANONICAL[0].shape:
+    if (config.mode != "simplified" or config.encoding != "iz"
+            or spec.ancilla_state.shape != _CANONICAL[0].shape):
         return None
     # A random attack fails on χ's first entry: decide that without the arrays.
     if not abs(complex(spec.ancilla_state[0]) - _CANONICAL_CHI0) <= 1e-12:  # NaN fails too
         return None
-    actual = (
-        spec.ancilla_state,
-        spec.unitary,
-        config.bob_initial.amplitudes,
-        config.op_stack,
-        config.prior_array,
-    )
+    actual = (spec.ancilla_state, spec.unitary, config.bob_initial.amplitudes)
     if not all(
         np.shape(got) == want.shape and np.max(np.abs(np.subtract(got, want))) <= 1e-12
         for got, want in zip(actual, _CANONICAL)

@@ -39,37 +39,30 @@ def bell_pair() -> qlinalg.StateVector:
     return qlinalg.StateVector([0.0, _SQRT_HALF, _SQRT_HALF, 0.0])
 
 
-def encoding_set(name: str) -> tuple[tuple[qlinalg.UnitaryOperator, ...], tuple[float, ...]]:
-    """Named encoding-operation sets with their priors.
-
-    ``iz``: phase encoding {identity, Z}, equal priors.
-    ``paulis``: the four-operation set {identity, Z, X, XZ}, equal priors.
-    """
-    if name not in _ENCODINGS:
-        raise ValueError(f"unknown encoding {name!r}; known: {ENCODING_NAMES}")
-    ops = tuple(map(qlinalg.UnitaryOperator, _ENCODINGS[name]))
-    return ops, (1 / len(ops),) * len(ops)
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class ProtocolConfig:
     """Protocol variant and its fixed choices.
 
-    ``bob_initial`` is the travel qubit Bob sends in simplified mode; in
-    bell mode it is pinned to the anticorrelated pair over (home, travel).
-    ``encoding_ops``/``priors`` define Alice's message-mode operations on
-    the travel qubit.  ``control_probability`` only schedules Monte Carlo
-    rounds; analytic quantities ignore it.  ``op_stack`` (K, 2, 2) and
-    ``prior_array`` (K,) are the same ops and priors as read-only arrays,
-    and ``initial_bra`` is the conjugate of ``bob_initial``'s amplitudes,
-    all built once for the evaluation kernel.
+    ``bob_initial`` is the travel qubit Bob sends in simplified mode, |0>
+    when None; in bell mode it is pinned to the anticorrelated pair over
+    (home, travel), which None also selects.  ``encoding`` names Alice's
+    message-mode operations on the travel qubit (one of ``ENCODING_NAMES``),
+    taken with equal priors.  ``control_probability`` only schedules Monte
+    Carlo rounds; analytic quantities ignore it.
+
+    Derived once, read-only: ``encoding_ops`` and ``priors`` are the named
+    operations and their priors; ``op_stack`` (K, 2, 2) and ``prior_array``
+    (K,) are the same as arrays, and ``initial_bra`` is the conjugate of
+    ``bob_initial``'s amplitudes, all for the evaluation kernel.
+    ``make_config`` is this constructor.
     """
 
-    mode: str
-    bob_initial: qlinalg.StateVector
-    encoding_ops: tuple[qlinalg.UnitaryOperator, ...]
-    priors: tuple[float, ...]
+    mode: str = "simplified"
+    bob_initial: qlinalg.StateVector | None = None
+    encoding: str = "iz"
     control_probability: float = 0.5
+    encoding_ops: tuple[qlinalg.UnitaryOperator, ...] = dataclasses.field(init=False, repr=False)
+    priors: tuple[float, ...] = dataclasses.field(init=False, repr=False)
     op_stack: np.ndarray = dataclasses.field(init=False, repr=False)
     prior_array: np.ndarray = dataclasses.field(init=False, repr=False)
     initial_bra: np.ndarray = dataclasses.field(init=False, repr=False)
@@ -77,19 +70,14 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; known: {MODES}")
-        object.__setattr__(self, "encoding_ops", tuple(self.encoding_ops))
-        object.__setattr__(self, "priors", tuple(float(p) for p in self.priors))
-        if len(self.encoding_ops) != len(self.priors) or not self.encoding_ops:
-            raise ValueError("encoding_ops and priors must be non-empty and equal length")
-        if any(op.dim != 2 for op in self.encoding_ops):
-            raise qlinalg.DimensionMismatchError("encoding ops act on the travel qubit (dim 2)")
-        if any(p < 0 for p in self.priors):
-            raise ValueError("priors must be non-negative")
-        total = sum(self.priors)
-        if not abs(total - 1.0) <= 1e-12:
-            raise ValueError(f"priors sum to {total:.12g}, not 1 within 1e-12")
-        if not 0.0 <= self.control_probability <= 1.0:
-            raise ValueError(f"control_probability {self.control_probability} outside [0, 1]")
+        if self.encoding not in ENCODING_NAMES:
+            raise ValueError(f"unknown encoding {self.encoding!r}; known: {ENCODING_NAMES}")
+        p = self.control_probability
+        if not (qlinalg._is_real(p) and 0.0 <= p <= 1.0):
+            raise ValueError(f"control_probability {p!r} is not a number in [0, 1]")
+        if self.bob_initial is None:
+            sent = bell_pair() if self.mode == "bell" else qlinalg.basis_state(2, 0)
+            object.__setattr__(self, "bob_initial", sent)
         expected_dim = 4 if self.mode == "bell" else 2
         if self.bob_initial.dim != expected_dim:
             raise qlinalg.DimensionMismatchError(
@@ -99,7 +87,10 @@ class ProtocolConfig:
             dev = float(np.max(np.abs(self.bob_initial.amplitudes - bell_pair().amplitudes)))
             if not dev <= 1e-12:
                 raise ValueError("bell mode uses the fixed pair (|01> + |10>)/√2")
-        for name, values in (("op_stack", [op.entries for op in self.encoding_ops]),
+        ops = tuple(map(qlinalg.UnitaryOperator, _ENCODINGS[self.encoding]))
+        object.__setattr__(self, "encoding_ops", ops)
+        object.__setattr__(self, "priors", (1 / len(ops),) * len(ops))
+        for name, values in (("op_stack", [op.entries for op in ops]),
                              ("prior_array", self.priors),
                              ("initial_bra", self.bob_initial.amplitudes.conj())):
             array = np.array(values)
@@ -107,27 +98,7 @@ class ProtocolConfig:
             object.__setattr__(self, name, array)
 
 
-def make_config(
-    mode: str = "simplified",
-    bob_initial: qlinalg.StateVector | None = None,
-    encoding: str = "iz",
-    control_probability: float = 0.5,
-) -> ProtocolConfig:
-    """Convenience constructor with the default choices.
-
-    Simplified mode defaults to sending |0>; bell mode always uses the
-    anticorrelated pair.
-    """
-    if bob_initial is None:
-        bob_initial = bell_pair() if mode == "bell" else qlinalg.basis_state(2, 0)
-    ops, priors = encoding_set(encoding)
-    return ProtocolConfig(
-        mode=mode,
-        bob_initial=bob_initial,
-        encoding_ops=ops,
-        priors=priors,
-        control_probability=control_probability,
-    )
+make_config = ProtocolConfig
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,7 +165,7 @@ def run_message_round(
     deterministic; ``monte_carlo`` samples outcomes.  With the identity
     attack the decoded bit always equals ``bit``.
     """
-    if not 0 <= bit < len(config.encoding_ops):
+    if not (qlinalg._is_integer_at_least(bit, 0) and bit < len(config.encoding_ops)):
         raise ValueError(f"bit {bit!r} does not index {len(config.encoding_ops)} encoding ops")
     table = _decode_table(attack_mod._attacked_rows([spec], config)[0], config)
     if table is None:
@@ -237,11 +208,14 @@ def monte_carlo(
     the encoding priors.  ``empirical_d`` is the detected fraction of
     control rounds (nan with none), ``empirical_decode_accuracy`` the
     correctly decoded fraction of message rounds (undecodable rounds count
-    as incorrect; nan with no message rounds).  ``rounds`` runs from 1 to
-    ``MAX_ROUNDS``; outside, ValueError is raised before anything is drawn.
+    as incorrect; nan with no message rounds).  ``rounds`` is an integer
+    from 1 to ``MAX_ROUNDS`` and ``seed`` an integer >= 0; otherwise
+    ValueError is raised before anything is drawn.
     """
-    if not 1 <= rounds <= MAX_ROUNDS:
-        raise ValueError(f"rounds must be from 1 to {MAX_ROUNDS}, got {rounds}")
+    if not (qlinalg._is_integer_at_least(rounds, 1) and rounds <= MAX_ROUNDS):
+        raise ValueError(f"rounds must be an integer from 1 to {MAX_ROUNDS}, got {rounds!r}")
+    if not qlinalg._is_integer_at_least(seed, 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     rows = attack_mod._attacked_rows([spec], config)
     d = float(attack_mod._detection(rows, config)[0])

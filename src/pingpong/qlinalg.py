@@ -119,8 +119,23 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
+def _is_integer_at_least(value, least: int) -> bool:
+    """True for an ``int`` or numpy integer, other than a bool, that is >= ``least``."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
+
+
+def _is_real(value) -> bool:
+    """True for an ``int``, ``float`` or numpy real scalar, other than a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
 def basis_state(dim: int, index: int) -> StateVector:
-    """Computational basis vector |index> in the given dimension."""
+    """Computational basis vector |index> in the given dimension.
+
+    ``index`` is an integer in [0, dim); anything else raises ValueError.
+    """
+    if not (_is_integer_at_least(index, 0) and index < dim):
+        raise ValueError(f"basis index {index!r} is not an integer in [0, {dim})")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return StateVector(amps)
@@ -177,7 +192,7 @@ def partial_trace(
             f"product of dims {dims} != density dimension {rho.dim}"
         )
     kept = (keep,) if isinstance(keep, (int, np.integer)) else tuple(keep)
-    if not kept or any(k < 0 or k >= len(dims) for k in kept):
+    if not kept or not all(_is_integer_at_least(k, 0) and k < len(dims) for k in kept):
         raise DimensionMismatchError(f"keep={keep!r} does not index subsystems of {dims}")
     if list(kept) != sorted(set(kept)):
         raise DimensionMismatchError(f"keep indices must be ascending and unique, got {keep!r}")

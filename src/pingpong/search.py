@@ -150,7 +150,7 @@ class AttackFamily:
 
 
 def _check_ancilla_dim(ancilla_dim: int) -> None:
-    if not attack_mod._is_integer_at_least(ancilla_dim, 1):
+    if not qlinalg._is_integer_at_least(ancilla_dim, 1):
         raise ValueError(f"ancilla_dim must be an integer >= 1, got {ancilla_dim!r}")
 
 
@@ -204,9 +204,9 @@ def product_family(ancilla_dim: int = 2) -> AttackFamily:
 class SweepConfig:
     """Grid, budgets and seed for a frontier sweep.
 
-    The grid is stored sorted; its values must be distinct and lie in
-    [0, 1], and the objectives distinct.  The restarts, budget and seed
-    are integers, the seed non-negative.
+    The grid is stored sorted; its values must be numbers (not bools or
+    strings), distinct and in [0, 1], and the objectives distinct.  The
+    restarts, budget and seed are integers, the seed non-negative.
     """
 
     d_grid: tuple[float, ...]
@@ -218,7 +218,10 @@ class SweepConfig:
     detection_tolerance: ClassVar[float] = 1e-3
 
     def __post_init__(self) -> None:
-        grid = tuple(sorted(float(v) + 0.0 for v in self.d_grid))  # + 0.0 turns -0.0 into 0.0
+        values = tuple(self.d_grid)
+        if not all(map(qlinalg._is_real, values)):
+            raise ValueError(f"grid values must be numbers, got {self.d_grid!r}")
+        grid = tuple(sorted(float(v) + 0.0 for v in values))  # + 0.0 turns -0.0 into 0.0
         if any(not 0.0 <= v <= 1.0 for v in grid):
             raise ValueError(f"grid values must lie in [0, 1], got {self.d_grid!r}")
         if len(set(grid)) != len(grid):
@@ -232,7 +235,7 @@ class SweepConfig:
             raise ValueError(f"objectives must be distinct, got {self.objectives!r}")
         for name, least in (("restarts", 1), ("budget_per_restart", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not attack_mod._is_integer_at_least(value, least):
+            if not qlinalg._is_integer_at_least(value, least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         total = len(grid) * len(self.objectives) * self.restarts
         if total > MAX_RESTARTS:

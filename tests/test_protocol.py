@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,25 +21,47 @@ def test_bell_pair_amplitudes():
 
 
 def test_encoding_set_iz():
-    ops, priors = protocol.encoding_set("iz")
-    assert priors == (0.5, 0.5)
-    assert np.array_equal(ops[0].entries, np.eye(2, dtype=complex))
-    assert np.array_equal(ops[1].entries, qlinalg.PAULI_Z)
+    config = pp.make_config(encoding="iz")
+    assert config.encoding == "iz"
+    assert config.priors == (0.5, 0.5)
+    assert np.array_equal(config.encoding_ops[0].entries, np.eye(2, dtype=complex))
+    assert np.array_equal(config.encoding_ops[1].entries, qlinalg.PAULI_Z)
+    assert np.array_equal(config.op_stack, [np.eye(2), qlinalg.PAULI_Z])
+    assert np.array_equal(config.prior_array, [0.5, 0.5])
 
 
 def test_encoding_set_paulis():
-    ops, priors = protocol.encoding_set("paulis")
-    assert priors == (0.25, 0.25, 0.25, 0.25)
-    assert len(ops) == 4
+    config = pp.make_config("bell", encoding="paulis")
+    assert config.priors == (0.25, 0.25, 0.25, 0.25)
+    assert len(config.encoding_ops) == 4
     want_last = qlinalg.PAULI_X @ qlinalg.PAULI_Z
-    assert np.array_equal(ops[3].entries, want_last)
+    assert np.array_equal(config.encoding_ops[3].entries, want_last)
+    assert np.array_equal(config.op_stack[3], want_last)
+    assert np.array_equal(config.prior_array, [0.25] * 4)
     # the --encoding choices, in the order --help lists them
     assert protocol.ENCODING_NAMES == ("iz", "paulis")
 
 
 def test_encoding_set_unknown_name():
-    with pytest.raises(ValueError, match="unknown"):
-        protocol.encoding_set("bb84")
+    for name in ("bb84", "IZ", None):
+        with pytest.raises(ValueError, match=r"unknown encoding .*\('iz', 'paulis'\)"):
+            pp.make_config("simplified", encoding=name)
+
+
+def test_config_has_four_settable_fields_and_read_only_derived_ones():
+    assert pp.make_config is protocol.ProtocolConfig
+    settable = [f.name for f in dataclasses.fields(protocol.ProtocolConfig) if f.init]
+    assert settable == ["mode", "bob_initial", "encoding", "control_probability"]
+    config = pp.make_config("bell", None, "paulis", 0.25)
+    assert (config.mode, config.encoding, config.control_probability) == ("bell", "paulis", 0.25)
+    for derived in ("encoding_ops", "priors", "op_stack", "prior_array", "initial_bra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, derived, None)
+    for array in (config.op_stack, config.prior_array, config.initial_bra):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+    with pytest.raises(TypeError):
+        protocol.ProtocolConfig("simplified", priors=(0.5, 0.5))
 
 
 def test_make_config_defaults(simplified_config, bell_config):
@@ -53,20 +77,11 @@ def test_config_rejects_unknown_mode():
 
 
 def test_config_rejects_bad_control_probability():
-    with pytest.raises(ValueError):
-        pp.make_config("simplified", control_probability=1.5)
-
-
-def test_config_rejects_bad_priors():
-    ops, _ = protocol.encoding_set("iz")
-    for priors in ((0.6, 0.6), (1.5, -0.5), (math.nan, math.nan), (math.inf, 0.0)):
-        with pytest.raises(ValueError):
-            protocol.ProtocolConfig(
-                mode="simplified",
-                bob_initial=qlinalg.basis_state(2, 0),
-                encoding_ops=ops,
-                priors=priors,
-            )
+    for bad in (1.5, -0.1, math.nan, True, False, "0.5", None, np.bool_(True)):
+        with pytest.raises(ValueError, match="control_probability"):
+            pp.make_config("simplified", control_probability=bad)
+    for good in (0, 1, np.float64(0.25), np.int64(1)):
+        assert pp.make_config("simplified", control_probability=good).control_probability == good
 
 
 def test_bell_mode_pins_the_pair():
@@ -170,8 +185,10 @@ def test_message_round_reports_the_modal_outcome(counterexample, plus_config):
 
 
 def test_message_round_rejects_bad_bit(identity_attack, bell_config):
-    with pytest.raises(ValueError, match="bit"):
-        protocol.run_message_round(bell_config, identity_attack, 2)
+    for bit in (2, -1, True, 1.0):
+        with pytest.raises(ValueError, match="bit"):
+            protocol.run_message_round(bell_config, identity_attack, bit)
+    assert protocol.run_message_round(bell_config, identity_attack, np.int64(1)).decoded_bit == 1
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +263,16 @@ def test_monte_carlo_rejects_nonpositive_rounds(identity_attack, bell_config):
 
 
 def test_monte_carlo_rejects_rounds_above_the_cap(identity_attack, bell_config):
-    for rounds in (protocol.MAX_ROUNDS + 1, 10**11):
-        with pytest.raises(ValueError, match=f"from 1 to {protocol.MAX_ROUNDS}, got {rounds}"):
+    for rounds in (protocol.MAX_ROUNDS + 1, 10**11, True, 2.5, np.float64(100.0)):
+        want = re.escape(f"from 1 to {protocol.MAX_ROUNDS}, got {rounds!r}")
+        with pytest.raises(ValueError, match=want):
             protocol.monte_carlo(bell_config, identity_attack, rounds=rounds, seed=0)
+
+
+def test_monte_carlo_rejects_bad_seeds(identity_attack, bell_config):
+    # None would run unseeded, and True as seed 1: neither repeats as a seed promises
+    for seed in (1.5, True, None, -1, "0"):
+        with pytest.raises(ValueError, match=r"seed must be an integer >= 0"):
+            protocol.monte_carlo(bell_config, identity_attack, rounds=10, seed=seed)
+    a = protocol.monte_carlo(bell_config, identity_attack, rounds=50, seed=np.int64(3))
+    assert a.counts == protocol.monte_carlo(bell_config, identity_attack, rounds=50, seed=3).counts

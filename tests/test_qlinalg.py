@@ -80,6 +80,11 @@ def test_density_rejects_negative_spectrum():
 def test_basis_state():
     s = qlinalg.basis_state(4, 2)
     assert np.array_equal(s.amplitudes, np.array([0, 0, 1, 0], dtype=complex))
+    assert np.array_equal(qlinalg.basis_state(2, np.int64(1)).amplitudes, [0, 1])
+    # -1 once gave |1> through numpy's negative indexing
+    for index in (-1, 2, 5, True, 1.0):
+        with pytest.raises(ValueError, match="basis index"):
+            qlinalg.basis_state(2, index)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +200,9 @@ def test_partial_trace_rejects_bad_keep():
         qlinalg.partial_trace(rho, (2, 2), 2)
     with pytest.raises(qlinalg.DimensionMismatchError):
         qlinalg.partial_trace(rho, (2, 2), (1, 0))
+    for keep in (True, (False,), (0.0,), -1):
+        with pytest.raises(ValueError, match="does not index"):
+            qlinalg.partial_trace(rho, (2, 2), keep)
 
 
 # ---------------------------------------------------------------------------

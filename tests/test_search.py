@@ -235,6 +235,11 @@ def test_sweep_config_validation():
     for bad in ({"restarts": 2.5}, {"budget_per_restart": 20.5}, {"seed": 1.5}, {"seed": -1}):
         with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer"):
             search.SweepConfig(d_grid=(0.1,), **bad)
+    # a string was read as its number, and True as 1.0
+    for grid in (("0.3",), (True,), (0.1, np.bool_(False)), (None,), (0.1j,)):
+        with pytest.raises(ValueError, match="grid values must be numbers"):
+            search.SweepConfig(d_grid=grid)
+    assert search.SweepConfig(d_grid=(np.float32(0.5), 1, np.int64(0))).d_grid == (0.0, 0.5, 1.0)
     # a repeat once ran twice and the summary kept only its second copy
     for bad in ({"d_grid": (0.3, 0.3)}, {"d_grid": (0.0, 0.5, -0.0)},
                 {"d_grid": (0.3,), "objectives": ("i0t", "i0a", "i0t")}):
