@@ -191,7 +191,7 @@ def partial_trace(
         raise DimensionMismatchError(
             f"product of dims {dims} != density dimension {rho.dim}"
         )
-    kept = (keep,) if isinstance(keep, (int, np.integer)) else tuple(keep)
+    kept = tuple(keep) if isinstance(keep, (tuple, list)) else (keep,)
     if not kept or not all(_is_integer_at_least(k, 0) and k < len(dims) for k in kept):
         raise DimensionMismatchError(f"keep={keep!r} does not index subsystems of {dims}")
     if list(kept) != sorted(set(kept)):

@@ -200,7 +200,7 @@ def test_partial_trace_rejects_bad_keep():
         qlinalg.partial_trace(rho, (2, 2), 2)
     with pytest.raises(qlinalg.DimensionMismatchError):
         qlinalg.partial_trace(rho, (2, 2), (1, 0))
-    for keep in (True, (False,), (0.0,), -1):
+    for keep in (True, (False,), (0.0,), 1.0, -1):
         with pytest.raises(ValueError, match="does not index"):
             qlinalg.partial_trace(rho, (2, 2), keep)
 
