@@ -103,7 +103,7 @@ def validate_attack(spec: AttackSpec) -> list[str]:
         violations.append(f"unitary shape {u.shape} is not ({2 * dim}, {2 * dim})")
     else:
         dev = qlinalg._unitarity_deviation(u)
-        if not dev <= qlinalg.ATOL_UNITARY:  # NaN fails this too
+        if not dev <= qlinalg.ATOL:  # NaN fails this too
             violations.append(f"coupling matrix is not unitary: max |U†U - I| = {dev:.3g}")
     return violations
 
@@ -127,11 +127,11 @@ def _checked_lift(
     flat = rows.reshape(len(rows), -1).view(np.float64)  # (re, im) pairs
     traces = np.einsum("ij,ij->i", flat, flat)
     deviations = np.abs(traces - 1.0)
-    if deviations.max() <= qlinalg.ATOL_TRACE:  # NaN fails this too
+    if deviations.max() <= qlinalg.ATOL:  # NaN fails this too
         return rows
     raise InvalidAttackError("\n".join(
-        f"{label.format(i)}attacked state norm² {traces[i]:.12g} is not 1 within {qlinalg.ATOL_TRACE}"
-        for i in np.flatnonzero(~(deviations <= qlinalg.ATOL_TRACE))
+        f"{label.format(i)}attacked state norm² {traces[i]:.12g} is not 1 within {qlinalg.ATOL}"
+        for i in np.flatnonzero(~(deviations <= qlinalg.ATOL))
     ))
 
 

@@ -42,7 +42,7 @@ def _render_report(report: metrics.InfoReport, config: protocol_mod.ProtocolConf
         f"Holevo(travel) = {_fmt(report.holevo_t)}",
         f"Holevo(composite) = {_fmt(report.holevo_c)}",
     ]
-    if protocol_mod.decoding_states(config) is None:
+    if config.decoding_states is None:
         lines += ["", "no message: the encoded images of the sent state are not orthogonal, "
                       "so Bob cannot decode any bit"]
     deviation = report.claim_deviation

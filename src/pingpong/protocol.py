@@ -27,16 +27,16 @@ _ENCODINGS = {
 }
 ENCODING_NAMES = tuple(_ENCODINGS)
 
-_SQRT_HALF = math.sqrt(0.5)
-
 # Most rounds one monte_carlo call simulates: its arrays take about 50 MB
 # per million rounds at control probability 0.5, so the cap is near 0.5 GB.
 MAX_ROUNDS = 10_000_000
 
+_BELL_PAIR = qlinalg.StateVector([0.0, math.sqrt(0.5), math.sqrt(0.5), 0.0])
+
 
 def bell_pair() -> qlinalg.StateVector:
     """The anticorrelated pair (|01> + |10>)/√2 over (home, travel)."""
-    return qlinalg.StateVector([0.0, _SQRT_HALF, _SQRT_HALF, 0.0])
+    return _BELL_PAIR
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -54,6 +54,11 @@ class ProtocolConfig:
     operations and their priors; ``op_stack`` (K, 2, 2) and ``prior_array``
     (K,) are the same as arrays, and ``initial_bra`` is the conjugate of
     ``bob_initial``'s amplitudes, all for the evaluation kernel.
+    ``decoding_states`` (K, H·2) holds the states Bob projects onto to
+    decode, one row per encoding: the encoded images of the sent state,
+    over home⊗travel (bell) or travel.  It is None when they are not
+    mutually orthogonal (within ``qlinalg.ATOL``), so the configuration
+    carries no message, as in simplified mode with |0>, since Z|0> = |0>.
     ``make_config`` is this constructor.
     """
 
@@ -66,6 +71,7 @@ class ProtocolConfig:
     op_stack: np.ndarray = dataclasses.field(init=False, repr=False)
     prior_array: np.ndarray = dataclasses.field(init=False, repr=False)
     initial_bra: np.ndarray = dataclasses.field(init=False, repr=False)
+    decoding_states: np.ndarray | None = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -76,7 +82,7 @@ class ProtocolConfig:
         if not (qlinalg._is_real(p) and 0.0 <= p <= 1.0):
             raise ValueError(f"control_probability {p!r} is not a number in [0, 1]")
         if self.bob_initial is None:
-            sent = bell_pair() if self.mode == "bell" else qlinalg.basis_state(2, 0)
+            sent = _BELL_PAIR if self.mode == "bell" else qlinalg.basis_state(2, 0)
             object.__setattr__(self, "bob_initial", sent)
         expected_dim = 4 if self.mode == "bell" else 2
         if self.bob_initial.dim != expected_dim:
@@ -84,7 +90,7 @@ class ProtocolConfig:
                 f"mode {self.mode!r} needs a {expected_dim}-dimensional initial state"
             )
         if self.mode == "bell":
-            dev = float(np.max(np.abs(self.bob_initial.amplitudes - bell_pair().amplitudes)))
+            dev = float(np.max(np.abs(self.bob_initial.amplitudes - _BELL_PAIR.amplitudes)))
             if not dev <= 1e-12:
                 raise ValueError("bell mode uses the fixed pair (|01> + |10>)/√2")
         ops = tuple(map(qlinalg.UnitaryOperator, _ENCODINGS[self.encoding]))
@@ -96,6 +102,13 @@ class ProtocolConfig:
             array = np.array(values)
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+        base = self.bob_initial.amplitudes.reshape(-1, 2)
+        images = attack_mod._encoded_rows(base, self.op_stack).reshape(len(ops), -1)
+        if np.any(np.abs(np.triu(images.conj() @ images.T, 1)) > qlinalg.ATOL):
+            images = None
+        else:
+            images.setflags(write=False)
+        object.__setattr__(self, "decoding_states", images)
 
 
 make_config = ProtocolConfig
@@ -118,31 +131,15 @@ class MessageRoundResult:
     orthogonal_decoding: bool
 
 
-def decoding_states(config: ProtocolConfig) -> np.ndarray | None:
-    """The states Bob projects onto to decode, one row per encoding: the
-    encoded images of the sent state, over home⊗travel (bell) or travel.
-
-    None when they are not mutually orthogonal (within 1e-10), so the
-    configuration carries no message.  That holds in simplified mode with
-    the default |0>, since Z|0> = |0>.
-    """
-    ops = config.op_stack
-    base = config.bob_initial.amplitudes.reshape(-1, 2)
-    candidates = attack_mod._encoded_rows(base, ops).reshape(len(ops), -1)
-    if np.any(np.abs(np.triu(candidates.conj() @ candidates.T, 1)) > 1e-10):
-        return None
-    return candidates
-
-
 def _decode_table(rows: np.ndarray, config: ProtocolConfig) -> np.ndarray | None:
     """Bob's (K, K+1) decode table for one attack's rows (``attack._attacked_rows``).
 
     Row k holds, for bit k sent, the probability that Bob's measurement
     reports each encoding, then the weight outside every decode projector.
-    The table is None when ``decoding_states`` is, so that no decoding is
-    defined.
+    The table is None when ``config.decoding_states`` is, so that no
+    decoding is defined.
     """
-    candidates = decoding_states(config)
+    candidates = config.decoding_states
     if candidates is None:
         return None
     ops = config.op_stack

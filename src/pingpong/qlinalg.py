@@ -20,11 +20,9 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-ATOL_NORM = 1e-10
-ATOL_UNITARY = 1e-10
-ATOL_HERMITIAN = 1e-10
-ATOL_TRACE = 1e-10
-ATOL_EIGENVALUE = 1e-10
+# The one numerical-noise tolerance: norms, unitarity, hermiticity, traces,
+# eigenvalues and the orthogonality of Bob's decoding states.
+ATOL = 1e-10
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -70,7 +68,7 @@ class StateVector:
             raise DimensionMismatchError(f"state needs dimension >= 2, got {arr.size}")
         norm = _off_norm(arr)
         if norm is not None:
-            raise ValueError(f"state norm {norm:.12g} is not 1 within {ATOL_NORM}")
+            raise ValueError(f"state norm {norm:.12g} is not 1 within {ATOL}")
         object.__setattr__(self, "amplitudes", arr)
 
     @property
@@ -87,7 +85,7 @@ class UnitaryOperator:
     def __init__(self, entries) -> None:
         arr = _frozen_complex(entries, "matrix")
         dev = _unitarity_deviation(arr)
-        if not dev <= ATOL_UNITARY:
+        if not dev <= ATOL:
             raise ValueError(f"matrix is not unitary: max |U†U - I| = {dev:.3g}")
         object.__setattr__(self, "entries", arr)
 
@@ -106,11 +104,11 @@ class DensityMatrix:
         arr = _frozen_complex(entries, "matrix")
         with np.errstate(over="ignore", invalid="ignore"):
             herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
-        if not herm_dev <= ATOL_HERMITIAN:
+        if not herm_dev <= ATOL:
             raise ValueError(f"matrix is not Hermitian: max |ρ - ρ†| = {herm_dev:.3g}")
         trace = np.trace(arr)
-        if not abs(trace - 1.0) <= ATOL_TRACE:
-            raise ValueError(f"trace {complex(trace):.12g} is not 1 within {ATOL_TRACE}")
+        if not abs(trace - 1.0) <= ATOL:
+            raise ValueError(f"trace {complex(trace):.12g} is not 1 within {ATOL}")
         _spectrum(arr)
         object.__setattr__(self, "entries", arr)
 
@@ -213,8 +211,8 @@ def _spectrum(arrays: np.ndarray) -> np.ndarray:
     """
     evals = np.linalg.eigvalsh(arrays)
     lo = float(evals.min())
-    if not lo >= -ATOL_EIGENVALUE:
-        raise NotPositiveSemidefiniteError(f"eigenvalue {lo:.3g} below the -{ATOL_EIGENVALUE} window")
+    if not lo >= -ATOL:
+        raise NotPositiveSemidefiniteError(f"eigenvalue {lo:.3g} below the -{ATOL} window")
     return evals.clip(0.0, 1.0)
 
 
@@ -252,7 +250,7 @@ def _unitarity_deviation(arr: np.ndarray) -> float:
 
 
 def _off_norm(amplitudes: np.ndarray) -> float | None:
-    """The Euclidean norm of a vector when it is not 1 within ATOL_NORM, else None."""
+    """The Euclidean norm of a vector when it is not 1 within ATOL, else None."""
     # hypot scales internally: a huge entry gives its true norm, not an overflow.
     norm = math.hypot(*amplitudes.real.tolist(), *amplitudes.imag.tolist())
-    return None if abs(norm - 1.0) <= ATOL_NORM else norm  # NaN is returned
+    return None if abs(norm - 1.0) <= ATOL else norm  # NaN is returned

@@ -18,6 +18,7 @@ import oracles
 def test_bell_pair_amplitudes():
     w = math.sqrt(0.5)
     assert np.allclose(protocol.bell_pair().amplitudes, [0.0, w, w, 0.0], atol=1e-15)
+    assert protocol.bell_pair() is protocol.bell_pair()
 
 
 def test_encoding_set_iz():
@@ -54,14 +55,18 @@ def test_config_has_four_settable_fields_and_read_only_derived_ones():
     assert settable == ["mode", "bob_initial", "encoding", "control_probability"]
     config = pp.make_config("bell", None, "paulis", 0.25)
     assert (config.mode, config.encoding, config.control_probability) == ("bell", "paulis", 0.25)
-    for derived in ("encoding_ops", "priors", "op_stack", "prior_array", "initial_bra"):
+    derived = ("encoding_ops", "priors", "op_stack", "prior_array", "initial_bra", "decoding_states")
+    for name in derived:
         with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(config, derived, None)
-    for array in (config.op_stack, config.prior_array, config.initial_bra):
+            setattr(config, name, None)
+    arrays = (config.op_stack, config.prior_array, config.initial_bra, config.decoding_states)
+    for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[1]
     with pytest.raises(TypeError):
         protocol.ProtocolConfig("simplified", priors=(0.5, 0.5))
+    with pytest.raises(TypeError):
+        protocol.ProtocolConfig("simplified", decoding_states=None)
 
 
 def test_make_config_defaults(simplified_config, bell_config):
@@ -140,12 +145,12 @@ def test_message_round_paulis_on_zero_state_is_undecodable(identity_attack):
 @pytest.mark.parametrize("encoding", protocol.ENCODING_NAMES)
 def test_decoding_states_are_the_orthonormal_encoded_images_or_none(encoding, plus_config):
     # simplified mode with |0>: Z|0> = |0>, so no message gets through
-    assert protocol.decoding_states(pp.make_config("simplified", encoding=encoding)) is None
+    assert pp.make_config("simplified", encoding=encoding).decoding_states is None
     bell = pp.make_config("bell", encoding=encoding)
     for config in (bell, plus_config) if encoding == "iz" else (bell,):
         home = np.eye(config.bob_initial.dim // 2)  # Alice acts on the travel qubit alone
         want = [np.kron(home, op) @ config.bob_initial.amplitudes for op in config.op_stack]
-        states = protocol.decoding_states(config)
+        states = config.decoding_states
         assert np.allclose(states, want, atol=1e-15)
         assert np.allclose(states @ states.conj().T, np.eye(len(states)), atol=1e-12)
 

@@ -651,7 +651,7 @@ def test_family_stacks_stay_unitary_far_outside_the_restart_range(make_family, a
     scales = np.logspace(0, 6, 7)[:, None, None]
     thetas = (scales * rng.uniform(-1.0, 1.0, (7, 3, family.param_count))).reshape(-1, family.param_count)
     worst = max(qlinalg._unitarity_deviation(u) for u in family.build_stack(thetas))
-    assert worst <= qlinalg.ATOL_UNITARY
+    assert worst <= qlinalg.ATOL
 
 
 def test_family_build_is_its_stack_builder_on_one_row():
