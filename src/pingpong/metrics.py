@@ -63,7 +63,7 @@ class InfoReport:
 
 def binary_entropy(x: float) -> float:
     """H(x) = -x log₂x - (1-x) log₂(1-x) in bits, H(0) = H(1) = 0."""
-    if not 0.0 <= x <= 1.0:
+    if not (qlinalg._is_real(x) and 0.0 <= x <= 1.0):
         raise ValueError(f"binary entropy needs x in [0, 1], got {x!r}")
     if x in (0.0, 1.0):
         return 0.0

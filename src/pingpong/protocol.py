@@ -43,9 +43,10 @@ def bell_pair() -> qlinalg.StateVector:
 class ProtocolConfig:
     """Protocol variant and its fixed choices.
 
-    ``bob_initial`` is the travel qubit Bob sends in simplified mode, |0>
-    when None; in bell mode it is pinned to the anticorrelated pair over
-    (home, travel), which None also selects.  ``encoding`` names Alice's
+    ``bob_initial`` is the travel-qubit ``StateVector`` Bob sends in
+    simplified mode, |0> when None; in bell mode it is pinned to the
+    anticorrelated pair over (home, travel), which None also selects.
+    Anything else raises TypeError.  ``encoding`` names Alice's
     message-mode operations on the travel qubit (one of ``ENCODING_NAMES``),
     taken with equal priors.  ``control_probability`` only schedules Monte
     Carlo rounds; analytic quantities ignore it.
@@ -84,6 +85,10 @@ class ProtocolConfig:
         if self.bob_initial is None:
             sent = _BELL_PAIR if self.mode == "bell" else qlinalg.basis_state(2, 0)
             object.__setattr__(self, "bob_initial", sent)
+        if not isinstance(self.bob_initial, qlinalg.StateVector):
+            raise TypeError(
+                f"bob_initial must be a StateVector or None, got {type(self.bob_initial).__name__}"
+            )
         expected_dim = 4 if self.mode == "bell" else 2
         if self.bob_initial.dim != expected_dim:
             raise qlinalg.DimensionMismatchError(
@@ -213,6 +218,7 @@ def monte_carlo(
         raise ValueError(f"rounds must be an integer from 1 to {MAX_ROUNDS}, got {rounds!r}")
     if not qlinalg._is_integer_at_least(seed, 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    rounds = int(rounds)
     rng = np.random.default_rng(seed)
     rows = attack_mod._attacked_rows([spec], config)
     d = float(attack_mod._detection(rows, config)[0])

@@ -130,8 +130,11 @@ def _is_real(value) -> bool:
 def basis_state(dim: int, index: int) -> StateVector:
     """Computational basis vector |index> in the given dimension.
 
-    ``index`` is an integer in [0, dim); anything else raises ValueError.
+    ``dim`` is an integer >= 2 and ``index`` an integer in [0, dim);
+    anything else raises ValueError.
     """
+    if not _is_integer_at_least(dim, 2):
+        raise ValueError(f"basis dimension {dim!r} is not an integer >= 2")
     if not (_is_integer_at_least(index, 0) and index < dim):
         raise ValueError(f"basis index {index!r} is not an integer in [0, {dim})")
     amps = np.zeros(dim, dtype=complex)
@@ -175,7 +178,8 @@ def partial_trace(
     rho : DensityMatrix
         State over the composite space.
     dims : sequence of int
-        Subsystem dimensions, most significant first (see module docstring).
+        Subsystem dimensions, each an integer >= 1, most significant first
+        (see module docstring).
     keep : int or ascending sequence of int
         Index (or indices) of the subsystem(s) to retain.
 
@@ -184,8 +188,11 @@ def partial_trace(
     DensityMatrix
         Marginal state on the kept subsystem(s), in their original order.
     """
-    dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != rho.dim:
+    dims = tuple(dims)
+    if not all(_is_integer_at_least(d, 1) for d in dims):
+        raise DimensionMismatchError(f"dims {dims!r} are not integers >= 1")
+    dims = tuple(map(int, dims))
+    if math.prod(dims) != rho.dim:
         raise DimensionMismatchError(
             f"product of dims {dims} != density dimension {rho.dim}"
         )

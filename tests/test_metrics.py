@@ -30,9 +30,10 @@ def test_binary_entropy_symmetry():
 
 
 def test_binary_entropy_rejects_out_of_range():
-    for bad in (-0.1, 1.1, 2.0):
-        with pytest.raises(ValueError):
+    for bad in (-0.1, 1.1, 2.0, True, False, "0.5", None, np.bool_(True), math.nan):
+        with pytest.raises(ValueError, match="binary entropy"):
             metrics.binary_entropy(bad)
+    assert metrics.binary_entropy(np.float64(0.5)) == 1.0
 
 
 # ---------------------------------------------------------------------------

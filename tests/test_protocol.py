@@ -97,6 +97,10 @@ def test_bell_mode_pins_the_pair():
 def test_config_rejects_wrong_initial_dimension():
     with pytest.raises(qlinalg.DimensionMismatchError):
         pp.make_config("simplified", bob_initial=protocol.bell_pair())
+    # raw amplitudes once reached .dim and raised AttributeError
+    for raw in (np.array([1.0, 0.0]), [1.0, 0.0]):
+        with pytest.raises(TypeError, match="bob_initial"):
+            pp.make_config("simplified", bob_initial=raw)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +276,12 @@ def test_monte_carlo_rejects_rounds_above_the_cap(identity_attack, bell_config):
         want = re.escape(f"from 1 to {protocol.MAX_ROUNDS}, got {rounds!r}")
         with pytest.raises(ValueError, match=want):
             protocol.monte_carlo(bell_config, identity_attack, rounds=rounds, seed=0)
+
+
+def test_monte_carlo_counts_are_python_ints(counterexample, bell_config):
+    stats = protocol.monte_carlo(bell_config, counterexample, rounds=np.int64(10), seed=5)
+    assert stats.counts["rounds"] == 10
+    assert all(type(v) is int for v in stats.counts.values())
 
 
 def test_monte_carlo_rejects_bad_seeds(identity_attack, bell_config):

@@ -85,6 +85,9 @@ def test_basis_state():
     for index in (-1, 2, 5, True, 1.0):
         with pytest.raises(ValueError, match="basis index"):
             qlinalg.basis_state(2, index)
+    for dim in (True, 2.5, 1, 0, -2, "2"):
+        with pytest.raises(ValueError, match="basis dimension"):
+            qlinalg.basis_state(dim, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +195,10 @@ def test_partial_trace_rejects_bad_dims():
     rho = _rand_density(np.random.default_rng(0), 4)
     with pytest.raises(qlinalg.DimensionMismatchError):
         qlinalg.partial_trace(rho, (2, 3), 0)
+    # a float or bool dim was once truncated by int(): (2.9, 2.2) read as (2, 2)
+    for dims in ((2.9, 2.2), (True, 4), (-2, -2), (4.0, 1), (0, 4)):
+        with pytest.raises(qlinalg.DimensionMismatchError, match="dims"):
+            qlinalg.partial_trace(rho, dims, 0)
 
 
 def test_partial_trace_rejects_bad_keep():
