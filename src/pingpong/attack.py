@@ -108,22 +108,18 @@ def validate_attack(spec: AttackSpec) -> list[str]:
     return violations
 
 
-def _checked_lift(
-    chi: np.ndarray, unitaries: np.ndarray, config: "ProtocolConfig", label: str
-) -> np.ndarray:
-    """(N, H, n) rows U_i(<h|_home|initial>⊗|χ_i>) for an (N, n, n) coupling stack
-    and one (m,) ancilla state χ or an (N, m) stack of them, each row's trace checked.
+def _checked_lift(isometries: np.ndarray, config: "ProtocolConfig", label: str) -> np.ndarray:
+    """(N, H, n) rows W_i(<h|_home|initial>) for an (N, n, 2) stack of isometries
+    W_i = U_i(I₂⊗|χ_i>) of the travel qubit, each row's trace checked.
 
     A norm and a unitarity deviation, each within its tolerance, can add up
     past 1e-10 here: the attack is then invalid for this sent state.  The
     InvalidAttackError line of row i starts with ``label.format(i)``.
     ``_attacked_rows`` calls this after ``validate_attack``; the search calls
-    it alone on each step's couplings, since unit-trace rows are all the
+    it alone on each step's isometries, since unit-trace rows are all the
     kernel needs for its states to be density matrices.
     """
-    initial = config.bob_initial.amplitudes.reshape(-1, 2)
-    lifted = initial[:, :, None] * chi[..., None, None, :]
-    rows = lifted.reshape(chi.shape[:-1] + (len(initial), -1)) @ unitaries.transpose(0, 2, 1)
+    rows = config.bob_initial.amplitudes.reshape(-1, 2) @ isometries.transpose(0, 2, 1)
     flat = rows.reshape(len(rows), -1).view(np.float64)  # (re, im) pairs
     traces = np.einsum("ij,ij->i", flat, flat)
     deviations = np.abs(traces - 1.0)
@@ -140,9 +136,10 @@ def _attacked_rows(specs: list[AttackSpec], config: "ProtocolConfig") -> np.ndar
 
     Row h of attack i holds U_i(<h|_home|initial>⊗|χ_i>) over travel⊗ancilla:
     a single row U(|b>⊗|χ>) in simplified mode, two rows (home = 0, 1) in
-    bell mode.  This is the one place a consumer's attack is checked: each
-    spec is validated by ``validate_attack`` once and each attacked state's
-    trace checked; everything derived from the rows is trusted.  The
+    bell mode.  This is the one place a consumer's attack is checked and made
+    the isometry W = U(I₂⊗|χ>) that ``_checked_lift`` lifts: each spec is
+    validated by ``validate_attack`` once and each attacked state's trace
+    checked; everything derived from the rows is trusted.  The
     InvalidAttackError carries one violation per line, naming its attack
     when the list holds more than one.  Specs of different ancilla
     dimensions raise ValueError; the list must not be empty.
@@ -156,7 +153,8 @@ def _attacked_rows(specs: list[AttackSpec], config: "ProtocolConfig") -> np.ndar
     except ValueError:  # valid states of different ancilla dimensions are ragged
         dims = sorted({int(spec.ancilla_dim) for spec in specs})
         raise ValueError(f"a batch of attacks needs one ancilla_dim, got {dims}") from None
-    return _checked_lift(chis, np.array([spec.unitary for spec in specs]), config, label)
+    unitaries = np.array([spec.unitary for spec in specs]).reshape(len(specs), -1, 2, chis.shape[1])
+    return _checked_lift((unitaries @ chis[:, None, :, None])[..., 0], config, label)
 
 
 def _encoded_rows(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:

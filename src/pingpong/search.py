@@ -133,13 +133,13 @@ class AttackFamily:
     """Deterministic map from a real parameter vector to an AttackSpec.
 
     Parameters are nominally in [-π, π] (the sampling range of restarts).
-    ``build_stack`` maps an (N, param_count) array to the (N, n, n) stack
-    of couplings, the ancilla pinned to |0>; the search builds every
-    pending point with one call.  ``build`` is the same map for one
-    vector, as an AttackSpec.  Both must build unitary couplings for any
-    real parameters: the search checks only the traces of the attacked
-    states it evaluates, and the full ``validate_attack`` runs once per
-    returned point, when ``information_report`` re-evaluates it.
+    ``build`` maps one vector to an AttackSpec, the ancilla pinned to |0>.
+    ``build_stack`` maps an (N, param_count) array to the (N, n, 2) stack
+    of isometries U(I₂⊗|0>), each coupling's columns on |0>; the search
+    builds every pending point with one call.  Both must build unitary
+    couplings for any real parameters: the search checks only the traces
+    of the attacked states it evaluates, and ``information_report`` runs
+    the full ``validate_attack`` once per returned point.
     """
 
     name: str
@@ -164,16 +164,18 @@ def _ground_ancilla(ancilla_dim: int) -> NDArray[np.complex128]:
 
 def _family(
     name: str, ancilla_dim: int, param_count: int,
-    build_stack: Callable[[NDArray[np.float64]], NDArray[np.complex128]],
+    couplings: Callable[[NDArray[np.float64]], NDArray[np.complex128]],
 ) -> AttackFamily:
-    """A family whose ``build`` is ``build_stack`` on a stack of one; making it allocates nothing."""
+    """A family from its (N, P) → (N, n, n) coupling builder: ``build`` is one
+    row of it, ``build_stack`` its columns on |0>; making it allocates nothing."""
 
     def build(theta: NDArray[np.float64]) -> attack_mod.AttackSpec:
-        unitary = build_stack(np.asarray(theta, dtype=float)[None])[0]
+        unitary = couplings(np.asarray(theta, dtype=float)[None])[0]
         return attack_mod.AttackSpec(
             ancilla_dim=ancilla_dim, ancilla_state=_ground_ancilla(ancilla_dim), unitary=unitary)
 
-    return AttackFamily(name, ancilla_dim, param_count, build, build_stack)
+    return AttackFamily(name, ancilla_dim, param_count, build,
+                        lambda thetas: couplings(thetas)[..., ::ancilla_dim])
 
 
 def full_unitary_family(ancilla_dim: int = 2) -> AttackFamily:
@@ -192,12 +194,12 @@ def product_family(ancilla_dim: int = 2) -> AttackFamily:
     _check_ancilla_dim(ancilla_dim)
     travel_params = 4
 
-    def build_stack(thetas: NDArray[np.float64]) -> NDArray[np.complex128]:
+    def couplings(thetas: NDArray[np.float64]) -> NDArray[np.complex128]:
         u_travel = _unitary(thetas[..., :travel_params], 2)
         u_anc = _unitary(thetas[..., travel_params:], ancilla_dim)
         return _kron(u_travel, u_anc)
 
-    return _family("product", ancilla_dim, travel_params + ancilla_dim * ancilla_dim, build_stack)
+    return _family("product", ancilla_dim, travel_params + ancilla_dim * ancilla_dim, couplings)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -379,7 +381,6 @@ def sweep(
             f"{MAX_SIMPLEX_BYTES:,}: the search holds every restart in memory at once"
         )
     tol, budget = sweep_cfg.detection_tolerance, sweep_cfg.budget_per_restart
-    chi = _ground_ancilla(family.ancilla_dim)
     restarts: list[_Restart] = []
     children = np.random.SeedSequence(sweep_cfg.seed).spawn(len(tasks))
     for index, ((_, objective), child) in enumerate(zip(tasks, children)):
@@ -394,7 +395,7 @@ def sweep(
     counts = [sum(r.subsystem == row for r in live) for row in range(3)]
     while live:
         thetas = np.array([r.point for r in live])
-        rows = attack_mod._checked_lift(chi, family.build_stack(thetas), config, "row {}: ")
+        rows = attack_mod._checked_lift(family.build_stack(thetas), config, "row {}: ")
         d, mixtures, _ = metrics._ensembles(rows, config)
         a, b = counts[0], counts[0] + counts[1]
         values = metrics._subsystem_entropies(mixtures[:a], mixtures[a:b], mixtures[b:])

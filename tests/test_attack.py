@@ -276,49 +276,53 @@ def test_detection_probability_ignores_global_phase(counterexample, simplified_c
 
 
 def test_checked_lift_of_one_state_equals_one_attack_rows(bell_config):
+    """The lift of the isometries W = U(I₂⊗|χ>) of couplings sharing one χ gives
+    each attack's rows to the bit."""
     rng = np.random.default_rng(37)
     chi = search.random_pure_state(3, rng)
     unitaries = np.array([search.haar_random_unitary(6, rng) for _ in range(4)])
-    stack = attack._checked_lift(chi, unitaries, bell_config, "row {}: ")
+    isometries = (unitaries.reshape(4, 6, 2, 3) @ chi[:, None])[..., 0]
+    stack = attack._checked_lift(isometries, bell_config, "row {}: ")
     for rows, unitary in zip(stack, unitaries):
         spec = pp.AttackSpec(3, chi, unitary)
         assert np.array_equal(rows, attack._attacked_rows([spec], bell_config)[0])
 
 
 def test_checked_lift_names_every_row_off_its_trace(simplified_config):
-    chi = np.array([1.0, 0.0], dtype=complex)
-    unitaries = np.array([np.eye(4)] * 4, dtype=complex)
-    unitaries[1] *= 1.5
-    unitaries[3, 0, 0] = np.nan
+    isometries = np.array([np.eye(4)[:, ::2]] * 4, dtype=complex)
+    isometries[1] *= 1.5
+    isometries[3, 0, 0] = np.nan
     with pytest.raises(attack.InvalidAttackError) as info:
-        attack._checked_lift(chi, unitaries, simplified_config, "row {}: ")
+        attack._checked_lift(isometries, simplified_config, "row {}: ")
     lines = str(info.value).splitlines()
     assert lines == [
         "row 1: attacked state norm² 2.25 is not 1 within 1e-10",
         "row 3: attacked state norm² nan is not 1 within 1e-10",
     ]
 
-    eye = np.array([np.eye(4)] * 2, dtype=complex)
+    # U(I₂⊗|χ>) of the identity coupling and an unnormalized χ = (1, 1)
+    doubled = np.array([np.eye(4).reshape(4, 2, 2).sum(axis=2)] * 2, dtype=complex)
     with pytest.raises(attack.InvalidAttackError) as info:
-        attack._checked_lift(np.array([1.0, 1.0], dtype=complex), eye, simplified_config, "row {}: ")
+        attack._checked_lift(doubled, simplified_config, "row {}: ")
     assert [line.split(":")[0] for line in str(info.value).splitlines()] == ["row 0", "row 1"]
     # within the norm tolerance, but the attacked state's trace is off
     with pytest.raises(attack.InvalidAttackError) as info:
-        chi_off = np.array([1.0 + 0.9e-10, 0.0], dtype=complex)
-        attack._checked_lift(chi_off, eye, simplified_config, "row {}: ")
+        off = np.array([np.eye(4)[:, ::2]] * 2, dtype=complex) * (1.0 + 0.9e-10)
+        attack._checked_lift(off, simplified_config, "row {}: ")
     assert [line.split(":")[0] for line in str(info.value).splitlines()] == ["row 0", "row 1"]
     assert "attacked state norm²" in str(info.value)
 
 
 def test_checked_lift_checks_traces_only(simplified_config):
-    """A coupling broken only where |b>⊗|χ> never reaches passes the lift:
-    ``validate_attack`` is what rejects it."""
-    chi = np.array([1.0, 0.0], dtype=complex)
-    unitaries = np.array([np.eye(4)] * 2, dtype=complex)
-    unitaries[1, :, -1] *= 1.5
-    rows = attack._checked_lift(chi, unitaries, simplified_config, "row {}: ")
+    """An isometry broken only in its column on |1>, which the sent |0> never
+    reaches, passes the lift: ``validate_attack`` is what rejects the coupling."""
+    isometries = np.array([np.eye(4)[:, ::2]] * 2, dtype=complex)
+    isometries[1, :, 1] *= 1.5
+    rows = attack._checked_lift(isometries, simplified_config, "row {}: ")
     assert np.array_equal(rows[1], rows[0])
-    broken = pp.AttackSpec(2, chi, unitaries[1])
+    unitary = np.eye(4, dtype=complex)
+    unitary[:, ::2] = isometries[1]
+    broken = pp.AttackSpec(2, np.array([1.0, 0.0]), unitary)
     assert attack.validate_attack(broken) == [
         "coupling matrix is not unitary: max |U†U - I| = 1.25"
     ]

@@ -517,17 +517,17 @@ PINNED_VERIFY = (
     "PASS encoding_fixes_basis_state         margin=+1.000e-12  "
     "max member deviation = 0 (phase encoding fixes |0>)",
     "PASS product_attack_ancilla_pure        margin=+1.000e-08  "
-    "worst member S(ancilla) = 1.29e-14 over 100 product attacks",
+    "worst member S(ancilla) = 1.57e-14 over 100 product attacks",
     "PASS attack_global_phase_invariance     margin=+9.997e-13  "
     "worst member change under e^(iφ)U = 3.33e-16 over 50 attacks",
     "PASS dephased_travel_marginal           margin=+1.000e-12  "
     "worst off-diagonal of the averaged travel marginal = 0",
     "PASS travel_entropy_binary_identity     margin=+1.000e-10  "
-    "worst |i0t - H(d)| = 2.26e-15 over 300 random attacks",
+    "worst |i0t - H(d)| = 2e-15 over 300 random attacks",
     "PASS holevo_within_entropy              margin=+1.000e-08  "
     "worst Holevo excess over entropy = 0 over 100 attacks",
     "PASS product_attack_composite_travel    margin=+1.000e-08  "
-    "worst of (|i0c - i0t|, i0a) = 1.14e-14 over 100 product attacks",
+    "worst of (|i0c - i0t|, i0a) = 9.88e-15 over 100 product attacks",
     "PASS entropy_inequalities_random        margin=+2.263e-04  "
     "worst inequality deficit = -0.000226 over 500 attacks × 2 modes",
     "PASS family_builds_valid_attacks        margin=+0.000e+00  "

@@ -170,7 +170,7 @@ def test_report_matches_density_matrix_reference():
     rng = np.random.default_rng(67)
     configs = [pp.make_config(m, encoding=e) for m in ("simplified", "bell") for e in ("iz", "paulis")]
     worst = 0.0
-    for anc in (1, 2, 4):
+    for anc in (1, 2, 3, 4):
         for _ in range(5):
             spec = search.sample_random_attack(anc, rng)
             for config in configs:
@@ -184,21 +184,23 @@ def test_batched_kernel_matches_the_one_attack_references():
     """The kernel on N couplings equals information_report row by row
     (exactly), the density-matrix reference within 1e-12, and, for the
     {I, Z} encoding in simplified mode, the rank-2 oracle for I0c and H(d).
-    The search's rows give the same d and mixtures as the reports' rows,
+    The rows lifted from the isometries W = U(I₂⊗|χ>), as the search lifts
+    its own, give the same d and mixtures as the reports' rows,
     and each mixture entropy the search takes equals the full solve's:
     one subsystem per matrix, matrices grouped by subsystem."""
     rng = np.random.default_rng(73)
     configs = [
         pp.make_config(m, encoding=e) for m in ("simplified", "bell") for e in ("iz", "paulis")
     ]
-    for anc in (1, 2, 4):
+    for anc in (1, 2, 3, 4):
         chi = search.random_pure_state(anc, rng)
         unitaries = np.array([search.haar_random_unitary(2 * anc, rng) for _ in range(5)])
         specs = [pp.AttackSpec(anc, chi, unitary) for unitary in unitaries]
+        isometries = (unitaries.reshape(5, 2 * anc, 2, anc) @ chi[:, None])[..., 0]
         for config in configs:
             d, mixed, members = metrics._ensembles(attack._attacked_rows(specs, config), config)
             d_search, mixed_search, _ = metrics._ensembles(
-                attack._checked_lift(chi, unitaries, config, "row {}: "), config
+                attack._checked_lift(isometries, config, "row {}: "), config
             )
             assert np.array_equal(d_search, d) and np.array_equal(mixed_search, mixed)
             full = metrics._subsystem_entropies(mixed, mixed, mixed).reshape(3, 5)
@@ -247,28 +249,28 @@ _REPORT_FIELDS = ("d", "i0t", "i0a", "i0c", "holevo_t", "holevo_c")
 PINNED_REPORTS = (
     ("simplified", "iz", 1, ("0x1.b39567b1abe5fp-1", "0x1.3746d0398c7d2p-1", "0x1.71547652b82fdp-53",
                              "0x1.3746d0398c7d2p-1", "0x1.3746d0398c7d1p-1", "0x1.3746d0398c7d1p-1")),
-    ("simplified", "iz", 2, ("0x1.3a9eb58fc2f06p-1", "0x1.ec76358673943p-1", "0x1.299cf894bd5c6p-2",
-                             "0x1.ec76358673972p-1", "0x1.57a7b93c14e63p-1", "0x1.ec7635867391cp-1")),
+    ("simplified", "iz", 2, ("0x1.3a9eb58fc2f06p-1", "0x1.ec76358673942p-1", "0x1.299cf894bd5bep-2",
+                             "0x1.ec76358673964p-1", "0x1.57a7b93c14e64p-1", "0x1.ec7635867391ep-1")),
     ("simplified", "iz", 4, ("0x1.57ce31cd3bf20p-1", "0x1.d3a811365bc0ap-1", "0x1.d056cce1cf778p-1",
                              "0x1.d3a811365bc4ep-1", "0x1.a8a22a4625500p-8", "0x1.d3a811365bbf2p-1")),
     ("simplified", "paulis", 1, ("0x1.b39567b1abe5fp-1", "0x1.0000000000000p+0", "0x1.71547652b82fep-52",
                                  "0x1.0000000000000p+0", "0x1.fffffffffffffp-1", "0x1.fffffffffffffp-1")),
-    ("simplified", "paulis", 2, ("0x1.3a9eb58fc2f06p-1", "0x1.0000000000000p+0", "0x1.299cf894bd5c6p-2",
-                                 "0x1.4a673e252f570p+0", "0x1.6b3183b5a1520p-1", "0x1.4a673e252f545p+0")),
+    ("simplified", "paulis", 2, ("0x1.3a9eb58fc2f06p-1", "0x1.0000000000000p+0", "0x1.299cf894bd5bep-2",
+                                 "0x1.4a673e252f56fp+0", "0x1.6b3183b5a1522p-1", "0x1.4a673e252f54cp+0")),
     ("simplified", "paulis", 4, ("0x1.57ce31cd3bf20p-1", "0x1.fffffffffffffp-1", "0x1.d056cce1cf764p-1",
                                  "0x1.e82b6670e7bb8p+0", "0x1.7d4998f1844f8p-4", "0x1.e82b6670e7b8ap+0")),
-    ("bell", "iz", 1, ("0x1.b39567b1abe60p-1", "0x1.fffffffffffffp-1", "0x0.0p+0",
-                       "0x1.fffffffffffffp-1", "-0x1.0000000000000p-53", "-0x1.0000000000000p-53")),
-    ("bell", "iz", 2, ("0x1.079c04fa0c05ap-1", "0x1.f13cc24eeac36p-1", "0x1.a91f875b6c32cp-1",
-                       "0x1.af00040908e70p+0", "0x1.4ebde07c16a30p-4", "0x1.5e00081211cd2p-1")),
-    ("bell", "iz", 4, ("0x1.5fdb42d27b5b8p-1", "0x1.ffa2785bef922p-1", "0x1.68bdb8c2efc91p+0",
-                       "0x1.bb5a07320a169p+0", "0x1.c509378d7e308p-4", "0x1.76b40e64142a6p-1")),
-    ("bell", "paulis", 1, ("0x1.b39567b1abe60p-1", "0x1.fffffffffffffp-1", "0x0.0p+0",
-                           "0x1.fffffffffffffp-1", "-0x1.0000000000000p-53", "-0x1.0000000000000p-53")),
+    ("bell", "iz", 1, ("0x1.b39567b1abe60p-1", "0x1.ffffffffffffep-1", "0x0.0p+0",
+                       "0x1.ffffffffffffep-1", "0x0.0p+0", "0x0.0p+0")),
+    ("bell", "iz", 2, ("0x1.079c04fa0c05ap-1", "0x1.f13cc24eeac34p-1", "0x1.a91f875b6c32ap-1",
+                       "0x1.af00040908e6fp+0", "0x1.4ebde07c16a20p-4", "0x1.5e00081211cb4p-1")),
+    ("bell", "iz", 4, ("0x1.5fdb42d27b5b6p-1", "0x1.ffa2785bef922p-1", "0x1.68bdb8c2efc92p+0",
+                       "0x1.bb5a07320a167p+0", "0x1.c509378d7e308p-4", "0x1.76b40e641429ap-1")),
+    ("bell", "paulis", 1, ("0x1.b39567b1abe60p-1", "0x1.ffffffffffffep-1", "0x0.0p+0",
+                           "0x1.ffffffffffffep-1", "0x0.0p+0", "0x0.0p+0")),
     ("bell", "paulis", 2, ("0x1.079c04fa0c05ap-1", "0x1.0000000000000p+0", "0x1.a91f875b6c32cp-1",
-                           "0x1.d48fc3adb6194p+0", "0x1.c4d7ce04c0880p-4", "0x1.a91f875b6c31ap-1")),
-    ("bell", "paulis", 4, ("0x1.5fdb42d27b5b8p-1", "0x1.ffffffffffffep-1", "0x1.68bdb8c2efc92p+0",
-                           "0x1.345edc6177e4ap+1", "0x1.c7f574ae019e8p-4", "0x1.68bdb8c2efc7ep+0")),
+                           "0x1.d48fc3adb6196p+0", "0x1.c4d7ce04c0880p-4", "0x1.a91f875b6c302p-1")),
+    ("bell", "paulis", 4, ("0x1.5fdb42d27b5b6p-1", "0x1.fffffffffffffp-1", "0x1.68bdb8c2efc92p+0",
+                           "0x1.345edc6177e4ap+1", "0x1.c7f574ae019f0p-4", "0x1.68bdb8c2efc7ap+0")),
     ("counterexample", ("0x1.ffffffffffffcp-2", "0x1.ffffffffffffep-1", "0x0.0p+0",
                         "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1", "0x1.fffffffffffa7p-1")),
 )

@@ -644,31 +644,37 @@ def test_a_norm_keeping_break_stops_the_search_before_any_point(
 @pytest.mark.parametrize("make_family", [search.full_unitary_family, search.product_family])
 @pytest.mark.parametrize("ancilla_dim", [1, 2, 3, 4, 8])
 def test_family_stacks_stay_unitary_far_outside_the_restart_range(make_family, ancilla_dim):
-    """The search checks no U†U, so the families must build unitaries wherever
-    Nelder–Mead wanders: here |θ| up to 1e6."""
+    """The search checks no U†U, so the families must build unitaries, and
+    isometries with W†W = I₂, wherever Nelder–Mead wanders: here |θ| up to 1e6."""
     family = make_family(ancilla_dim)
     rng = np.random.default_rng(ancilla_dim)
     scales = np.logspace(0, 6, 7)[:, None, None]
     thetas = (scales * rng.uniform(-1.0, 1.0, (7, 3, family.param_count))).reshape(-1, family.param_count)
-    worst = max(qlinalg._unitarity_deviation(u) for u in family.build_stack(thetas))
+    worst = max(qlinalg._unitarity_deviation(family.build(theta).unitary) for theta in thetas)
     assert worst <= qlinalg.ATOL
+    isometries = family.build_stack(thetas)
+    assert isometries.shape == (len(thetas), 2 * ancilla_dim, 2)
+    gram = np.swapaxes(isometries.conj(), 1, 2) @ isometries
+    assert np.abs(gram - np.eye(2)).max() <= qlinalg.ATOL
 
 
 def test_family_build_is_its_stack_builder_on_one_row():
+    """Row i of build_stack is the columns of build(θ_i)'s coupling on |0>, to the bit."""
     rng = np.random.default_rng(29)
-    for family in (search.full_unitary_family(3), search.product_family(3)):
-        thetas = rng.uniform(-math.pi, math.pi, (5, family.param_count))
-        stack = family.build_stack(thetas)
-        for theta, unitary in zip(thetas, stack):
-            spec = family.build(theta)
-            assert np.array_equal(spec.unitary, unitary)
-            assert np.array_equal(spec.ancilla_state, [1, 0, 0])
+    for anc in (1, 2, 3, 4):
+        for family in (search.full_unitary_family(anc), search.product_family(anc)):
+            thetas = rng.uniform(-math.pi, math.pi, (5, family.param_count))
+            stack = family.build_stack(thetas)
+            for theta, isometry in zip(thetas, stack):
+                spec = family.build(theta)
+                assert np.array_equal(spec.unitary[:, ::anc], isometry)
+                assert np.array_equal(spec.ancilla_state, np.eye(anc)[0])
 
 
 def test_product_stack_is_the_kronecker_product():
     rng = np.random.default_rng(31)
     family = search.product_family(2)
     thetas = rng.uniform(-math.pi, math.pi, (4, family.param_count))
-    for theta, unitary in zip(thetas, family.build_stack(thetas)):
+    for theta, isometry in zip(thetas, family.build_stack(thetas)):
         want = np.kron(search._unitary(theta[:4], 2), search._unitary(theta[4:], 2))
-        assert np.array_equal(unitary, want)
+        assert np.array_equal(isometry, want[:, ::2])
