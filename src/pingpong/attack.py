@@ -183,7 +183,7 @@ def _detection(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
     if config.mode == "bell":
         equal = (np.abs(rows.reshape(len(rows), 4, -1)[:, ::3]) ** 2).sum(axis=2)
         return np.minimum(np.maximum(equal[:, 0] + equal[:, 1], 0.0), 1.0)
-    o = config.initial_bra @ rows.reshape(len(rows), 2, -1)
+    o = config.bob_initial.amplitudes.conj() @ rows.reshape(len(rows), 2, -1)
     # Row by row this matmul equals np.vdot(o, o) to the bit (einsum does not).
     kept = (o.conj()[:, None, :] @ o[:, :, None]).real.reshape(-1)
     return np.minimum(np.maximum(1.0 - kept, 0.0), 1.0)

@@ -53,8 +53,7 @@ class ProtocolConfig:
 
     Derived once, read-only: ``encoding_ops`` and ``priors`` are the named
     operations and their priors; ``op_stack`` (K, 2, 2) and ``prior_array``
-    (K,) are the same as arrays, and ``initial_bra`` is the conjugate of
-    ``bob_initial``'s amplitudes, all for the evaluation kernel.
+    (K,) are the same as arrays, for the evaluation kernel.
     ``decoding_states`` (K, H·2) holds the states Bob projects onto to
     decode, one row per encoding: the encoded images of the sent state,
     over home⊗travel (bell) or travel.  It is None when they are not
@@ -71,7 +70,6 @@ class ProtocolConfig:
     priors: tuple[float, ...] = dataclasses.field(init=False, repr=False)
     op_stack: np.ndarray = dataclasses.field(init=False, repr=False)
     prior_array: np.ndarray = dataclasses.field(init=False, repr=False)
-    initial_bra: np.ndarray = dataclasses.field(init=False, repr=False)
     decoding_states: np.ndarray | None = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -101,9 +99,7 @@ class ProtocolConfig:
         ops = tuple(map(qlinalg.UnitaryOperator, _ENCODINGS[self.encoding]))
         object.__setattr__(self, "encoding_ops", ops)
         object.__setattr__(self, "priors", (1 / len(ops),) * len(ops))
-        for name, values in (("op_stack", [op.entries for op in ops]),
-                             ("prior_array", self.priors),
-                             ("initial_bra", self.bob_initial.amplitudes.conj())):
+        for name, values in (("op_stack", [op.entries for op in ops]), ("prior_array", self.priors)):
             array = np.array(values)
             array.setflags(write=False)
             object.__setattr__(self, name, array)
