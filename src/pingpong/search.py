@@ -45,6 +45,12 @@ class SearchTooLargeError(ValueError):
     """A search's restarts would hold more than MAX_SIMPLEX_BYTES of simplices."""
 
 
+def _check_dim(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is an integer >= 1 (not a bool)."""
+    if not qlinalg._is_integer_at_least(value, 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def parameterize_unitary(theta, dim: int) -> qlinalg.UnitaryOperator:
     """Smooth map from dim² real parameters to a unitary, U(0) = identity.
 
@@ -52,6 +58,7 @@ def parameterize_unitary(theta, dim: int) -> qlinalg.UnitaryOperator:
     one (re, im) pair per upper off-diagonal entry, row-major) and the
     result is exp(iH) via the eigendecomposition of H.
     """
+    _check_dim("dim", dim)
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1:  # _unitary would build a stack
         raise ValueError(f"need one vector of {dim * dim} parameters, got shape {theta.shape}")
@@ -102,6 +109,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> NDArray[np.complex128]:
     """Haar-distributed unitary: QR of a complex Ginibre matrix, phase-fixed."""
+    _check_dim("dim", dim)
     ginibre = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
     q, r = np.linalg.qr(ginibre)
     diag = np.diag(r)
@@ -110,6 +118,7 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> NDArray[np.comple
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> NDArray[np.complex128]:
     """Uniform pure state: normalized standard-complex-Gaussian amplitudes."""
+    _check_dim("dim", dim)
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return amps / np.linalg.norm(amps)
 
@@ -119,7 +128,7 @@ def sample_random_attack(ancilla_dim: int, rng_seed) -> attack_mod.AttackSpec:
 
     Deterministic per integer seed; a numpy Generator is also accepted.
     """
-    _check_ancilla_dim(ancilla_dim)
+    _check_dim("ancilla_dim", ancilla_dim)
     rng = np.random.default_rng(rng_seed)  # returns a Generator unchanged
     return attack_mod.AttackSpec(
         ancilla_dim=ancilla_dim,
@@ -149,14 +158,9 @@ class AttackFamily:
     build_stack: Callable[[NDArray[np.float64]], NDArray[np.complex128]]
 
 
-def _check_ancilla_dim(ancilla_dim: int) -> None:
-    if not qlinalg._is_integer_at_least(ancilla_dim, 1):
-        raise ValueError(f"ancilla_dim must be an integer >= 1, got {ancilla_dim!r}")
-
-
 def _ground_ancilla(ancilla_dim: int) -> NDArray[np.complex128]:
     """The pinned ancilla start state |0> of the attack families."""
-    _check_ancilla_dim(ancilla_dim)
+    _check_dim("ancilla_dim", ancilla_dim)
     chi = np.zeros(ancilla_dim, dtype=complex)
     chi[0] = 1.0
     return chi
@@ -184,14 +188,14 @@ def full_unitary_family(ancilla_dim: int = 2) -> AttackFamily:
     Pinning the ancilla start state loses no generality: any preparation
     can be absorbed into the coupling.
     """
-    _check_ancilla_dim(ancilla_dim)
+    _check_dim("ancilla_dim", ancilla_dim)
     dim = 2 * ancilla_dim
     return _family("full", ancilla_dim, dim * dim, functools.partial(_unitary, dim=dim))
 
 
 def product_family(ancilla_dim: int = 2) -> AttackFamily:
     """Non-entangling couplings U_travel ⊗ U_ancilla, ancilla pinned to |0>."""
-    _check_ancilla_dim(ancilla_dim)
+    _check_dim("ancilla_dim", ancilla_dim)
     travel_params = 4
 
     def couplings(thetas: NDArray[np.float64]) -> NDArray[np.complex128]:

@@ -160,6 +160,23 @@ def test_random_attack_rejects_bad_dim():
         assert family(np.int64(2)).ancilla_dim == 2
 
 
+def test_sampling_and_parameterizing_reject_a_bad_dim_before_drawing():
+    """dim must be an integer >= 1 (not a bool); the rng is not touched first."""
+    for bad in (0, -1, 2.5, 2.0, True):
+        rng = np.random.default_rng(5)
+        for call in (search.haar_random_unitary, search.random_pure_state):
+            with pytest.raises(ValueError, match=f"^dim must be an integer >= 1, got {bad!r}$"):
+                call(bad, rng)
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+    for theta, bad in ((np.zeros(16), 4.0), (np.zeros(0), 0), (np.zeros(1), True)):
+        with pytest.raises(ValueError, match=f"^dim must be an integer >= 1, got {bad!r}$"):
+            search.parameterize_unitary(theta, bad)
+    rng = np.random.default_rng(5)
+    assert search.haar_random_unitary(np.int64(3), rng).shape == (3, 3)
+    assert search.random_pure_state(np.int64(3), rng).shape == (3,)
+    assert search.parameterize_unitary(np.zeros(1), np.int64(1)).entries.shape == (1, 1)
+
+
 def test_random_attack_single_dim_ancilla():
     spec = search.sample_random_attack(1, 5)
     assert spec.unitary.shape == (2, 2)
