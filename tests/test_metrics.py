@@ -328,6 +328,61 @@ def test_batched_reports_name_the_invalid_attack(simplified_config, monkeypatch)
         metrics._information_reports(specs[:2] + [untraced], simplified_config)
 
 
+_CONFIGS = [pp.make_config(m, encoding=e) for m in ("simplified", "bell") for e in ("iz", "paulis")]
+
+
+@pytest.mark.parametrize("anc", [2, 3])
+def test_couplings_with_one_isometry_give_identical_results(anc):
+    """Everything an attack yields depends on U only through W = U(I₂⊗|χ>): two
+    couplings on χ = |0> that share columns 0 and m but differ elsewhere give
+    the same reports, d and message rounds, to the bit."""
+    rng = np.random.default_rng(anc)
+    n = 2 * anc
+    first = search.haar_random_unitary(n, rng)
+    others = [j for j in range(n) if j % anc]
+    mixing = np.eye(n, dtype=complex)
+    mixing[np.ix_(others, others)] = search.haar_random_unitary(len(others), rng)
+    second = first @ mixing
+    second[:, ::anc] = first[:, ::anc]
+    assert np.abs(second - first).max() > 0.1
+    chi = np.eye(anc)[0]
+    specs = [pp.AttackSpec(anc, chi, u) for u in (first, second)]
+    assert [attack.validate_attack(spec) for spec in specs] == [[], []]
+    for config in _CONFIGS:
+        a, b = (_report_bits(metrics.information_report(spec, config)) for spec in specs)
+        assert a == b
+        a, b = (float.hex(attack.detection_probability(spec, config)) for spec in specs)
+        assert a == b
+        for bit in range(len(config.encoding_ops)):
+            a, b = (pp.run_message_round(config, spec, bit) for spec in specs)
+            assert a == b
+
+
+def test_a_coupling_that_fixes_chi_changes_no_report():
+    """For a general χ, U' = U(I₂⊗V) with Vχ = χ has U's isometry, so its
+    reports agree with U's within rounding."""
+    rng = np.random.default_rng(83)
+    worst = 0.0
+    for anc in (2, 3, 4):
+        for _ in range(3):
+            spec = search.sample_random_attack(anc, rng)
+            chi = spec.ancilla_state
+            # an orthonormal basis with χ first (up to a phase), then a unitary on its complement
+            basis, _ = np.linalg.qr(np.column_stack([chi, rng.standard_normal((anc, anc - 1))]))
+            inner = np.eye(anc, dtype=complex)
+            inner[1:, 1:] = search.haar_random_unitary(anc - 1, rng)
+            fixing = basis @ inner @ basis.conj().T
+            assert np.abs(fixing @ chi - chi).max() < 1e-14
+            moved = pp.AttackSpec(anc, chi, spec.unitary @ np.kron(np.eye(2), fixing))
+            assert np.abs(moved.unitary - spec.unitary).max() > 0.1
+            for config in _CONFIGS:
+                want = metrics.information_report(spec, config)
+                got = metrics.information_report(moved, config)
+                for name in _REPORT_FIELDS:
+                    worst = max(worst, abs(getattr(got, name) - getattr(want, name)))
+    assert worst < 1e-12, worst
+
+
 def test_batched_reports_need_one_ancilla_dim_and_accept_none(simplified_config):
     mixed = [search.sample_random_attack(1, 0), search.sample_random_attack(2, 0)]
     with pytest.raises(ValueError, match="one ancilla_dim") as excinfo:

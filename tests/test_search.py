@@ -688,6 +688,20 @@ def test_family_build_is_its_stack_builder_on_one_row():
                 assert np.array_equal(spec.ancilla_state, np.eye(anc)[0])
 
 
+@pytest.mark.parametrize("mode", ["simplified", "bell"])
+def test_lifting_the_family_isometries_equals_the_one_attack_rows(mode):
+    """What the search lifts from build_stack equals, to the bit, what every
+    report lifts from the spec that build returns."""
+    config = pp.make_config(mode)
+    rng = np.random.default_rng(43)
+    for anc in (1, 2, 3, 4):
+        for family in (search.full_unitary_family(anc), search.product_family(anc)):
+            thetas = rng.uniform(-math.pi, math.pi, (4, family.param_count))
+            rows = attack._checked_lift(family.build_stack(thetas), config, "row {}: ")
+            for theta, got in zip(thetas, rows):
+                assert np.array_equal(got, attack._attacked_rows([family.build(theta)], config)[0])
+
+
 def test_product_stack_is_the_kronecker_product():
     rng = np.random.default_rng(31)
     family = search.product_family(2)
