@@ -353,28 +353,8 @@ def check_attack_file_round_trip() -> tuple[float, str]:
     return worst, f"worst save/load array deviation = {worst:.3g}"
 
 
-ALL_CHECKS = (
-    check_entropy_additivity_products,
-    check_entropy_unitary_invariance,
-    check_entropy_maximal_mixing,
-    check_entropy_bell_marginal,
-    check_unitary_norm_preservation,
-    check_protocol_noiseless_correctness,
-    check_protocol_monte_carlo_agreement,
-    check_detection_range_and_phase,
-    check_encoding_fixes_basis_state,
-    check_product_attack_ancilla_pure,
-    check_attack_global_phase_invariance,
-    check_dephased_travel_marginal,
-    check_travel_entropy_binary_identity,
-    check_holevo_within_entropy,
-    check_product_attack_composite_travel,
-    check_entropy_inequalities_random,
-    check_family_builds_valid_attacks,
-    check_parameterized_unitary_basics,
-    check_search_point_self_consistency,
-    check_attack_file_round_trip,
-)
+# Every suite, in definition order: this line must stay below the last one.
+ALL_CHECKS = tuple(value for name, value in globals().items() if name.startswith("check_"))
 
 
 def run_all() -> list[CheckResult]:

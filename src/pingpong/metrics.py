@@ -191,9 +191,15 @@ def _information_reports(
 class InequalityDiagnostics:
     """Numerical check of subadditivity and the Araki-Lieb bound."""
 
-    subadditivity_ok: bool
-    araki_lieb_ok: bool
     margins: dict[str, float]
+
+    @property
+    def subadditivity_ok(self) -> bool:
+        return self.margins["subadditivity"] >= -_INEQUALITY_TOL
+
+    @property
+    def araki_lieb_ok(self) -> bool:
+        return self.margins["araki_lieb"] >= -_INEQUALITY_TOL
 
 
 def entropy_inequality_check(report: InfoReport) -> InequalityDiagnostics:
@@ -203,8 +209,4 @@ def entropy_inequality_check(report: InfoReport) -> InequalityDiagnostics:
     """
     subadditivity = report.i0t + report.i0a - report.i0c
     araki_lieb = report.i0c - abs(report.i0t - report.i0a)
-    return InequalityDiagnostics(
-        subadditivity_ok=subadditivity >= -_INEQUALITY_TOL,
-        araki_lieb_ok=araki_lieb >= -_INEQUALITY_TOL,
-        margins={"subadditivity": subadditivity, "araki_lieb": araki_lieb},
-    )
+    return InequalityDiagnostics(margins={"subadditivity": subadditivity, "araki_lieb": araki_lieb})

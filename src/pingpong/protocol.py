@@ -129,7 +129,10 @@ class MessageRoundResult:
     decoded_bit: int | None
     decode_probabilities: tuple[float, ...] | None
     failure_probability: float | None
-    orthogonal_decoding: bool
+
+    @property
+    def orthogonal_decoding(self) -> bool:
+        return self.decode_probabilities is not None
 
 
 def _decode_table(rows: np.ndarray, config: ProtocolConfig) -> np.ndarray | None:
@@ -167,19 +170,13 @@ def run_message_round(
         raise ValueError(f"bit {bit!r} does not index {len(config.encoding_ops)} encoding ops")
     table = _decode_table(attack_mod._attacked_rows([spec], config)[0], config)
     if table is None:
-        return MessageRoundResult(
-            decoded_bit=None,
-            decode_probabilities=None,
-            failure_probability=None,
-            orthogonal_decoding=False,
-        )
+        return MessageRoundResult(decoded_bit=None, decode_probabilities=None, failure_probability=None)
     outcomes = table[bit]
     decoded = int(np.argmax(outcomes))
     return MessageRoundResult(
         decoded_bit=None if decoded == len(outcomes) - 1 else decoded,
         decode_probabilities=tuple(float(p) for p in outcomes[:-1]),
         failure_probability=float(outcomes[-1]),
-        orthogonal_decoding=True,
     )
 
 

@@ -338,7 +338,7 @@ class _Restart:
     """One Nelder–Mead restart of one (grid value, objective) task of a sweep
     and the best points it saw."""
 
-    task: int
+    target: float  # the task's d_target
     subsystem: int  # _ENTROPY_ROW of the task's objective
     moves: Generator[np.ndarray, float, None]
     point: np.ndarray
@@ -387,13 +387,13 @@ def sweep(
     tol, budget = sweep_cfg.detection_tolerance, sweep_cfg.budget_per_restart
     restarts: list[_Restart] = []
     children = np.random.SeedSequence(sweep_cfg.seed).spawn(len(tasks))
-    for index, ((_, objective), child) in enumerate(zip(tasks, children)):
+    for (d_target, objective), child in zip(tasks, children):
         rng = np.random.default_rng(child)
         starts = [np.zeros(p)]
         starts += [rng.uniform(-math.pi, math.pi, p) for _ in range(sweep_cfg.restarts - 1)]
         for x0 in starts:
             moves = _simplex_moves(x0)
-            restarts.append(_Restart(index, _ENTROPY_ROW[objective], moves, next(moves)))
+            restarts.append(_Restart(d_target, _ENTROPY_ROW[objective], moves, next(moves)))
 
     live = sorted(restarts, key=lambda r: r.subsystem)
     counts = [sum(r.subsystem == row for r in live) for row in range(3)]
@@ -405,15 +405,17 @@ def sweep(
         values = metrics._subsystem_entropies(mixtures[:a], mixtures[a:b], mixtures[b:])
         still, counts = [], [0, 0, 0]
         for r, theta, d_i, value in zip(live, thetas, d.tolist(), values.tolist()):
-            gap = abs(d_i - tasks[r.task][0])
-            if gap <= tol and (r.best is None or value > r.best[0]):
+            gap = abs(d_i - r.target)
+            if gap > tol:
+                value -= PENALTY_WEIGHT * (gap - tol) ** 2
+            elif r.best is None or value > r.best[0]:
                 r.best = (value, theta.copy())
             if r.closest is None or gap < r.closest[0]:
                 r.closest = (gap, theta.copy())
             if r.asked == budget:
                 continue
             try:
-                r.point = r.moves.send(-(value - PENALTY_WEIGHT * max(0.0, gap - tol) ** 2))
+                r.point = r.moves.send(-value)
             except StopIteration:
                 continue
             r.asked += 1
