@@ -178,7 +178,10 @@ def check_detection_range_and_phase() -> tuple[float, str]:
 @_suite(1e-12)
 def check_encoding_fixes_basis_state() -> tuple[float, str]:
     config = protocol_mod.make_config("simplified")
-    identity = attack_mod.builtin_attack("identity")
+    # The identity coupling on a χ other than |0>, so a kernel that drops χ fails.
+    identity = attack_mod.AttackSpec(
+        ancilla_dim=2, ancilla_state=np.array([1.0, 1.0j]) / math.sqrt(2), unitary=np.eye(4)
+    )
     first, second = _kernel([identity], config)[2][0]
     expected = np.kron(
         np.array([[1.0, 0.0], [0.0, 0.0]]),

@@ -557,6 +557,21 @@ def test_verify_catches_swapped_travel_and_ancilla_entropies(capsys, monkeypatch
     assert "FAIL travel_entropy_binary_identity" in capsys.readouterr().out
 
 
+def test_verify_catches_a_kernel_that_ignores_the_ancilla_state(capsys, monkeypatch):
+    # sabotage the lift every kernel path shares: each attack starts from |0> whatever χ is
+    attacked_rows = attack._attacked_rows
+
+    def ground_ancilla(specs, config):
+        return attacked_rows([
+            dataclasses.replace(s, ancilla_state=search._ground_ancilla(s.ancilla_dim)) for s in specs
+        ], config)
+
+    monkeypatch.setattr(attack, "_attacked_rows", ground_ancilla)
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL encoding_fixes_basis_state         margin=-5.000e-01" in out
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 
