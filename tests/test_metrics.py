@@ -134,9 +134,13 @@ def test_report_composite_entropy_matches_charpoly_route(simplified_config):
 
 
 def _reference_report(spec, config):
-    """The report rebuilt from density matrices: kron-lifted ops, one
-    partial trace and one entropy per marginal."""
-    rho = attack.apply_attack(spec, config)
+    """The report rebuilt from density matrices: its own attacked statevector
+    U(|b>⊗|χ>), or (I₂⊗U)(|pair>⊗|χ>) in bell mode, so it shares no code
+    with the kernel's lift; kron-lifted ops, one partial trace and one
+    entropy per marginal."""
+    coupling = spec.unitary if config.mode == "simplified" else np.kron(np.eye(2), spec.unitary)
+    psi = coupling @ np.kron(config.bob_initial.amplitudes, spec.ancilla_state)
+    rho = pp.DensityMatrix(np.outer(psi, psi.conj()))
     anc = spec.ancilla_dim
     dims = (2, anc)
     if config.mode == "bell":
