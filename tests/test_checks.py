@@ -18,6 +18,12 @@ def test_every_suite_in_the_module_runs_in_definition_order():
     assert list(checks.ALL_CHECKS) == defined
 
 
+def test_every_check_name_is_a_graded_suite():
+    # ALL_CHECKS takes every check_* name, so a plain helper so named would run
+    # as a suite and hand verify a tuple; @_suite's functools.wraps marks the real ones.
+    assert all(hasattr(check, "__wrapped__") for check in checks.ALL_CHECKS)
+
+
 def test_a_suite_is_named_by_its_function_and_graded_by_its_tolerance():
     def check_synthetic():
         return worst, "synthetic detail"
