@@ -148,13 +148,11 @@ def _attacked_rows(specs: list[AttackSpec], config: "ProtocolConfig") -> np.ndar
     found = list(map(validate_attack, specs))
     if any(found):
         raise InvalidAttackError("\n".join(label.format(i) + v for i, vs in enumerate(found) for v in vs))
-    try:
-        chis = np.array([spec.ancilla_state for spec in specs])
-    except ValueError:  # valid states of different ancilla dimensions are ragged
-        dims = sorted({int(spec.ancilla_dim) for spec in specs})
-        raise ValueError(f"a batch of attacks needs one ancilla_dim, got {dims}") from None
-    unitaries = np.array([spec.unitary for spec in specs]).reshape(len(specs), -1, 2, chis.shape[1])
-    return _checked_lift((unitaries @ chis[:, None, :, None])[..., 0], config, label)
+    dims = sorted({int(spec.ancilla_dim) for spec in specs})
+    if len(dims) > 1:
+        raise ValueError(f"a batch of attacks needs one ancilla_dim, got {dims}")
+    isometries = [spec.unitary.reshape(-1, 2, spec.ancilla_dim) @ spec.ancilla_state for spec in specs]
+    return _checked_lift(np.array(isometries), config, label)
 
 
 def _encoded_rows(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
