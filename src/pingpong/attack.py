@@ -191,7 +191,8 @@ def apply_attack(spec: AttackSpec, config: "ProtocolConfig") -> qlinalg.DensityM
     """Attacked pre-encoding composite state.
 
     Returns the full density matrix: travel⊗ancilla in simplified mode,
-    home⊗travel⊗ancilla in bell mode.  Trace is preserved within 1e-12.
+    home⊗travel⊗ancilla in bell mode.  Trace is preserved within
+    ``qlinalg.ATOL``: χ's norm and U†U may each sit inside their tolerance.
     """
     psi = _attacked_rows([spec], config)[0].ravel()
     return qlinalg.DensityMatrix(np.outer(psi, psi.conj()))

@@ -392,6 +392,14 @@ def test_batched_reports_need_one_ancilla_dim_and_accept_none(simplified_config)
     with pytest.raises(ValueError, match="one ancilla_dim") as excinfo:
         metrics._information_reports(mixed, simplified_config)
     assert excinfo.type is ValueError
+    three = [search.sample_random_attack(dim, 0) for dim in (4, 1, 2)]
+    with pytest.raises(ValueError, match=r"got \[1, 2, 4\]$") as excinfo:
+        metrics._information_reports(three, simplified_config)
+    assert excinfo.type is ValueError
+    # Validation comes first: a malformed spec is named before the dimensions differ.
+    malformed = attack.AttackSpec(ancilla_dim=2, ancilla_state=[1.0, 0.0], unitary=np.eye(3))
+    with pytest.raises(attack.InvalidAttackError, match="^attack 0: "):
+        metrics._information_reports([malformed, search.sample_random_attack(1, 0)], simplified_config)
     assert metrics._information_reports([], simplified_config) == []
 
 
@@ -614,3 +622,24 @@ def test_attaining_attacks_reach_the_closed_form_bounds(d):
         report = metrics.information_report(spec, pp.make_config(mode, encoding=encoding))
         assert abs(report.d - d) <= 1e-15, (mode, encoding)
         assert abs(report.holevo_c - bound) <= 1e-12, (mode, encoding)
+
+
+_CLOSED_FORM_BOUNDS = {
+    ("simplified", "iz"): oracles.binary_entropy,
+    ("bell", "iz"): oracles.binary_entropy,
+    ("simplified", "paulis"): lambda d: 1.0 + oracles.binary_entropy(d),
+    ("bell", "paulis"): lambda d: min(2.0, 1.0 + oracles.binary_entropy(d)),
+}
+
+
+@pytest.mark.parametrize("mode, encoding", list(_CLOSED_FORM_BOUNDS))
+def test_random_attacks_stay_within_the_closed_form_bounds(mode, encoding):
+    # holevo_c <= B(d) in each configuration, and holevo_t <= holevo_c by
+    # monotonicity under the partial trace over the ancilla.
+    bound = _CLOSED_FORM_BOUNDS[mode, encoding]
+    config = pp.make_config(mode, encoding=encoding)
+    for anc in (1, 2, 3, 4):
+        specs = [search.sample_random_attack(anc, seed) for seed in range(200)]
+        for seed, report in enumerate(metrics._information_reports(specs, config)):
+            assert report.holevo_c <= bound(report.d) + 1e-12, (anc, seed, report)
+            assert report.holevo_t <= report.holevo_c + 1e-12, (anc, seed, report)
