@@ -62,39 +62,35 @@ def _kernel(
     return metrics._ensembles(attack_mod._attacked_rows(specs, config), config)
 
 
-def _random_density(dim: int, rng: np.random.Generator) -> qlinalg.DensityMatrix:
+def _random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     ginibre = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = ginibre @ ginibre.conj().T
-    return qlinalg.DensityMatrix(rho / np.trace(rho))
+    return rho / np.trace(rho)
+
+
+def _stacked_draws(
+    seed: int, count: int, *draws: tuple[Callable[[int, np.random.Generator], np.ndarray], int]
+) -> list[np.ndarray]:
+    """``count`` rounds of ``draw(dim, rng)`` for each ``(draw, dim)`` in turn,
+    from one generator seeded with ``seed``, and each draw's samples stacked."""
+    rng = np.random.default_rng(seed)
+    rounds = [[draw(dim, rng) for draw, dim in draws] for _ in range(count)]
+    return [np.array(samples) for samples in zip(*rounds)]
 
 
 @_suite(1e-8)
 def check_entropy_additivity_products() -> tuple[float, str]:
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(200):
-        a = _random_density(2, rng)
-        b = _random_density(3, rng)
-        joint = qlinalg.tensor_product(a, b)
-        dev = abs(
-            qlinalg.von_neumann_entropy(joint)
-            - qlinalg.von_neumann_entropy(a)
-            - qlinalg.von_neumann_entropy(b)
-        )
-        worst = max(worst, dev)
+    a, b = _stacked_draws(101, 200, (_random_density, 2), (_random_density, 3))
+    s_a, s_b, s_ab = map(qlinalg._entropies, (a, b, search_mod._kron(a, b)))
+    worst = float(np.max(np.abs(s_ab - s_a - s_b)))
     return worst, f"worst |S(A⊗B) - S(A) - S(B)| = {worst:.3g} over 200 product states"
 
 
 @_suite(1e-8)
 def check_entropy_unitary_invariance() -> tuple[float, str]:
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(200):
-        rho = _random_density(4, rng)
-        u = search_mod.haar_random_unitary(4, rng)
-        rotated = qlinalg.DensityMatrix(u @ rho.entries @ u.conj().T)
-        dev = abs(qlinalg.von_neumann_entropy(rotated) - qlinalg.von_neumann_entropy(rho))
-        worst = max(worst, dev)
+    rho, u = _stacked_draws(102, 200, (_random_density, 4), (search_mod.haar_random_unitary, 4))
+    rotated = u @ rho @ np.swapaxes(u.conj(), 1, 2)
+    worst = float(np.max(np.abs(qlinalg._entropies(rotated) - qlinalg._entropies(rho))))
     return worst, f"worst |S(UρU†) - S(ρ)| = {worst:.3g} over 200 pairs"
 
 
@@ -117,12 +113,9 @@ def check_entropy_bell_marginal() -> tuple[float, str]:
 
 @_suite(1e-12)
 def check_unitary_norm_preservation() -> tuple[float, str]:
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    for _ in range(200):
-        u = search_mod.haar_random_unitary(4, rng)
-        s = search_mod.random_pure_state(4, rng)
-        worst = max(worst, abs(float(np.linalg.norm(u @ s)) - 1.0))
+    u, s = _stacked_draws(
+        103, 200, (search_mod.haar_random_unitary, 4), (search_mod.random_pure_state, 4))
+    worst = float(np.max(np.abs(np.linalg.norm(u @ s[..., None], axis=1) - 1.0)))
     return worst, f"worst |‖Us‖ - 1| = {worst:.3g} over 200 cases"
 
 
@@ -303,11 +296,10 @@ def check_family_builds_valid_attacks() -> tuple[float, str]:
 def check_parameterized_unitary_basics() -> tuple[float, str]:
     rng = np.random.default_rng(111)
     ident = search_mod.parameterize_unitary(np.zeros(16), 4)
-    worst = float(np.max(np.abs(ident.entries - np.eye(4))))
-    for _ in range(100):
-        theta = rng.uniform(-math.pi, math.pi, 16)
-        u = search_mod.parameterize_unitary(theta, 4).entries
-        worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(4)))))
+    # U(0) = I on the public path; unitarity on one stack, as build_stack builds it.
+    u = search_mod._unitary(rng.uniform(-math.pi, math.pi, (100, 16)), 4)
+    residual = np.swapaxes(u.conj(), 1, 2) @ u - np.eye(4)
+    worst = float(max(np.max(np.abs(ident.entries - np.eye(4))), np.max(np.abs(residual))))
     return worst, f"worst of (|U(0) - I|, unitarity residual) = {worst:.3g}"
 
 

@@ -168,7 +168,9 @@ def _information_reports(
 
     The encodings act on the travel qubit alone, so every member of an
     ensemble is a local-unitary image of member 0 and has its composite
-    and travel entropies: each Holevo bound is S(mixture) - S(member 0).
+    and travel entropies: each Holevo bound is S(mixture) - S(member 0),
+    clamped at 0 as d is clamped to [0, 1], so that rounding never prints
+    a negative bound (``holevo_bound`` keeps the unclamped general form).
     The specs must share one ancilla dimension (ValueError otherwise); an
     invalid spec raises InvalidAttackError (see ``attack._attacked_rows``).
     """
@@ -180,7 +182,8 @@ def _information_reports(
     c, c0, t, t0, a = entropies.tolist()
     return [
         InfoReport(
-            d=d_i, i0t=t_i, i0a=a_i, i0c=c_i, holevo_t=t_i - t0_i, holevo_c=c_i - c0_i,
+            d=d_i, i0t=t_i, i0a=a_i, i0c=c_i,
+            holevo_t=max(0.0, t_i - t0_i), holevo_c=max(0.0, c_i - c0_i),
             claim_deviation=_claim_deviation(spec, config, c_i),
         )
         for spec, d_i, c_i, c0_i, t_i, t0_i, a_i in zip(specs, d.tolist(), c, c0, t, t0, a)

@@ -1,9 +1,10 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from pingpong import checks
+from pingpong import checks, qlinalg, search
 
 
 def test_suite_names_are_unique_and_descriptive():
@@ -105,3 +106,81 @@ def test_suites_grade_their_failures_through_the_tolerance(monkeypatch):
     assert not search_point.passed
     assert search_point.margin == -1.0
     assert search_point.detail == "search found no feasible point at d_target = 0.5"
+
+
+def _loop_draws(seed, count, *draws):
+    """Seeded draws taken one round of ``draws`` at a time, as a per-sample loop takes them."""
+    rng = np.random.default_rng(seed)
+    return [[draw(dim, rng) for draw, dim in draws] for _ in range(count)]
+
+
+def _hexes(values):
+    return [float.hex(float(v)) for v in values]
+
+
+def test_sampling_suites_equal_the_public_object_path_to_the_bit():
+    # per draw, the stacked kernel gives the bits the validated objects give
+    entropy, density = qlinalg.von_neumann_entropy, qlinalg.DensityMatrix
+    bodies = {check.__name__: check.__wrapped__ for check in checks.ALL_CHECKS}
+
+    pairs = _loop_draws(101, 200, (checks._random_density, 2), (checks._random_density, 3))
+    public = [
+        abs(entropy(qlinalg.tensor_product(density(a), density(b)))
+            - entropy(density(a)) - entropy(density(b)))
+        for a, b in pairs
+    ]
+    a, b = checks._stacked_draws(101, 200, (checks._random_density, 2), (checks._random_density, 3))
+    stacked = np.abs(qlinalg._entropies(search._kron(a, b)) - qlinalg._entropies(a) - qlinalg._entropies(b))
+    assert _hexes(stacked) == _hexes(public)
+    assert float.hex(bodies["check_entropy_additivity_products"]()[0]) == float.hex(max(public))
+
+    pairs = _loop_draws(102, 200, (checks._random_density, 4), (search.haar_random_unitary, 4))
+    public = [abs(entropy(density(u @ rho @ u.conj().T)) - entropy(density(rho))) for rho, u in pairs]
+    rho, u = checks._stacked_draws(102, 200, (checks._random_density, 4), (search.haar_random_unitary, 4))
+    rotated = u @ rho @ np.swapaxes(u.conj(), 1, 2)
+    stacked = np.abs(qlinalg._entropies(rotated) - qlinalg._entropies(rho))
+    assert _hexes(stacked) == _hexes(public)
+    assert float.hex(bodies["check_entropy_unitary_invariance"]()[0]) == float.hex(max(public))
+
+    # one norm over the stack sums in another order than a vector's norm: each
+    # draw agrees within an ulp of 1, and the worst to the bit
+    pairs = _loop_draws(103, 200, (search.haar_random_unitary, 4), (search.random_pure_state, 4))
+    public = [abs(float(np.linalg.norm(u @ s)) - 1.0) for u, s in pairs]
+    u, s = checks._stacked_draws(103, 200, (search.haar_random_unitary, 4), (search.random_pure_state, 4))
+    stacked = np.abs(np.linalg.norm(u @ s[..., None], axis=1) - 1.0).reshape(-1)
+    assert np.max(np.abs(stacked - public)) <= np.spacing(1.0)
+    assert float.hex(bodies["check_unitary_norm_preservation"]()[0]) == float.hex(max(public))
+
+    rng = np.random.default_rng(111)
+    thetas = [rng.uniform(-math.pi, math.pi, 16) for _ in range(100)]
+    public = [search.parameterize_unitary(theta, 4).entries for theta in thetas]
+    assert np.array_equal(search._unitary(np.array(thetas), 4), np.array(public))
+    ident = search.parameterize_unitary(np.zeros(16), 4).entries
+    worst = max(
+        float(np.max(np.abs(ident - np.eye(4)))),
+        *(float(np.max(np.abs(v.conj().T @ v - np.eye(4)))) for v in public),
+    )
+    assert float.hex(bodies["check_parameterized_unitary_basics"]()[0]) == float.hex(worst)
+
+
+def test_sampling_suites_construct_no_density_matrix(monkeypatch):
+    counts = {qlinalg.DensityMatrix: 0, qlinalg.UnitaryOperator: 0}
+    for kind in counts:
+        init = kind.__init__
+
+        def counted(self, entries, kind=kind, init=init):
+            counts[kind] += 1
+            init(self, entries)
+
+        monkeypatch.setattr(kind, "__init__", counted)
+    qlinalg.to_density(qlinalg.basis_state(2, 0))  # the counter sees a construction
+    assert counts[qlinalg.DensityMatrix] == 1
+    for check in (
+        checks.check_entropy_additivity_products,
+        checks.check_entropy_unitary_invariance,
+        checks.check_unitary_norm_preservation,
+        checks.check_parameterized_unitary_basics,
+    ):
+        assert check().passed
+    # U(0) = I is the one validated object: it goes through parameterize_unitary
+    assert counts == {qlinalg.DensityMatrix: 1, qlinalg.UnitaryOperator: 1}

@@ -535,14 +535,40 @@ PINNED_VERIFY = (
 )
 
 
-def test_verify_batched_suites_are_pinned(capsys, monkeypatch):
-    pinned = {line.split()[1] for line in PINNED_VERIFY}
-    suites = tuple(c for c in checks.ALL_CHECKS if c.__name__.removeprefix("check_") in pinned)
+# The verify lines of the four suites that draw seeded samples, as the loops
+# that built one DensityMatrix or UnitaryOperator per sample printed them.
+PINNED_SAMPLING_VERIFY = (
+    "PASS entropy_additivity_products        margin=+1.000e-08  "
+    "worst |S(A⊗B) - S(A) - S(B)| = 1.89e-15 over 200 product states",
+    "PASS entropy_unitary_invariance         margin=+1.000e-08  "
+    "worst |S(UρU†) - S(ρ)| = 1.55e-15 over 200 pairs",
+    "PASS unitary_norm_preservation          margin=+9.994e-13  "
+    "worst |‖Us‖ - 1| = 5.55e-16 over 200 cases",
+    "PASS parameterized_unitary_basics       margin=+1.000e-09  "
+    "worst of (|U(0) - I|, unitarity residual) = 3.11e-15",
+)
+
+
+def _verify_only(pinned, capsys, monkeypatch):
+    """verify's suite lines and total line when it runs just the suites ``pinned`` names."""
+    names = {line.split()[1] for line in pinned}
+    suites = tuple(c for c in checks.ALL_CHECKS if c.__name__.removeprefix("check_") in names)
     monkeypatch.setattr(checks, "ALL_CHECKS", suites)
     assert cli.main(["verify"]) == 0
     *lines, total = capsys.readouterr().out.splitlines()
-    assert tuple(lines) == PINNED_VERIFY
+    return tuple(lines), total
+
+
+def test_verify_batched_suites_are_pinned(capsys, monkeypatch):
+    lines, total = _verify_only(PINNED_VERIFY, capsys, monkeypatch)
+    assert lines == PINNED_VERIFY
     assert total == "12 suites: 12 passed, 0 failed"
+
+
+def test_verify_sampling_suites_are_pinned(capsys, monkeypatch):
+    lines, total = _verify_only(PINNED_SAMPLING_VERIFY, capsys, monkeypatch)
+    assert lines == PINNED_SAMPLING_VERIFY
+    assert total == "4 suites: 4 passed, 0 failed"
 
 
 def test_verify_catches_swapped_travel_and_ancilla_entropies(capsys, monkeypatch):

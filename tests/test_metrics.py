@@ -218,8 +218,8 @@ def test_batched_kernel_matches_the_one_attack_references():
             for i, spec in enumerate(specs):
                 got = {
                     "d": d[i], "i0t": travel[i], "i0a": ancilla[i], "i0c": composite[i],
-                    "holevo_t": travel[i] - member_t[i],
-                    "holevo_c": composite[i] - member_c[i],
+                    "holevo_t": max(0.0, travel[i] - member_t[i]),
+                    "holevo_c": max(0.0, composite[i] - member_c[i]),
                 }
                 report = metrics.information_report(spec, config)
                 reference = _reference_report(spec, config)
@@ -477,6 +477,23 @@ def test_report_holevo_bounds_equal_the_general_form():
         ensemble = attack.post_encoding_ensemble(spec, config)
         assert abs(report.holevo_t - metrics.holevo_bound(ensemble, "travel")) < 1e-13
         assert abs(report.holevo_c - metrics.holevo_bound(ensemble, "composite")) < 1e-13
+
+
+def test_report_holevo_bounds_never_read_below_zero():
+    # In bell mode this attack's S(mixture) - S(member 0) rounds to -2⁻⁵³: a report
+    # clamps it at 0, as it clamps d, and holevo_bound keeps the general form.
+    spec = search.sample_random_attack(1, 3)
+    for encoding in ("iz", "paulis"):
+        config = pp.make_config("bell", encoding=encoding)
+        report = metrics.information_report(spec, config)
+        assert float.hex(report.holevo_t) == float.hex(report.holevo_c) == "0x0.0p+0"
+        ensemble = attack.post_encoding_ensemble(spec, config)
+        assert metrics.holevo_bound(ensemble, "travel") < 0.0
+    specs = [search.sample_random_attack(1, seed) for seed in range(200)]
+    for mode in ("simplified", "bell"):
+        for encoding in ("iz", "paulis"):
+            for report in metrics._information_reports(specs, pp.make_config(mode, encoding=encoding)):
+                assert report.holevo_t >= 0.0 and report.holevo_c >= 0.0
 
 
 def test_members_share_the_entropies_of_member_zero():
