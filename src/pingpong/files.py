@@ -100,6 +100,8 @@ def load_attack(path) -> attack_mod.AttackSpec:
         raise AttackFileError(f"line {exc.lineno}: {exc.msg}") from exc
     except ValueError:  # an integer literal past Python's digit limit
         raise AttackFileError("an integer literal is beyond float range") from None
+    except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
+        raise AttackFileError("nested too deeply") from None
     return attack_from_dict(data)
 
 

@@ -27,8 +27,8 @@ _ENCODINGS = {
 }
 ENCODING_NAMES = tuple(_ENCODINGS)
 
-# Most rounds one monte_carlo call simulates: its arrays take about 50 MB
-# per million rounds at control probability 0.5, so the cap is near 0.5 GB.
+# Most rounds one monte_carlo call simulates; tracemalloc peaks there at 0.1 GB
+# for simulate's control rounds, 0.5 GB in bell/paulis at 0.5 and 1 GB at 0.
 MAX_ROUNDS = 10_000_000
 
 _BELL_PAIR = qlinalg.StateVector([0.0, math.sqrt(0.5), math.sqrt(0.5), 0.0])

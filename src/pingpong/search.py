@@ -33,16 +33,12 @@ _XATOL = 1e-7
 _FATOL = 1e-12
 # Position of each objective's stack among metrics._subsystem_entropies' arguments.
 _ENTROPY_ROW = {"i0c": 0, "i0t": 1, "i0a": 2}
-# Most restarts one search may hold: the lockstep search keeps every restart
-# (its generator, simplex and best points) in memory at once.
-MAX_RESTARTS = 100_000
-# Most bytes the restarts' Nelder–Mead simplices may take together: each
-# restart holds a (P+1)×P float64 simplex for a family of P parameters.
-MAX_SIMPLEX_BYTES = 1 << 30
+# Most bytes the restarts of one sweep, held in memory at once, may take (_restart_bytes each).
+MAX_SWEEP_BYTES = 1 << 30
 
 
 class SearchTooLargeError(ValueError):
-    """A search's restarts would hold more than MAX_SIMPLEX_BYTES of simplices."""
+    """Raised by ``sweep``, before it starts, when its restarts would exceed MAX_SWEEP_BYTES."""
 
 
 def _check_dim(name: str, value) -> None:
@@ -243,12 +239,6 @@ class SweepConfig:
             value = getattr(self, name)
             if not qlinalg._is_integer_at_least(value, least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        total = len(grid) * len(self.objectives) * self.restarts
-        if total > MAX_RESTARTS:
-            raise ValueError(
-                f"{total:,} restarts (grid points × objectives × restarts) exceed "
-                f"{MAX_RESTARTS:,}: the search holds every restart in memory at once"
-            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -333,6 +323,15 @@ def _simplex_moves(x0: np.ndarray) -> Generator[np.ndarray, float, None]:
         sim, fsim = sim[ind], fsim[ind]
 
 
+def _restart_bytes(family: AttackFamily) -> int:
+    """Bytes one restart of a sweep holds at its peak: its (P+1)×P simplex, its
+    generator's P-vectors, the step's n×n stacks (n = 2·ancilla_dim) and a constant.
+    The sum is 7–71 % over tracemalloc's peak per restart (slope from 100 to 200
+    restarts, budget 2000, both families at ancilla 1–4, simplified/iz and bell/paulis)."""
+    p, n = family.param_count, 2 * family.ancilla_dim
+    return 8 * (p + 1) * p + 100 * p + 220 * n * n + 3_300
+
+
 @dataclasses.dataclass(eq=False)
 class _Restart:
     """One Nelder–Mead restart of one (grid value, objective) task of a sweep
@@ -378,11 +377,11 @@ def sweep(
     """
     tasks = list(itertools.product(sweep_cfg.d_grid, sweep_cfg.objectives))
     count, p = len(tasks) * sweep_cfg.restarts, family.param_count
-    nbytes = count * (p + 1) * p * 8
-    if nbytes > MAX_SIMPLEX_BYTES:
+    each = _restart_bytes(family)
+    if count * each > MAX_SWEEP_BYTES:
         raise SearchTooLargeError(
-            f"{count:,} restarts of a {p + 1}×{p} simplex take {nbytes:,} bytes, over "
-            f"{MAX_SIMPLEX_BYTES:,}: the search holds every restart in memory at once"
+            f"{count:,} restarts of {each:,} bytes each take {count * each:,} bytes, over "
+            f"{MAX_SWEEP_BYTES:,}: the search holds every restart in memory at once"
         )
     tol, budget = sweep_cfg.detection_tolerance, sweep_cfg.budget_per_restart
     restarts: list[_Restart] = []

@@ -137,6 +137,15 @@ def test_non_utf8_attack_file_exits_3(capsys, tmp_path):
         assert capsys.readouterr().err == "invalid attack file: not UTF-8 text\n"
 
 
+def test_deeply_nested_attack_file_exits_3(capsys, tmp_path):
+    # json.loads raises RecursionError here, which once exited 1 as an internal error
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    for command in ("report", "simulate"):
+        assert cli.main([command, str(path)]) == 3
+        assert capsys.readouterr().err == "invalid attack file: nested too deeply\n"
+
+
 def test_report_invalid_attack_exits_3(capsys, tmp_path):
     # 1 + 0.9e-10 passes the norm check but not the attacked state's trace
     for chi in ([1.0, 1.0], [np.nan, 0.0], [1.0 + 0.9e-10, 0.0]):
@@ -304,29 +313,31 @@ def test_sweep_restarts_and_budget_take_positive_integers(capsys, flag, value):
     assert "expected a positive integer" in capsys.readouterr().err
 
 
-def test_sweep_over_the_restart_cap_exits_2_before_any_restart(capsys, monkeypatch):
-    def no_restarts(*args, **kwargs):
-        raise AssertionError("a restart was built")
-
-    monkeypatch.setattr(search, "_simplex_moves", no_restarts)
-    assert cli.main(["sweep", "--restarts", "1000000"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("bad sweep configuration: 18,000,000 restarts")
-    assert "in memory at once" in err
+def _no_restarts(*args, **kwargs):
+    raise AssertionError("a restart was built")
 
 
-def test_sweep_over_the_simplex_byte_bound_exits_2_before_any_restart(capsys, monkeypatch):
-    def no_restarts(*args, **kwargs):
-        raise AssertionError("a restart was built")
-
-    monkeypatch.setattr(search, "_simplex_moves", no_restarts)
-    # at 10^12 the ancilla state alone would take 14.6 TiB: the bound comes
-    # before anything of the family's size is allocated
-    for ancilla_dim, simplex in (("32", "4097×4096 simplex"), ("1000000000000", "")):
-        assert cli.main(["sweep", "--ancilla-dim", ancilla_dim]) == 2
+def test_sweep_over_the_memory_bound_exits_2_before_any_restart(capsys, monkeypatch):
+    monkeypatch.setattr(search, "_simplex_moves", _no_restarts)
+    # 6 grid points × 3 objectives × 10^6 restarts of the default family, the
+    # 4097×4096 simplices of ancilla 32, at 10^12 an ancilla state alone of
+    # 14.6 TiB (the bound comes before anything of the family's size exists),
+    # and 30,600 restarts of ancilla 4, whose simplices alone would fit
+    for args, count in ((["--restarts", "1000000"], "18,000,000"),
+                        (["--ancilla-dim", "32"], "360"),
+                        (["--ancilla-dim", "1000000000000"], "360"),
+                        (["--ancilla-dim", "4", "--grid", "0:0.5:0.1", "--restarts", "1700"], "30,600")):
+        assert cli.main(["sweep", *args]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"bad sweep configuration: 360 restarts of a {simplex}")
-        assert "in memory at once" in err
+        assert err.startswith(f"bad sweep configuration: {count} restarts of ")
+        assert "over 1,073,741,824: the search holds every restart in memory at once" in err
+
+
+def test_sweep_under_the_memory_bound_builds_its_restarts(capsys, monkeypatch):
+    # the 30,600 restarts above would hold 1.75 GB; these 18,000 hold 1.03 GB
+    monkeypatch.setattr(search, "_simplex_moves", _no_restarts)
+    assert cli.main(["sweep", "--ancilla-dim", "4", "--grid", "0:0.5:0.1", "--restarts", "1000"]) == 1
+    assert capsys.readouterr().err == "internal error: a restart was built\n"
 
 
 def test_sweep_single_point_csv(capsys):
@@ -581,6 +592,29 @@ def test_verify_catches_swapped_travel_and_ancilla_entropies(capsys, monkeypatch
     monkeypatch.setattr(metrics, "InfoReport", swapped)
     assert cli.main(["verify"]) == 1
     assert "FAIL travel_entropy_binary_identity" in capsys.readouterr().out
+
+
+def test_verify_catches_a_negative_holevo_bound(capsys, monkeypatch):
+    # sabotage only the member-0 entropies, so that S(mixture) - S(member 0) < 0
+    # while every entropy a report prints, each a mixture's, is unchanged
+    subsystem_entropies = metrics._subsystem_entropies
+
+    def raised_member_zero(composite, travel, ancilla):
+        entropies = subsystem_entropies(composite, travel, ancilla)
+        if composite is travel:  # N mixtures then their N members 0, as the Holevo bounds ask
+            k = len(composite)
+            entropies[k // 2:k] += 3.0
+            entropies[k + k // 2:2 * k] += 3.0
+        return entropies
+
+    spec, config = search.sample_random_attack(2, 7), protocol.make_config("bell")
+    before = metrics.information_report(spec, config)
+    monkeypatch.setattr(metrics, "_subsystem_entropies", raised_member_zero)
+    after = metrics.information_report(spec, config)
+    assert (after.i0t, after.i0a, after.i0c) == (before.i0t, before.i0a, before.i0c)
+    assert cli.main(["verify"]) == 1
+    fails = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL holevo_within_entropy")
 
 
 def test_verify_catches_a_kernel_that_ignores_the_ancilla_state(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -264,13 +265,48 @@ def test_sweep_config_validation():
             search.SweepConfig(**bad)
 
 
-def test_sweep_config_caps_the_restarts_of_one_search():
-    search.SweepConfig(d_grid=(0.1,), restarts=search.MAX_RESTARTS, objectives=("i0t",))
-    with pytest.raises(ValueError, match="in memory at once"):
-        search.SweepConfig(d_grid=(0.1,), restarts=search.MAX_RESTARTS + 1, objectives=("i0t",))
-    # grid points × objectives × restarts: 2 × 3 × 16,667 = 100,002
-    with pytest.raises(ValueError, match="100,002 restarts"):
-        search.SweepConfig(d_grid=(0.1, 0.2), restarts=16_667)
+def _no_restarts(*args, **kwargs):
+    raise AssertionError("a restart was built")
+
+
+def test_sweep_bounds_the_bytes_of_its_restarts(simplified_config, monkeypatch):
+    monkeypatch.setattr(search, "_simplex_moves", _no_restarts)
+    # 2 × 3 × 16,667 = 100,002 restarts, once refused by SweepConfig's restart
+    # count, take 1.06 GB at P = 16, and 200,000 restarts 0.95 GB at P = 4
+    wide = search.SweepConfig(d_grid=(0.1, 0.2), restarts=16_667)
+    many = search.SweepConfig(d_grid=(0.1,), restarts=200_000, objectives=("i0t",))
+    for family, sweep_cfg in ((search.full_unitary_family(2), wide),
+                              (search.full_unitary_family(1), many)):
+        assert len(sweep_cfg.d_grid) * len(sweep_cfg.objectives) * sweep_cfg.restarts \
+            * search._restart_bytes(family) <= search.MAX_SWEEP_BYTES
+        with pytest.raises(AssertionError, match="a restart was built"):
+            search.sweep(family, simplified_config, sweep_cfg)
+    # the same 100,002 restarts at P = 36 take 2.5 GB
+    with pytest.raises(search.SearchTooLargeError, match="100,002 restarts of .* over 1,073,741,824"):
+        search.sweep(search.full_unitary_family(3), simplified_config, wide)
+
+
+def _peak_bytes(family, config, restarts):
+    """tracemalloc's peak over one sweep of ``restarts`` restarts at budget 40."""
+    sweep_cfg = search.SweepConfig(d_grid=(0.3,), restarts=restarts, budget_per_restart=40,
+                                   objectives=("i0t",))
+    tracemalloc.start()
+    try:
+        search.sweep(family, config, sweep_cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode,encoding", [("simplified", "iz"), ("bell", "paulis")])
+def test_restart_bytes_bound_the_measured_peak_per_restart(mode, encoding):
+    config = pp.make_config(mode, encoding=encoding)
+    for make_family in (search.full_unitary_family, search.product_family):
+        for ancilla_dim in (1, 2, 4):
+            family = make_family(ancilla_dim)
+            low = _peak_bytes(family, config, 20)  # and the first build's caches
+            slope = (_peak_bytes(family, config, 60) - low) / 40
+            assert slope <= search._restart_bytes(family) <= 2 * slope, (family.name, ancilla_dim)
 
 
 def test_curve_point_best_value_property():
