@@ -317,20 +317,29 @@ def _no_restarts(*args, **kwargs):
     raise AssertionError("a restart was built")
 
 
-def test_sweep_over_the_memory_bound_exits_2_before_any_restart(capsys, monkeypatch):
+def _assert_over_the_memory_bound(capsys, args, count):
+    assert cli.main(["sweep", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad sweep configuration: {count} restarts of ")
+    assert "over 1,073,741,824: the search holds every restart in memory at once" in err
+
+
+def test_sweep_over_the_restart_cap_exits_2_before_any_restart(capsys, monkeypatch):
     monkeypatch.setattr(search, "_simplex_moves", _no_restarts)
-    # 6 grid points × 3 objectives × 10^6 restarts of the default family, the
-    # 4097×4096 simplices of ancilla 32, at 10^12 an ancilla state alone of
-    # 14.6 TiB (the bound comes before anything of the family's size exists),
-    # and 30,600 restarts of ancilla 4, whose simplices alone would fit
+    # 6 grid points × 3 objectives × 10^6 restarts of the default family, and
+    # 30,600 restarts of ancilla 4, whose simplices alone would fit
     for args, count in ((["--restarts", "1000000"], "18,000,000"),
-                        (["--ancilla-dim", "32"], "360"),
-                        (["--ancilla-dim", "1000000000000"], "360"),
                         (["--ancilla-dim", "4", "--grid", "0:0.5:0.1", "--restarts", "1700"], "30,600")):
-        assert cli.main(["sweep", *args]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"bad sweep configuration: {count} restarts of ")
-        assert "over 1,073,741,824: the search holds every restart in memory at once" in err
+        _assert_over_the_memory_bound(capsys, args, count)
+
+
+def test_sweep_over_the_simplex_byte_bound_exits_2_before_any_restart(capsys, monkeypatch):
+    monkeypatch.setattr(search, "_simplex_moves", _no_restarts)
+    # the 4097×4096 simplices of ancilla 32, and at 10^12 an ancilla state
+    # alone of 14.6 TiB (the bound comes before anything of the family's size
+    # exists)
+    for ancilla_dim in ("32", "1000000000000"):
+        _assert_over_the_memory_bound(capsys, ["--ancilla-dim", ancilla_dim], "360")
 
 
 def test_sweep_under_the_memory_bound_builds_its_restarts(capsys, monkeypatch):
