@@ -117,7 +117,9 @@ def _checked_lift(isometries: np.ndarray, config: "ProtocolConfig", label: str) 
     InvalidAttackError line of row i starts with ``label.format(i)``.
     ``_attacked_rows`` calls this after ``validate_attack``; the search calls
     it alone on each step's isometries, since unit-trace rows are all the
-    kernel needs for its states to be density matrices.
+    kernel needs for its states to be density matrices.  Its families build
+    unitaries, so it leaves U†U to ``information_report``, which validates
+    each point the search returns in full.
     """
     rows = config.bob_initial.amplitudes.reshape(-1, 2) @ isometries.transpose(0, 2, 1)
     flat = rows.reshape(len(rows), -1).view(np.float64)  # (re, im) pairs
@@ -137,12 +139,15 @@ def _attacked_rows(specs: list[AttackSpec], config: "ProtocolConfig") -> np.ndar
     Row h of attack i holds U_i(<h|_home|initial>⊗|χ_i>) over travel⊗ancilla:
     a single row U(|b>⊗|χ>) in simplified mode, two rows (home = 0, 1) in
     bell mode.  This is the one place a consumer's attack is checked and made
-    the isometry W = U(I₂⊗|χ>) that ``_checked_lift`` lifts: each spec is
-    validated by ``validate_attack`` once and each attacked state's trace
-    checked; everything derived from the rows is trusted.  The
-    InvalidAttackError carries one violation per line, naming its attack
-    when the list holds more than one.  Specs of different ancilla
-    dimensions raise ValueError; the list must not be empty.
+    the isometry W = U(I₂⊗|χ>) that ``_checked_lift`` lifts, by one matmul
+    per spec, ``U.reshape(n, 2, m) @ χ`` for ancilla dimension m: each spec
+    is validated by ``validate_attack`` once and each attacked state's trace
+    checked; everything derived from the rows is trusted.  Every consumer
+    (this module's functions, ``information_report``, ``run_message_round``
+    and ``monte_carlo``) passes a list of one.  The InvalidAttackError
+    carries one violation per line, naming its attack when the list holds
+    more than one.  Specs of different ancilla dimensions raise ValueError;
+    the list must not be empty.
     """
     label = "attack {}: " if len(specs) > 1 else ""
     found = list(map(validate_attack, specs))

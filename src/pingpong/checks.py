@@ -1,10 +1,17 @@
 """Named invariant suites behind the ``verify`` command.
 
-Every suite runs with fixed seeds.  A suite body returns its worst
-deviation and a detail line; ``@_suite(tol)`` names it after its function
-and grades it: its margin is ``tol - worst``, non-negative passes, negative
-fails.  A suite that raises is reported as failed rather than crashing the
-run.
+Every suite runs with fixed seeds.  A suite is a ``check_<name>`` function
+whose body returns its worst deviation and a detail line; ``@_suite(tol)``
+names it after its function, without ``check_``, and grades it: its margin
+is ``tol - worst``, non-negative passes, negative fails.  ``verify`` runs
+every ``check_*`` function of the module in definition order
+(``ALL_CHECKS``), so a helper must not take that prefix.  A suite that
+raises is reported as failed rather than crashing the run.
+
+A suite that samples random states or unitaries draws them from its seed
+in a fixed order, stacks them, and makes one kernel call on the stack: one
+entropy eigensolve, one stacked ``U ρ U†`` or ``U s``, or one
+``search._unitary`` call for a stack of parameter vectors.
 """
 
 from __future__ import annotations

@@ -27,13 +27,20 @@ class AttackFileError(ValueError):
     """An attack file does not parse; the message names the field or line."""
 
 
+def _short_repr(value, limit: int = 60) -> str:
+    """``repr(value)`` cut after ``limit`` characters, so that an error
+    message echoes a bad entry without printing all of it."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def _complex_from_pair(pair, where: str) -> complex:
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
     ):
-        raise AttackFileError(f"{where}: expected a [re, im] number pair, got {pair!r}")
+        raise AttackFileError(f"{where}: expected a [re, im] number pair, got {_short_repr(pair)}")
     try:
         return complex(pair[0], pair[1])
     except OverflowError:  # an integer past float range
@@ -60,7 +67,7 @@ def attack_from_dict(data: dict) -> attack_mod.AttackSpec:
             raise AttackFileError(f"field {field!r} is missing")
     dim = data["ancilla_dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
-        raise AttackFileError(f"ancilla_dim: expected an integer, got {dim!r}")
+        raise AttackFileError(f"ancilla_dim: expected an integer, got {_short_repr(dim)}")
     chi_raw = data["chi"]
     if not isinstance(chi_raw, list):
         raise AttackFileError("chi: expected a list of [re, im] pairs")

@@ -131,7 +131,8 @@ def _claim_deviation(
 ) -> ClaimDeviation | None:
     """The claimed-vs-computed I0c when ``spec`` and ``config`` are the canonical
     counterexample setting (simplified mode, the "iz" encoding, |0> sent, the
-    builtin counterexample arrays), else None."""
+    builtin counterexample arrays), else None.  χ, U and the sent state must
+    each match within 1e-12.  A report calls this once."""
     if (config.mode != "simplified" or config.encoding != "iz"
             or spec.ancilla_state.shape != _CANONICAL[0].shape):
         return None

@@ -27,8 +27,8 @@ _ENCODINGS = {
 }
 ENCODING_NAMES = tuple(_ENCODINGS)
 
-# Most rounds one monte_carlo call simulates; tracemalloc peaks there at 0.1 GB
-# for simulate's control rounds, 0.5 GB in bell/paulis at 0.5 and 1 GB at 0.
+# Most rounds one monte_carlo call simulates: part of the CLI contract, since
+# simulate exits 2 above it.  A run costs no more as the round count grows.
 MAX_ROUNDS = 10_000_000
 
 _BELL_PAIR = qlinalg.StateVector([0.0, math.sqrt(0.5), math.sqrt(0.5), 0.0])
@@ -200,10 +200,15 @@ def monte_carlo(
     """Simulate ``rounds`` protocol rounds and tally the outcomes.
 
     Round kinds follow ``config.control_probability``; message bits follow
-    the encoding priors.  ``empirical_d`` is the detected fraction of
-    control rounds (nan with none), ``empirical_decode_accuracy`` the
-    correctly decoded fraction of message rounds (undecodable rounds count
-    as incorrect; nan with no message rounds).  ``rounds`` is an integer
+    the encoding priors.  Only the tallies are drawn, each from its exact
+    law: the control rounds and their detections are binomial, the bits
+    sent multinomial, and each bit's decode outcomes multinomial over its
+    row of ``_decode_table``.  So no array grows with ``rounds``.
+
+    ``empirical_d`` is the detected fraction of control rounds (nan with
+    none), ``empirical_decode_accuracy`` the correctly decoded fraction of
+    message rounds (undecodable rounds count as incorrect; nan with no
+    message rounds).  ``rounds`` is an integer
     from 1 to ``MAX_ROUNDS`` and ``seed`` an integer >= 0; otherwise
     ValueError is raised before anything is drawn.
     """
@@ -215,25 +220,18 @@ def monte_carlo(
     rng = np.random.default_rng(seed)
     rows = attack_mod._attacked_rows([spec], config)
     d = float(attack_mod._detection(rows, config)[0])
-    is_control = rng.random(rounds) < config.control_probability
-    n_control = int(is_control.sum())
+    n_control = int(rng.binomial(rounds, config.control_probability))
     n_message = rounds - n_control
-    detections = int((rng.random(n_control) < d).sum())
-
-    n_ops = len(config.encoding_ops)
-    bits = rng.choice(n_ops, size=n_message, p=config.prior_array)
+    detections = int(rng.binomial(n_control, d))
     table = _decode_table(rows[0], config)
-    if n_message and table is not None:
+    if table is None:
+        correct, undecoded = 0, n_message
+    else:
         table = np.clip(table, 0.0, None)
         table /= table.sum(axis=1, keepdims=True)
-        draws = rng.random(n_message)
-        cumulative = np.cumsum(table[bits], axis=1)
-        outcomes = (draws[:, None] > cumulative).sum(axis=1)
-        correct = int((outcomes == bits).sum())
-        undecoded = int((outcomes == n_ops).sum())
-    else:
-        correct = 0
-        undecoded = n_message
+        # tally[k, j]: rounds that sent bit k and that Bob decoded as j (K: none).
+        tally = rng.multinomial(rng.multinomial(n_message, config.prior_array), table)
+        correct, undecoded = int(np.trace(tally)), int(tally[:, -1].sum())
     counts = {
         "rounds": rounds,
         "control_rounds": n_control,

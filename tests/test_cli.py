@@ -146,6 +146,22 @@ def test_deeply_nested_attack_file_exits_3(capsys, tmp_path):
         assert capsys.readouterr().err == "invalid attack file: nested too deeply\n"
 
 
+@pytest.mark.parametrize("entry", ["[" + "0.5, " * 99_999 + "0.5]", "[" * 500 + "]" * 500,
+                                   "[" * 980 + "]" * 980], ids=["long", "deep-500", "deep-980"])
+def test_a_bad_chi_entry_is_echoed_in_a_short_line(capsys, tmp_path, entry):
+    # The message once echoed the entry whole.  980 levels load or meet the
+    # recursion guard, by the caller's stack depth; either way the line is short.
+    text = json.dumps(files.attack_to_dict(pp.builtin_attack("counterexample")))
+    path = tmp_path / "bad.json"
+    path.write_text(text.replace('"chi": [', '"chi": [' + entry + ", ", 1))
+    assert cli.main(["report", str(path)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200
+    if not entry.startswith("[" * 980):
+        assert lines[0].startswith("invalid attack file: chi[0]: expected a [re, im] number pair")
+        assert lines[0].endswith("...")
+
+
 def test_report_invalid_attack_exits_3(capsys, tmp_path):
     # 1 + 0.9e-10 passes the norm check but not the attacked state's trace
     for chi in ([1.0, 1.0], [np.nan, 0.0], [1.0 + 0.9e-10, 0.0]):

@@ -387,6 +387,32 @@ def test_a_coupling_that_fixes_chi_changes_no_report():
     assert worst < 1e-12, worst
 
 
+@pytest.mark.parametrize("anc", [1, 2, 3, 4])
+def test_an_ancilla_unitary_after_the_coupling_changes_nothing(anc):
+    """The gauge of W: (I₂⊗V)U for any ancilla unitary V induces U's channel on
+    the travel qubit, so the reports, d and message rounds agree within rounding."""
+    rng = np.random.default_rng(200 + anc)
+    for _ in range(3):
+        spec = search.sample_random_attack(anc, rng)
+        gauge = np.kron(np.eye(2), search.haar_random_unitary(anc, rng))
+        moved = pp.AttackSpec(anc, spec.ancilla_state, gauge @ spec.unitary)
+        assert anc == 1 or np.abs(moved.unitary - spec.unitary).max() > 0.1
+        for config in _CONFIGS:
+            want = metrics.information_report(spec, config)
+            got = metrics.information_report(moved, config)
+            for name in _REPORT_FIELDS:
+                assert abs(getattr(got, name) - getattr(want, name)) < 1e-12, (name, config)
+            d = [attack.detection_probability(s, config) for s in (spec, moved)]
+            assert abs(d[0] - d[1]) < 1e-12
+            for bit in range(len(config.encoding_ops)):
+                a, b = (pp.run_message_round(config, s, bit) for s in (spec, moved))
+                assert a.orthogonal_decoding == b.orthogonal_decoding
+                if a.orthogonal_decoding:
+                    assert a.decoded_bit == b.decoded_bit
+                    assert np.allclose(a.decode_probabilities, b.decode_probabilities, rtol=0, atol=1e-12)
+                    assert abs(a.failure_probability - b.failure_probability) < 1e-12
+
+
 def test_batched_reports_need_one_ancilla_dim_and_accept_none(simplified_config):
     mixed = [search.sample_random_attack(1, 0), search.sample_random_attack(2, 0)]
     with pytest.raises(ValueError, match="one ancilla_dim") as excinfo:

@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import pingpong as pp
-from pingpong import attack, protocol, qlinalg
+from pingpong import attack, protocol, qlinalg, search
 
 import oracles
 
@@ -250,6 +251,37 @@ def test_monte_carlo_detection_frequency(counterexample):
     assert stats.counts["control_rounds"] == n
     sigma = oracles.binomial_sigma(0.5, n)
     assert abs(stats.empirical_d - 0.5) < 4 * sigma
+
+
+@pytest.mark.parametrize("encoding", ["paulis", "iz"])
+def test_monte_carlo_message_tallies_follow_the_decode_table(encoding):
+    # bell/paulis decodes onto a full basis, so no weight is left outside it;
+    # bell/iz leaves some, so decoded_none is tested at a nonzero rate as well.
+    config = pp.make_config("bell", encoding=encoding, control_probability=0.0)
+    spec = search.sample_random_attack(2, 31)
+    rounds = 200_000
+    results = [protocol.run_message_round(config, spec, k) for k in range(len(config.priors))]
+    want_correct = sum(p * r.decode_probabilities[k] for k, (p, r) in enumerate(zip(config.priors, results)))
+    want_none = sum(p * r.failure_probability for p, r in zip(config.priors, results))
+    assert encoding == "paulis" or want_none > 0.01
+    counts = protocol.monte_carlo(config, spec, rounds=rounds, seed=8).counts
+    assert counts["message_rounds"] == rounds
+    for got, want in ((counts["decoded_correct"], want_correct), (counts["decoded_none"], want_none)):
+        assert abs(got / rounds - want) <= 4 * oracles.binomial_sigma(want, rounds)
+
+
+def test_monte_carlo_at_the_cap_holds_no_array_of_rounds():
+    config = pp.make_config("bell", encoding="paulis", control_probability=0.0)
+    spec = search.sample_random_attack(2, 31)
+    protocol.monte_carlo(config, spec, rounds=10, seed=0)  # first-call allocations
+    tracemalloc.start()
+    try:
+        stats = protocol.monte_carlo(config, spec, rounds=protocol.MAX_ROUNDS, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.counts["message_rounds"] == protocol.MAX_ROUNDS
+    assert peak < 1_000_000
 
 
 def test_monte_carlo_undecodable_rounds_count_as_none(counterexample, simplified_config):
