@@ -42,7 +42,6 @@ from .qlinalg import (
     UnitaryOperator,
     basis_state,
     partial_trace,
-    tensor_product,
     to_density,
     von_neumann_entropy,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "run_message_round",
     "sample_random_attack",
     "sweep",
-    "tensor_product",
     "to_density",
     "validate_attack",
     "von_neumann_entropy",

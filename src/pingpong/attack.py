@@ -198,6 +198,9 @@ def apply_attack(spec: AttackSpec, config: "ProtocolConfig") -> qlinalg.DensityM
     Returns the full density matrix: travel⊗ancilla in simplified mode,
     home⊗travel⊗ancilla in bell mode.  Trace is preserved within
     ``qlinalg.ATOL``: χ's norm and U†U may each sit inside their tolerance.
+
+    No command calls this: it is the library's one-attack form, kept
+    while ``bench/tracer.py`` wraps it by name.
     """
     psi = _attacked_rows([spec], config)[0].ravel()
     return qlinalg.DensityMatrix(np.outer(psi, psi.conj()))
@@ -209,6 +212,9 @@ def post_encoding_ensemble(spec: AttackSpec, config: "ProtocolConfig") -> Encodi
     Member j carries the prior of encoding op j and the state
     (A_j⊗I_anc)ρ'(A_j⊗I_anc)† on travel⊗ancilla; in bell mode the home
     qubit is traced out first since it is never accessible.
+
+    No command calls this: it is the library's one-attack form, kept
+    while ``bench/tracer.py`` wraps it by name.
     """
     members = _encoded_members(_attacked_rows([spec], config), config)[0]
     pairs = tuple((p, qlinalg.DensityMatrix(rho)) for p, rho in zip(config.priors, members))
@@ -223,6 +229,9 @@ def detection_probability(spec: AttackSpec, config: "ProtocolConfig") -> float:
     Alice and Bob compare computational-basis outcomes on travel and
     home; the unattacked pair is perfectly anticorrelated, so d is the
     probability the outcomes are equal.
+
+    No command calls this: it is the library's one-attack form, kept
+    while ``bench/tracer.py`` wraps it by name.
     """
     return float(_detection(_attacked_rows([spec], config), config)[0])
 

@@ -11,7 +11,10 @@ raises is reported as failed rather than crashing the run.
 A suite that samples random states or unitaries draws them from its seed
 in a fixed order, stacks them, and makes one kernel call on the stack: one
 entropy eigensolve, one stacked ``U ρ U†`` or ``U s``, or one
-``search._unitary`` call for a stack of parameter vectors.
+``search._unitary`` call for a stack of parameter vectors.  Only the suites
+that test the public objects themselves (``entropy_maximal_mixing``,
+``entropy_bell_marginal`` and U(0) = I) build ``qlinalg.DensityMatrix`` or
+``qlinalg.UnitaryOperator`` values.
 """
 
 from __future__ import annotations

@@ -233,7 +233,9 @@ def _grid_values(stripped: str) -> tuple[float, ...]:
         start, stop, step = _finite_floats(parts)
         if step <= 0:
             raise ValueError("step must be positive")
-        span = (stop + 1e-9 - start) / step  # inf when the range overflows
+        span = (stop + 1e-9 - start) / step  # ±inf when the range overflows
+        if span < 0:  # stop below start: no points
+            return ()
         if not span < _MAX_GRID_POINTS:
             raise ValueError(f"more than {_MAX_GRID_POINTS} points")
         values = []

@@ -113,7 +113,11 @@ def _ensembles(
 def holevo_bound(ensemble: attack_mod.EncodingEnsemble, subsystem: str) -> float:
     """Holevo quantity χ = S(Σ p ρ) - Σ p S(ρ) on a subsystem of the ensemble.
 
-    ``subsystem`` is one of travel, ancilla, composite.
+    ``subsystem`` is one of travel, ancilla, composite.  Unlike a report's
+    bounds, this one is not clamped at 0.
+
+    No command calls this: it is the library's one-attack form, kept
+    while ``bench/tracer.py`` wraps it by name.
     """
     if subsystem not in _SUBSYSTEMS:
         raise ValueError(f"unknown subsystem {subsystem!r}; known: {_SUBSYSTEMS}")

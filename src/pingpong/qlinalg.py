@@ -31,10 +31,6 @@ for _pauli in (PAULI_I, PAULI_X, PAULI_Z):  # read by every ProtocolConfig's enc
     _pauli.setflags(write=False)
 
 
-class KindMismatchError(TypeError):
-    """Operands of a binary operation are not the same carrier kind."""
-
-
 class DimensionMismatchError(ValueError):
     """Operand shapes or dimensions are incompatible."""
 
@@ -140,27 +136,6 @@ def basis_state(dim: int, index: int) -> StateVector:
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return StateVector(amps)
-
-
-def tensor_product(a, b):
-    """Kronecker composition of two carriers of the same kind.
-
-    The first operand becomes the more significant subsystem index.
-
-    Raises
-    ------
-    KindMismatchError
-        If the operands are not the same kind.
-    """
-    if type(a) is not type(b):
-        raise KindMismatchError(
-            f"cannot combine {type(a).__name__} with {type(b).__name__}"
-        )
-    if isinstance(a, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, (UnitaryOperator, DensityMatrix)):
-        return type(a)(np.kron(a.entries, b.entries))
-    raise KindMismatchError(f"unsupported operand kind {type(a).__name__}")
 
 
 def to_density(s: StateVector) -> DensityMatrix:

@@ -459,6 +459,9 @@ def maximize_information(
 
     ``sweep_cfg`` gives the restarts, budget and seed; its grid and
     objectives are replaced by these, and ``SweepConfig`` validates both.
+
+    No command calls this: it is the library's one-point form of
+    ``sweep``, kept while ``bench/tracer.py`` wraps it by name.
     """
     one_point = dataclasses.replace(sweep_cfg, d_grid=(d_target,), objectives=(objective,))
     return sweep(family, config, one_point)[0]

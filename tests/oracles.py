@@ -7,8 +7,11 @@ Hermitian eigensolver, and entropies are scalar ``math.log2`` sums.  The
 redundancy is the point: a bug shared between the package and these
 routes would have to be introduced twice, independently.
 
-Only ``numpy.roots`` is imported from numpy, to solve the characteristic
-polynomial; everything feeding it is hand-rolled.
+The list routes take only ``numpy.roots`` from numpy, to solve the
+characteristic polynomial; everything feeding it is hand-rolled.  The
+channel route at the end (``choi``, ``report_from_channel``) is plain
+numpy arrays and ``numpy.linalg.eigvalsh``: it reads a whole report off
+the attack's Choi matrix, by formulas the package does not use.
 """
 
 import math
@@ -175,6 +178,79 @@ def dephased_mixture_entropy(psi, ancilla_dim):
 
 def binomial_sigma(p, n):
     return math.sqrt(p * (1.0 - p) / n)
+
+
+# ---------------------------------------------------------------------------
+# every report field from the channel's Choi matrix J
+
+
+def choi(w):
+    """J = Σ_ij |i><j| ⊗ N(|i><j|) (input ⊗ output) of N(X) = Tr_anc(W X W†),
+    for an (n, 2) isometry W from the travel qubit into travel⊗ancilla."""
+    m = w.shape[0] // 2
+    v = w.reshape(2, m, 2).transpose(2, 0, 1).reshape(4, m)  # v[(i, t), a] = <t, a|W|i>
+    return v @ v.conj().T
+
+
+def _channel(j, x):
+    """N(X) = Σ_ij X_ij N(|i><j|) for a 2×2 input X."""
+    return np.einsum("ij,itjs->ts", x, j.reshape(2, 2, 2, 2))
+
+
+def _entropy(a):
+    lams = np.linalg.eigvalsh(a)
+    lams = lams[lams > 1e-300]
+    return float(-(lams * np.log2(lams)).sum())
+
+
+def report_from_channel(j, config):
+    """The six report fields of an attack with Choi matrix ``j``.
+
+    Simplified mode, |b> sent: ρ_t = N(|b><b|), d = 1 - <b|ρ_t|b>,
+    i0a = S(ρ_t) (the attacked state is pure), i0t = S(Σ p_k E_k ρ_t E_k†),
+    and i0c = S(G) for the Gram matrix G_lk = √(p_l p_k) Tr(E_l† E_k ρ_t) of
+    the pure members, so holevo_c = i0c.  Bell mode, pair (|01> + |10>)/√2:
+    d = ½(<0|N(|1><1|)|0> + <1|N(|0><0|)|1>), i0a = S(J/2),
+    i0t = S(Σ p_k E_k N(I/2) E_k†), and i0c = S(M) for the 2K×2K matrix
+    M_(l,h'),(k,h) = ½ √(p_l p_k) Tr(E_l† E_k N(|1-h><1-h'|)); every member
+    has composite entropy 1 and travel entropy S(N(I/2)).  The Holevo
+    bounds are clamped at 0, as a report clamps them.
+    """
+    ops = np.array([op.entries for op in config.encoding_ops])
+    p = np.array(config.priors)
+    k = len(ops)
+
+    def traces(x):  # the K×K matrix √(p_l p_k) Tr(E_l† E_k X)
+        return np.sqrt(np.outer(p, p)) * np.einsum("lst,ksu,ut->lk", ops.conj(), ops, x)
+
+    if config.mode == "simplified":
+        b = config.bob_initial.amplitudes
+        travel_in = _channel(j, np.outer(b, b.conj()))
+        d = 1.0 - np.vdot(b, travel_in @ b).real
+        s_member_t, s_member_c = _entropy(travel_in), 0.0
+        i0a = s_member_t
+        gram = traces(travel_in)
+    else:
+        e = np.eye(2)
+        d = 0.5 * (_channel(j, np.outer(e[1], e[1]))[0, 0] + _channel(j, np.outer(e[0], e[0]))[1, 1]).real
+        travel_in = _channel(j, e / 2)
+        s_member_t, s_member_c = _entropy(travel_in), 1.0
+        i0a = _entropy(j / 2)
+        gram = np.zeros((k, 2, k, 2), dtype=complex)
+        for h in range(2):
+            for h2 in range(2):
+                gram[:, h2, :, h] = 0.5 * traces(_channel(j, np.outer(e[1 - h], e[1 - h2])))
+        gram = gram.reshape(2 * k, 2 * k)
+    i0t = _entropy(np.einsum("k,kts,su,kvu->tv", p, ops, travel_in, ops.conj()))
+    i0c = _entropy(gram)
+    return {
+        "d": min(max(float(d), 0.0), 1.0),
+        "i0t": i0t,
+        "i0a": i0a,
+        "i0c": i0c,
+        "holevo_t": max(0.0, i0t - s_member_t),
+        "holevo_c": max(0.0, i0c - s_member_c),
+    }
 
 
 # frozen scalars, each double-checked against the routes above at test time

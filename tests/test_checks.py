@@ -125,7 +125,7 @@ def test_sampling_suites_equal_the_public_object_path_to_the_bit():
 
     pairs = _loop_draws(101, 200, (checks._random_density, 2), (checks._random_density, 3))
     public = [
-        abs(entropy(qlinalg.tensor_product(density(a), density(b)))
+        abs(entropy(density(np.kron(a, b)))
             - entropy(density(a)) - entropy(density(b)))
         for a, b in pairs
     ]

@@ -314,8 +314,8 @@ def test_simulate_deterministic(capsys, attack_path):
 
 def test_sweep_empty_grid_exits_2(capsys):
     # an empty grid, or a range with no point in it, is a usage error,
-    # not an empty sweep
-    for grid in ("", "0.5:0.1:0.1"):
+    # not an empty sweep; so is a range whose negative span overflows
+    for grid in ("", "0.5:0.1:0.1", "5:-5:1e-310", "1e308:-1e308:1e-300"):
         assert cli.main(["sweep", f"--grid={grid}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -184,6 +184,25 @@ def test_report_matches_density_matrix_reference():
     assert worst < 1e-12, worst
 
 
+def test_reports_equal_the_channel_reference():
+    # every field is a function of the channel's Choi matrix J alone, read off
+    # by formulas that share no code with the kernel's lift
+    plus = pp.StateVector(np.full(2, math.sqrt(0.5)))
+    configs = _CONFIGS + [pp.make_config("simplified", bob_initial=plus, encoding=e) for e in ("iz", "paulis")]
+    worst = 0.0
+    for config in configs:
+        for anc in (1, 2, 3, 4):
+            for seed in range(12):
+                spec = search.sample_random_attack(anc, seed)
+                w = spec.unitary @ np.kron(np.eye(2), spec.ancilla_state[:, None])
+                j = oracles.choi(w)
+                assert np.allclose(np.einsum("itjt->ij", j.reshape(2, 2, 2, 2)), np.eye(2), atol=1e-12)
+                report = metrics.information_report(spec, config)
+                for name, want in oracles.report_from_channel(j, config).items():
+                    worst = max(worst, abs(getattr(report, name) - want))
+    assert worst < 1e-12, worst
+
+
 def test_batched_kernel_matches_the_one_attack_references():
     """The kernel on N couplings equals information_report row by row
     (exactly), the density-matrix reference within 1e-12, and, for the

@@ -91,45 +91,6 @@ def test_basis_state():
 
 
 # ---------------------------------------------------------------------------
-# tensor products
-
-
-def test_tensor_product_amplitude_layout():
-    # first operand is the more significant index
-    zero = qlinalg.basis_state(2, 0)
-    w = math.sqrt(0.5)
-    chi = pp.StateVector(np.array([w, w]))
-    combined = qlinalg.tensor_product(zero, chi)
-    assert np.allclose(combined.amplitudes, [w, w, 0.0, 0.0], atol=1e-15)
-
-
-def test_tensor_product_of_unitaries():
-    u = qlinalg.tensor_product(
-        pp.UnitaryOperator(qlinalg.PAULI_X), pp.UnitaryOperator(qlinalg.PAULI_I)
-    )
-    assert np.allclose(u.entries, np.kron(qlinalg.PAULI_X, np.eye(2)))
-
-
-def test_tensor_product_rejects_mixed_kinds():
-    with pytest.raises(qlinalg.KindMismatchError):
-        qlinalg.tensor_product(
-            qlinalg.basis_state(2, 0), pp.UnitaryOperator(np.eye(2))
-        )
-
-
-@given(st.integers(0, 10_000))
-def test_tensor_product_preserves_norm(seed):
-    rng = np.random.default_rng(seed)
-    a = _rand_state(rng, int(rng.integers(2, 5)))
-    b = _rand_state(rng, int(rng.integers(2, 5)))
-    combined = qlinalg.tensor_product(a, b)
-    assert abs(np.linalg.norm(combined.amplitudes) - 1.0) < 1e-12
-    # agreement with the loop-built product
-    expected = oracles.vec_kron(list(a.amplitudes), list(b.amplitudes))
-    assert np.max(np.abs(combined.amplitudes - np.array(expected))) < 1e-12
-
-
-# ---------------------------------------------------------------------------
 # projectors
 
 
@@ -155,7 +116,7 @@ def test_partial_trace_recovers_product_factors():
     rng = np.random.default_rng(3)
     a = _rand_density(rng, 2)
     b = _rand_density(rng, 3)
-    joint = qlinalg.tensor_product(a, b)
+    joint = pp.DensityMatrix(np.kron(a.entries, b.entries))
     assert np.allclose(
         qlinalg.partial_trace(joint, (2, 3), 0).entries, a.entries, atol=1e-12
     )
@@ -176,7 +137,7 @@ def test_partial_trace_bell_marginal_is_maximally_mixed():
 def test_partial_trace_keep_pair():
     rng = np.random.default_rng(11)
     a, b, c = (_rand_density(rng, 2) for _ in range(3))
-    joint = qlinalg.tensor_product(qlinalg.tensor_product(a, b), c)
+    joint = pp.DensityMatrix(np.kron(np.kron(a.entries, b.entries), c.entries))
     kept = qlinalg.partial_trace(joint, (2, 2, 2), (1, 2))
     expected = np.kron(b.entries, c.entries)
     assert np.allclose(kept.entries, expected, atol=1e-12)
