@@ -176,20 +176,35 @@ def _encoded_members(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
     return np.einsum("knhi,knhj->nkij", encoded, encoded.conj())
 
 
+def _travel_states(rows: np.ndarray) -> np.ndarray:
+    """(N, 2, 2) travel states ρ_t = Tr_anc |ψ><ψ| of an (N, 1, n) stack of
+    simplified-mode attacked rows ψ, one matmul over the stack."""
+    psi = rows.reshape(len(rows), 2, -1)
+    return psi @ psi.conj().transpose(0, 2, 1)
+
+
+def _travel_detection(travel: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
+    """d (N,) = 1 - <b|ρ_t|b> of an (N, 2, 2) stack of travel states, for the
+    sent state |b>: simplified mode's one definition of d."""
+    sent = config.bob_initial.amplitudes
+    # One (1, 2) @ (2, 1) product per state: a row's d does not depend on N.
+    kept = ((sent.conj() @ travel)[:, None] @ sent[:, None]).real.reshape(-1)
+    return np.minimum(np.maximum(1.0 - kept, 0.0), 1.0)
+
+
 def _detection(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
     """d (N,) of one control round for an (N, H, n) stack of attacked rows.
 
     Bell mode: the weight of equal computational-basis outcomes on
     (home, travel), 00 and 11, since the clean pair is anticorrelated.
-    Simplified mode: the weight orthogonal to the sent state.
+    Simplified mode: the weight of the travel state ρ_t orthogonal to the
+    sent state, read off ρ_t as the report's kernel reads it
+    (``_travel_detection``), so reports, sweeps and ``simulate`` agree.
     """
     if config.mode == "bell":
         equal = (np.abs(rows.reshape(len(rows), 4, -1)[:, ::3]) ** 2).sum(axis=2)
         return np.minimum(np.maximum(equal[:, 0] + equal[:, 1], 0.0), 1.0)
-    o = config.bob_initial.amplitudes.conj() @ rows.reshape(len(rows), 2, -1)
-    # Row by row this matmul equals np.vdot(o, o) to the bit (einsum does not).
-    kept = (o.conj()[:, None, :] @ o[:, :, None]).real.reshape(-1)
-    return np.minimum(np.maximum(1.0 - kept, 0.0), 1.0)
+    return _travel_detection(_travel_states(rows), config)
 
 
 def apply_attack(spec: AttackSpec, config: "ProtocolConfig") -> qlinalg.DensityMatrix:

@@ -68,7 +68,8 @@ def _kernel(
     specs: list[attack_mod.AttackSpec], config: protocol_mod.ProtocolConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """d, the mixtures and the members of every spec, from one pass of the
-    evaluation kernel that ``report`` and ``sweep`` read (``metrics._ensembles``)."""
+    composite kernel (``metrics._ensembles``): the path ``report`` and
+    ``sweep`` take in bell mode, and the reference for simplified mode's."""
     return metrics._ensembles(attack_mod._attacked_rows(specs, config), config)
 
 

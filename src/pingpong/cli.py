@@ -179,6 +179,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     }[args.family]
     family = family_builder(args.ancilla_dim)
     config = protocol_mod.make_config(args.mode, encoding=args.encoding)
+    if args.out:
+        try:  # create or truncate PATH before the search, as a shell's > would
+            open(args.out, "w").close()
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_USAGE_IO
     try:
         points = search_mod.sweep(family, config, sweep_cfg)
     except search_mod.SearchTooLargeError as exc:

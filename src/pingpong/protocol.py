@@ -53,7 +53,12 @@ class ProtocolConfig:
 
     Derived once, read-only: ``encoding_ops`` and ``priors`` are the named
     operations and their priors; ``op_stack`` (K, 2, 2) and ``prior_array``
-    (K,) are the same as arrays, for the evaluation kernel.
+    (K,) are the same as arrays, for the evaluation kernel.  ``travel_map``
+    (4, 3·K·K) is what simplified mode's kernel (``metrics._travel_kernel``)
+    reads: the linear map from a travel state ρ_t, flattened, to three K×K
+    blocks, each a matrix whose entropy a report prints.  They are the Gram
+    matrix G_lk = √(p_l p_k) Tr(E_l†E_k ρ_t), the travel mixture
+    Σ_k p_k E_k ρ_t E_k† and ρ_t itself, the last two zero-padded from 2×2.
     ``decoding_states`` (K, H·2) holds the states Bob projects onto to
     decode, one row per encoding: the encoded images of the sent state,
     over home⊗travel (bell) or travel.  It is None when they are not
@@ -70,6 +75,7 @@ class ProtocolConfig:
     priors: tuple[float, ...] = dataclasses.field(init=False, repr=False)
     op_stack: np.ndarray = dataclasses.field(init=False, repr=False)
     prior_array: np.ndarray = dataclasses.field(init=False, repr=False)
+    travel_map: np.ndarray = dataclasses.field(init=False, repr=False)
     decoding_states: np.ndarray | None = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -99,8 +105,14 @@ class ProtocolConfig:
         ops = tuple(map(qlinalg.UnitaryOperator, _ENCODINGS[self.encoding]))
         object.__setattr__(self, "encoding_ops", ops)
         object.__setattr__(self, "priors", (1 / len(ops),) * len(ops))
-        for name, values in (("op_stack", [op.entries for op in ops]), ("prior_array", self.priors)):
-            array = np.array(values)
+        stack, priors, k = np.array([op.entries for op in ops]), np.array(self.priors), len(ops)
+        travel_map = np.zeros((4, 3 * k * k), dtype=complex)
+        blocks = travel_map.reshape(2, 2, 3, k, k)  # ρ_t[i, j]'s weight in each block
+        weights = np.sqrt(np.outer(priors, priors))
+        blocks[:, :, 0] = np.einsum("lk,laj,kai->ijlk", weights, stack.conj(), stack)
+        blocks[:, :, 1, :2, :2] = np.einsum("k,kai,kbj->ijab", priors, stack, stack.conj())
+        blocks[:, :, 2, :2, :2] = np.eye(4).reshape(2, 2, 2, 2)
+        for name, array in (("op_stack", stack), ("prior_array", priors), ("travel_map", travel_map)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         base = self.bob_initial.amplitudes.reshape(-1, 2)

@@ -31,7 +31,7 @@ PENALTY_WEIGHT = 100.0  # bits per squared excess detection gap
 # Nelder–Mead convergence tolerances, as scipy.optimize.minimize's options.
 _XATOL = 1e-7
 _FATOL = 1e-12
-# Position of each objective's stack among metrics._subsystem_entropies' arguments.
+# Position of each objective's subsystem in metrics._SUBSYSTEMS.
 _ENTROPY_ROW = {"i0c": 0, "i0t": 1, "i0a": 2}
 # Most bytes the restarts of one sweep, held in memory at once, may take (_restart_bytes each).
 MAX_SWEEP_BYTES = 1 << 30
@@ -326,10 +326,12 @@ def _simplex_moves(x0: np.ndarray) -> Generator[np.ndarray, float, None]:
 def _restart_bytes(family: AttackFamily) -> int:
     """Bytes one restart of a sweep holds at its peak: its (P+1)×P simplex, its
     generator's P-vectors, the step's n×n stacks (n = 2·ancilla_dim) and a constant.
-    The sum is 7–71 % over tracemalloc's peak per restart (slope from 100 to 200
-    restarts, budget 2000, both families at ancilla 1–4, simplified/iz and bell/paulis)."""
+    The sum is 8–87 % over tracemalloc's peak per restart (slope from 100 to 200
+    restarts, budget 2000, both families at ancilla 1–4, simplified/iz and bell/paulis).
+    Bell mode's step also holds its members on travel⊗ancilla; the n² term is
+    sized for them, so it sits further over simplified mode's peak."""
     p, n = family.param_count, 2 * family.ancilla_dim
-    return 8 * (p + 1) * p + 100 * p + 220 * n * n + 3_300
+    return 8 * (p + 1) * p + 100 * p + 140 * n * n + 3_300
 
 
 @dataclasses.dataclass(eq=False)
@@ -365,11 +367,14 @@ def sweep(
     pending point of every live restart, builds the stack with one
     ``family.build_stack`` call, checks the trace of every attacked state
     (the family must build unitaries; U†U is checked only on each returned
-    point's ``family.build``, by ``information_report``), reads only the
-    mixtures of one ``metrics._ensembles`` call and eigensolves, per
-    restart, just the subsystem its objective names.  The live restarts
-    stay grouped by that subsystem, as ``metrics._subsystem_entropies``
-    takes them.  A restart's best feasible and closest points are kept per
+    point's ``family.build``, by ``information_report``) and, with one
+    ``metrics._objective_entropies`` call, eigensolves per restart just the
+    matrix its objective names.  In simplified mode that is a K×K block of
+    the travel state ρ_t (``metrics._travel_kernel``); in bell mode, a
+    mixture on travel⊗ancilla or one of its marginals.  Either way it is
+    the matrix ``information_report`` solves for that field, so a step's
+    values are the reports' to the bit.  The live restarts stay grouped by
+    subsystem, as ``_objective_entropies`` takes them.  A restart's best feasible and closest points are kept per
     restart and merged in restart order with the serial loop's strict
     comparisons, so ties break as they would if the restarts ran one
     after another.  Like scipy's ``maxfev``, a restart that has asked
@@ -399,9 +404,7 @@ def sweep(
     while live:
         thetas = np.array([r.point for r in live])
         rows = attack_mod._checked_lift(family.build_stack(thetas), config, "row {}: ")
-        d, mixtures, _ = metrics._ensembles(rows, config)
-        a, b = counts[0], counts[0] + counts[1]
-        values = metrics._subsystem_entropies(mixtures[:a], mixtures[a:b], mixtures[b:])
+        d, values = metrics._objective_entropies(rows, config, counts)
         still, counts = [], [0, 0, 0]
         for r, theta, d_i, value in zip(live, thetas, d.tolist(), values.tolist()):
             gap = abs(d_i - r.target)

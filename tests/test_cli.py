@@ -458,6 +458,13 @@ def test_sweep_out_directory_exits_2(capsys, tmp_path):
     assert "cannot write" in capsys.readouterr().err
 
 
+def test_sweep_unwritable_out_exits_2_before_any_restart(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(search, "_simplex_moves", _no_restarts)
+    assert cli.main(["sweep", "--out", str(tmp_path / "missing" / "c.csv")]) == 2
+    captured = capsys.readouterr()
+    assert "cannot write" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("grid", ["0.3,0.3", "0.1,0.3,0.1", "1:1:4e-10", "0.9999999999:1:5e-10"])
 def test_sweep_repeated_grid_value_exits_2(capsys, grid):
     # a repeat once ran twice, and the summary counted it as one grid point
@@ -542,10 +549,12 @@ def test_verify_catches_a_wrong_entropy_base(capsys, monkeypatch):
 
 
 # The verify lines of every suite that evaluates attacks (in ALL_CHECKS order)
-# and of family_builds_valid_attacks, as the one-attack-at-a-time suites printed them.
+# and of family_builds_valid_attacks, as the one-attack-at-a-time suites printed them,
+# but for the last digits of two details that simplified mode's travel-state kernel
+# moved: protocol_noiseless_correctness and product_attack_composite_travel.
 PINNED_VERIFY = (
-    "PASS protocol_noiseless_correctness     margin=+9.996e-13  "
-    "max noiseless d = 4.44e-16, wrong decodes = 0",
+    "PASS protocol_noiseless_correctness     margin=+9.997e-13  "
+    "max noiseless d = 3.33e-16, wrong decodes = 0",
     "PASS protocol_monte_carlo_agreement     margin=+0.000e+00  "
     "worst |empirical - analytic| - 4σ = 0 over builtins × modes",
     "PASS detection_range_and_phase          margin=+9.996e-13  "
@@ -563,7 +572,7 @@ PINNED_VERIFY = (
     "PASS holevo_within_entropy              margin=+1.000e-08  "
     "worst Holevo excess over entropy = 0 over 100 attacks",
     "PASS product_attack_composite_travel    margin=+1.000e-08  "
-    "worst of (|i0c - i0t|, i0a) = 9.88e-15 over 100 product attacks",
+    "worst of (|i0c - i0t|, i0a) = 1.56e-14 over 100 product attacks",
     "PASS entropy_inequalities_random        margin=+2.263e-04  "
     "worst inequality deficit = -0.000226 over 500 attacks × 2 modes",
     "PASS family_builds_valid_attacks        margin=+0.000e+00  "

@@ -184,11 +184,22 @@ def test_report_matches_density_matrix_reference():
     assert worst < 1e-12, worst
 
 
+_PLUS = pp.StateVector(np.full(2, math.sqrt(0.5)))
+
+
+def _composite_entropies(rows, config):
+    """d and the five composite-path entropies (mixture and member 0 on the
+    composite and the travel qubit, then the mixture on the ancilla), each (N,)."""
+    d, mixed, members = metrics._ensembles(rows, config)
+    both = np.concatenate([mixed, members[:, 0]])
+    return d, metrics._subsystem_entropies(both, both, mixed).reshape(5, len(rows))
+
+
 def test_reports_equal_the_channel_reference():
     # every field is a function of the channel's Choi matrix J alone, read off
-    # by formulas that share no code with the kernel's lift
-    plus = pp.StateVector(np.full(2, math.sqrt(0.5)))
-    configs = _CONFIGS + [pp.make_config("simplified", bob_initial=plus, encoding=e) for e in ("iz", "paulis")]
+    # by formulas that share no code with the kernel's lift; the composite path,
+    # which simplified-mode reports no longer take, is held to the same reference
+    configs = _CONFIGS + [pp.make_config("simplified", bob_initial=_PLUS, encoding=e) for e in ("iz", "paulis")]
     worst = 0.0
     for config in configs:
         for anc in (1, 2, 3, 4):
@@ -198,70 +209,74 @@ def test_reports_equal_the_channel_reference():
                 j = oracles.choi(w)
                 assert np.allclose(np.einsum("itjt->ij", j.reshape(2, 2, 2, 2)), np.eye(2), atol=1e-12)
                 report = metrics.information_report(spec, config)
+                (d,), (c, c0, t, t0, a) = _composite_entropies(attack._attacked_rows([spec], config), config)
+                composite = {"d": d, "i0t": t, "i0a": a, "i0c": c,
+                             "holevo_t": max(0.0, t - t0), "holevo_c": max(0.0, c - c0)}
                 for name, want in oracles.report_from_channel(j, config).items():
-                    worst = max(worst, abs(getattr(report, name) - want))
+                    worst = max(worst, abs(getattr(report, name) - want), abs(composite[name] - want))
     assert worst < 1e-12, worst
 
 
 def test_batched_kernel_matches_the_one_attack_references():
-    """The kernel on N couplings equals information_report row by row
-    (exactly), the density-matrix reference within 1e-12, and, for the
-    {I, Z} encoding in simplified mode, the rank-2 oracle for I0c and H(d).
-    The rows lifted from the isometries W = U(I₂⊗|χ>), as the search lifts
-    its own, give the same d and mixtures as the reports' rows,
-    and each mixture entropy the search takes equals the full solve's:
-    one subsystem per matrix, matrices grouped by subsystem."""
+    """Each configuration's kernel on N couplings, row by row.
+
+    The sweep step's values and d (``_objective_entropies`` on the rows lifted
+    from the isometries W = U(I₂⊗|χ>), as the search lifts its own, in any
+    grouping by subsystem) equal ``information_report``'s exactly, and so does
+    bell mode's composite path.  Simplified mode's reports read the travel
+    state alone, so there the composite path is the reference: it and the
+    density-matrix reference agree within 1e-12 on d and all five entropies,
+    with member 0's composite entropy ≈ 0 and its travel entropy ≈ i0a.
+    d is ``detection_probability``'s to the bit, and for {I, Z} with |0> sent
+    the rank-2 oracle gives I0c and H(d) within 1e-10."""
     rng = np.random.default_rng(73)
-    configs = [
-        pp.make_config(m, encoding=e) for m in ("simplified", "bell") for e in ("iz", "paulis")
+    configs = [pp.make_config("bell", encoding=e) for e in ("iz", "paulis")] + [
+        pp.make_config("simplified", bob_initial=sent, encoding=e)
+        for sent in (None, _PLUS) for e in ("iz", "paulis")
     ]
+    groupings = ((5, 0, 0), (0, 5, 0), (0, 0, 5), (2, 1, 2), (0, 3, 2), (1, 4, 0))
     for anc in (1, 2, 3, 4):
         chi = search.random_pure_state(anc, rng)
         unitaries = np.array([search.haar_random_unitary(2 * anc, rng) for _ in range(5)])
         specs = [pp.AttackSpec(anc, chi, unitary) for unitary in unitaries]
         isometries = (unitaries.reshape(5, 2 * anc, 2, anc) @ chi[:, None])[..., 0]
         for config in configs:
-            d, mixed, members = metrics._ensembles(attack._attacked_rows(specs, config), config)
-            d_search, mixed_search, _ = metrics._ensembles(
-                attack._checked_lift(isometries, config, "row {}: "), config
-            )
-            assert np.array_equal(d_search, d) and np.array_equal(mixed_search, mixed)
-            full = metrics._subsystem_entropies(mixed, mixed, mixed).reshape(3, 5)
-            composite, travel, ancilla = full
-            first = members[:, 0]
-            member_c, member_t = metrics._subsystem_entropies(first, first, first[:0]).reshape(2, 5)
-            for counts in ((5, 0, 0), (0, 5, 0), (0, 0, 5), (2, 1, 2), (0, 3, 2), (1, 4, 0)):
-                a, b = counts[0], counts[0] + counts[1]
-                selected = metrics._subsystem_entropies(mixed[:a], mixed[a:b], mixed[b:])
-                assert np.array_equal(selected, full[np.repeat([0, 1, 2], counts), np.arange(5)])
-            for i, spec in enumerate(specs):
-                got = {
-                    "d": d[i], "i0t": travel[i], "i0a": ancilla[i], "i0c": composite[i],
-                    "holevo_t": max(0.0, travel[i] - member_t[i]),
-                    "holevo_c": max(0.0, composite[i] - member_c[i]),
+            rows = attack._attacked_rows(specs, config)
+            lifted = attack._checked_lift(isometries, config, "row {}: ")
+            reports = [metrics.information_report(spec, config) for spec in specs]
+            for counts in groupings:
+                d, values = metrics._objective_entropies(lifted, config, list(counts))
+                fields = np.repeat(["i0c", "i0t", "i0a"], counts)
+                assert d.tolist() == [r.d for r in reports]
+                assert values.tolist() == [getattr(r, f) for r, f in zip(reports, fields)]
+            d, (c, c0, t, t0, a) = _composite_entropies(rows, config)
+            d_lifted, entropies = _composite_entropies(lifted, config)
+            assert np.array_equal(d_lifted, d) and np.array_equal(entropies, [c, c0, t, t0, a])
+            for i, (spec, report) in enumerate(zip(specs, reports)):
+                composite = {
+                    "d": d[i], "i0t": t[i], "i0a": a[i], "i0c": c[i],
+                    "holevo_t": max(0.0, t[i] - t0[i]), "holevo_c": max(0.0, c[i] - c0[i]),
                 }
-                report = metrics.information_report(spec, config)
                 reference = _reference_report(spec, config)
-                for name, value in got.items():
-                    assert value == getattr(report, name), name
+                for name, value in composite.items():
                     assert abs(value - reference[name]) < 1e-12, name
+                    assert abs(getattr(report, name) - reference[name]) < 1e-12, name
+                    if config.mode == "bell":
+                        assert value == getattr(report, name), name
                 one_rows = attack._attacked_rows([spec], config)[0]
                 if config.mode == "simplified":
-                    # d as one attack's vdot forms it, to the bit: sweeps are pinned on it
-                    b = config.bob_initial.amplitudes
-                    overlap = b.conj() @ one_rows.reshape(2, -1)
-                    kept = float(np.vdot(overlap, overlap).real)
-                    assert got["d"] == min(max(1.0 - kept, 0.0), 1.0)
+                    assert abs(c0[i]) < 1e-12 and abs(t0[i] - a[i]) < 1e-12
+                    assert report.d == pp.detection_probability(spec, config)
                 else:
                     # d from all four (home, travel) outcome weights, 00 + 11, to the bit
                     outcomes = np.sum(np.abs(one_rows.reshape(4, -1)) ** 2, axis=1)
-                    assert got["d"] == min(max(outcomes[0] + outcomes[3], 0.0), 1.0)
-                if config.mode == "simplified" and len(config.priors) == 2:
+                    assert report.d == min(max(outcomes[0] + outcomes[3], 0.0), 1.0)
+                if config.mode == "simplified" and config.encoding == "iz" and config.bob_initial is not _PLUS:
                     psi = oracles.attacked_state([1.0, 0.0], list(chi), [list(r) for r in spec.unitary])
-                    want_d = 1.0 - sum(abs(a) ** 2 for a in psi[:anc])
-                    assert abs(got["d"] - want_d) < 1e-12
-                    assert abs(got["i0t"] - oracles.binary_entropy(want_d)) < 1e-10
-                    assert abs(got["i0c"] - oracles.dephased_mixture_entropy(psi, anc)) < 1e-10
+                    want_d = 1.0 - sum(abs(amplitude) ** 2 for amplitude in psi[:anc])
+                    assert abs(report.d - want_d) < 1e-12
+                    assert abs(report.i0t - oracles.binary_entropy(want_d)) < 1e-10
+                    assert abs(report.i0c - oracles.dephased_mixture_entropy(psi, anc)) < 1e-10
 
 
 _REPORT_FIELDS = ("d", "i0t", "i0a", "i0c", "holevo_t", "holevo_c")
@@ -271,17 +286,17 @@ _REPORT_FIELDS = ("d", "i0t", "i0a", "i0c", "holevo_t", "holevo_c")
 # a bit of a report shows here.
 PINNED_REPORTS = (
     ("simplified", "iz", 1, ("0x1.b39567b1abe5fp-1", "0x1.3746d0398c7d2p-1", "0x1.71547652b82fdp-53",
-                             "0x1.3746d0398c7d2p-1", "0x1.3746d0398c7d1p-1", "0x1.3746d0398c7d1p-1")),
-    ("simplified", "iz", 2, ("0x1.3a9eb58fc2f06p-1", "0x1.ec76358673942p-1", "0x1.299cf894bd5bep-2",
-                             "0x1.ec76358673964p-1", "0x1.57a7b93c14e64p-1", "0x1.ec7635867391ep-1")),
-    ("simplified", "iz", 4, ("0x1.57ce31cd3bf20p-1", "0x1.d3a811365bc0ap-1", "0x1.d056cce1cf778p-1",
-                             "0x1.d3a811365bc4ep-1", "0x1.a8a22a4625500p-8", "0x1.d3a811365bbf2p-1")),
-    ("simplified", "paulis", 1, ("0x1.b39567b1abe5fp-1", "0x1.0000000000000p+0", "0x1.71547652b82fep-52",
-                                 "0x1.0000000000000p+0", "0x1.fffffffffffffp-1", "0x1.fffffffffffffp-1")),
-    ("simplified", "paulis", 2, ("0x1.3a9eb58fc2f06p-1", "0x1.0000000000000p+0", "0x1.299cf894bd5bep-2",
-                                 "0x1.4a673e252f56fp+0", "0x1.6b3183b5a1522p-1", "0x1.4a673e252f54cp+0")),
-    ("simplified", "paulis", 4, ("0x1.57ce31cd3bf20p-1", "0x1.fffffffffffffp-1", "0x1.d056cce1cf764p-1",
-                                 "0x1.e82b6670e7bb8p+0", "0x1.7d4998f1844f8p-4", "0x1.e82b6670e7b8ap+0")),
+                             "0x1.3746d0398c7d2p-1", "0x1.3746d0398c7d1p-1", "0x1.3746d0398c7d2p-1")),
+    ("simplified", "iz", 2, ("0x1.3a9eb58fc2f06p-1", "0x1.ec76358673942p-1", "0x1.299cf894bd5bbp-2",
+                             "0x1.ec76358673942p-1", "0x1.57a7b93c14e64p-1", "0x1.ec76358673942p-1")),
+    ("simplified", "iz", 4, ("0x1.57ce31cd3bf20p-1", "0x1.d3a811365bc0ap-1", "0x1.d056cce1cf761p-1",
+                             "0x1.d3a811365bc0ap-1", "0x1.a8a22a4625480p-8", "0x1.d3a811365bc0ap-1")),
+    ("simplified", "paulis", 1, ("0x1.b39567b1abe5fp-1", "0x1.0000000000000p+0", "0x1.71547652b82fdp-53",
+                                 "0x1.0000000000009p+0", "0x1.fffffffffffffp-1", "0x1.0000000000009p+0")),
+    ("simplified", "paulis", 2, ("0x1.3a9eb58fc2f06p-1", "0x1.0000000000000p+0", "0x1.299cf894bd5bbp-2",
+                                 "0x1.4a673e252f56fp+0", "0x1.6b3183b5a1522p-1", "0x1.4a673e252f56fp+0")),
+    ("simplified", "paulis", 4, ("0x1.57ce31cd3bf20p-1", "0x1.fffffffffffffp-1", "0x1.d056cce1cf761p-1",
+                                 "0x1.e82b6670e7bb3p+0", "0x1.7d4998f1844f0p-4", "0x1.e82b6670e7bb3p+0")),
     ("bell", "iz", 1, ("0x1.b39567b1abe60p-1", "0x1.ffffffffffffep-1", "0x0.0p+0",
                        "0x1.ffffffffffffep-1", "0x0.0p+0", "0x0.0p+0")),
     ("bell", "iz", 2, ("0x1.079c04fa0c05ap-1", "0x1.f13cc24eeac34p-1", "0x1.a91f875b6c32ap-1",
@@ -295,7 +310,7 @@ PINNED_REPORTS = (
     ("bell", "paulis", 4, ("0x1.5fdb42d27b5b6p-1", "0x1.fffffffffffffp-1", "0x1.68bdb8c2efc92p+0",
                            "0x1.345edc6177e4ap+1", "0x1.c7f574ae019f0p-4", "0x1.68bdb8c2efc7ap+0")),
     ("counterexample", ("0x1.ffffffffffffcp-2", "0x1.ffffffffffffep-1", "0x0.0p+0",
-                        "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1", "0x1.fffffffffffa7p-1")),
+                        "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1")),
 )
 
 

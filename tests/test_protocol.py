@@ -56,11 +56,11 @@ def test_config_has_four_settable_fields_and_read_only_derived_ones():
     assert settable == ["mode", "bob_initial", "encoding", "control_probability"]
     config = pp.make_config("bell", None, "paulis", 0.25)
     assert (config.mode, config.encoding, config.control_probability) == ("bell", "paulis", 0.25)
-    derived = ("encoding_ops", "priors", "op_stack", "prior_array", "decoding_states")
+    derived = ("encoding_ops", "priors", "op_stack", "prior_array", "travel_map", "decoding_states")
     for name in derived:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(config, name, None)
-    arrays = (config.op_stack, config.prior_array, config.decoding_states)
+    arrays = (config.op_stack, config.prior_array, config.travel_map, config.decoding_states)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[1]

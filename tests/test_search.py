@@ -433,39 +433,39 @@ def test_seeded_sweep_is_pinned(simplified_config):
 # 0.0, 0.1, ..., 0.5.  d_achieved and best_value are float.hex strings, and the
 # last field is the sha256 of theta_best's float64 bytes.
 PINNED_CANONICAL_SWEEP = (
-    (0.0, "i0t", 1200, True, "0x1.51e8a03d98000p-15", "0x1.52cca76363654p-11",
+    (0.0, "i0t", 1200, True, "0x1.51e8a03d98000p-15", "0x1.52cca76363c19p-11",
      "7d3a92796f02fb64a901bf2b6f053ed236d6fed029e953dbb4d73c1272b64932"),
-    (0.0, "i0a", 1200, True, "0x1.3f6124b8c9000p-12", "0x1.e811464e90eb1p-9",
-     "64ba455c1eb80b1cbd759cee38a5be6aa7d3c220b5e4bfb191294b6f29c0af2d"),
-    (0.0, "i0c", 1200, True, "0x1.51e8a03d98000p-15", "0x1.52cca76363c17p-11",
+    (0.0, "i0a", 1200, True, "0x1.2af8727a16800p-12", "0x1.eb6c3ccd6d19cp-9",
+     "13a98d725954e076b1ed93545a62c67d1e47821074df45275c3733ea7a3fc625"),
+    (0.0, "i0c", 1200, True, "0x1.51e8a03d98000p-15", "0x1.52cca76364852p-11",
      "7d3a92796f02fb64a901bf2b6f053ed236d6fed029e953dbb4d73c1272b64932"),
-    (0.1, "i0t", 1200, True, "0x1.9d480e8474830p-4", "0x1.e329913ca4e1ap-2",
+    (0.1, "i0t", 1200, True, "0x1.9d480e8474838p-4", "0x1.e329913ca4e1cp-2",
      "ca65668dc5c39ba741252549803b394845b9f10282b9a4ad78d97f878a4bd288"),
-    (0.1, "i0a", 1200, True, "0x1.98aca04184138p-4", "0x1.d77115e2cefc8p-2",
+    (0.1, "i0a", 1200, True, "0x1.98aca04184138p-4", "0x1.d77115e2cefc6p-2",
      "a26d142d6f3be819db9be438537cb3a969e67dd46d36a66bd6df12aeebaf2a4d"),
-    (0.1, "i0c", 1200, True, "0x1.9cbb85c6a5770p-4", "0x1.e2baa9d361926p-2",
+    (0.1, "i0c", 1200, True, "0x1.9cbb85c6a5778p-4", "0x1.e2baa9d3618c0p-2",
      "a247873110f8136577cde4591cbb968ac96c3f79b290f502b803e3823ec7081f"),
     (0.2, "i0t", 1200, True, "0x1.9b6f0763fa938p-3", "0x1.728accec741c6p-1",
      "b4cd48b893d9a98cc153698204c5d2c11c9a444b14e72da18bdab76fa1937f46"),
     (0.2, "i0a", 1200, True, "0x1.9b07511842848p-3", "0x1.716987e961472p-1",
      "dd6f354ac121c5b72e48531c2082f0a486a430c897d67a8614837d7f3071cbe9"),
-    (0.2, "i0c", 1200, True, "0x1.9b425b1041358p-3", "0x1.72748cb589f40p-1",
+    (0.2, "i0c", 1200, True, "0x1.9b425b1041358p-3", "0x1.72748cb589f3ep-1",
      "312fb8259441547c9fade4e39822007df60ea65be2a0ee8d7a50c5bc8b4f99a2"),
-    (0.3, "i0t", 1200, True, "0x1.343905ef0ebdep-2", "0x1.c3d82321bd677p-1",
+    (0.3, "i0t", 1200, True, "0x1.343905ef0ebdcp-2", "0x1.c3d82321bd677p-1",
      "a11d9d53fd0b58a673aa4bad317136aca5811bca46be2ac91b1a4b97c15b7fe9"),
-    (0.3, "i0a", 1200, True, "0x1.33813eae0662ap-2", "0x1.c2c518c29acd0p-1",
+    (0.3, "i0a", 1200, True, "0x1.33813eae0662cp-2", "0x1.c2c518c29acd2p-1",
      "6ff544290f11193611fa840a6c4000395c5cb40d606b0d893aee28c99b199d3c"),
-    (0.3, "i0c", 1200, True, "0x1.342d45a5c3bbcp-2", "0x1.c3d0fe8ef4fdap-1",
+    (0.3, "i0c", 1200, True, "0x1.342d45a5c3bbcp-2", "0x1.c3d0fe8ef4fcdp-1",
      "c15d0a1fd8a47dc567db62fabb55ce6fe3072f0dde4a72a775bb218f9a016910"),
     (0.4, "i0t", 1200, True, "0x1.9a9c2490e6912p-2", "0x1.f16bac120cfb5p-1",
      "be7fdd7cdb0d641b48e2a83c48e049a6d828ab02247d3f1bc0dad6710ec380a2"),
-    (0.4, "i0a", 1200, True, "0x1.9a5081fbc3590p-2", "0x1.f14ae9ea8c872p-1",
+    (0.4, "i0a", 1200, True, "0x1.9a5081fbc3592p-2", "0x1.f14ae9ea8c872p-1",
      "d2a2e396c50de46c01a440f2a0f81a2ff495d2dc72437723a32284dca50c4e62"),
     (0.4, "i0c", 1200, True, "0x1.9a9e1ac1a2df6p-2", "0x1.f16c3d75455d0p-1",
      "0be3840bf5490ee7f24882ffbc7c9c17ae6b08e1859da27c62ae8a072cc2ad95"),
     (0.5, "i0t", 1200, True, "0x1.000a8455da848p-1", "0x1.ffffff606dec0p-1",
      "3898e0aec0ee92400f3db96cc69bda84fa18686be7fc712b703730b5e20e09ac"),
-    (0.5, "i0a", 1200, True, "0x1.ff08fd2b045b2p-2", "0x1.fff0094013ceap-1",
+    (0.5, "i0a", 1200, True, "0x1.ff08fd2b045b2p-2", "0x1.fff0094013ce9p-1",
      "8f73b853dc0f70f34c7fbade28bd8c48df41a102f715c60c6ac3a52c187ffc19"),
     (0.5, "i0c", 1200, True, "0x1.0046cd5453e0fp-1", "0x1.ffffe3bfdd819p-1",
      "093b24272799bc836f8452d1417589b677cee83b4d625f8d98f343c54af27407"),
