@@ -171,40 +171,30 @@ def _encoded_rows(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
 def _encoded_members(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
     """(N, K, n, n) post-encoding states on travel⊗ancilla, home traced out,
-    for an (N, H, n) stack of attacked rows."""
+    for an (N, H, n) stack of attacked rows: the composite reference
+    (``metrics._ensembles``), which no report or sweep step forms."""
     encoded = _encoded_rows(rows, config.op_stack)
     return np.einsum("knhi,knhj->nkij", encoded, encoded.conj())
 
 
-def _travel_states(rows: np.ndarray) -> np.ndarray:
-    """(N, 2, 2) travel states ρ_t = Tr_anc |ψ><ψ| of an (N, 1, n) stack of
-    simplified-mode attacked rows ψ, one matmul over the stack."""
-    psi = rows.reshape(len(rows), 2, -1)
+def _reduced_states(rows: np.ndarray) -> np.ndarray:
+    """(N, 2H, 2H) states σ = Tr_anc |ψ><ψ| of an (N, H, n) stack of attacked
+    rows, one matmul over the stack: what Bob sent, after the attack, over
+    home⊗travel in bell mode and travel alone in simplified mode.  The
+    whole state is pure, so σ and the ancilla share their spectrum."""
+    psi = rows.reshape(len(rows), -1, rows.shape[-1] // 2)
     return psi @ psi.conj().transpose(0, 2, 1)
 
 
-def _travel_detection(travel: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
-    """d (N,) = 1 - <b|ρ_t|b> of an (N, 2, 2) stack of travel states, for the
-    sent state |b>: simplified mode's one definition of d."""
-    sent = config.bob_initial.amplitudes
-    # One (1, 2) @ (2, 1) product per state: a row's d does not depend on N.
-    kept = ((sent.conj() @ travel)[:, None] @ sent[:, None]).real.reshape(-1)
+def _detection(sigma: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
+    """d (N,) = 1 - Re Tr(Pσ) of one control round, clamped to [0, 1], for an
+    (N, 2H, 2H) stack of states σ (``_reduced_states``) and the projector P
+    that passes (``config.pass_weights``): the sent state |b> in simplified
+    mode, the anticorrelated outcomes 01 and 10 of (home, travel) in bell
+    mode.  Reports, sweeps and ``simulate`` all read d here."""
+    # One (1, 4H²) @ (4H², 1) product per state: a row's d does not depend on N.
+    kept = (sigma.reshape(len(sigma), 1, -1) @ config.pass_weights).real.reshape(-1)
     return np.minimum(np.maximum(1.0 - kept, 0.0), 1.0)
-
-
-def _detection(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
-    """d (N,) of one control round for an (N, H, n) stack of attacked rows.
-
-    Bell mode: the weight of equal computational-basis outcomes on
-    (home, travel), 00 and 11, since the clean pair is anticorrelated.
-    Simplified mode: the weight of the travel state ρ_t orthogonal to the
-    sent state, read off ρ_t as the report's kernel reads it
-    (``_travel_detection``), so reports, sweeps and ``simulate`` agree.
-    """
-    if config.mode == "bell":
-        equal = (np.abs(rows.reshape(len(rows), 4, -1)[:, ::3]) ** 2).sum(axis=2)
-        return np.minimum(np.maximum(equal[:, 0] + equal[:, 1], 0.0), 1.0)
-    return _travel_detection(_travel_states(rows), config)
 
 
 def apply_attack(spec: AttackSpec, config: "ProtocolConfig") -> qlinalg.DensityMatrix:
@@ -248,7 +238,7 @@ def detection_probability(spec: AttackSpec, config: "ProtocolConfig") -> float:
     No command calls this: it is the library's one-attack form, kept
     while ``bench/tracer.py`` wraps it by name.
     """
-    return float(_detection(_attacked_rows([spec], config), config)[0])
+    return float(_detection(_reduced_states(_attacked_rows([spec], config)), config)[0])
 
 
 def builtin_attack(name: str) -> AttackSpec:

@@ -68,8 +68,9 @@ def _kernel(
     specs: list[attack_mod.AttackSpec], config: protocol_mod.ProtocolConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """d, the mixtures and the members of every spec, from one pass of the
-    composite kernel (``metrics._ensembles``): the path ``report`` and
-    ``sweep`` take in bell mode, and the reference for simplified mode's."""
+    composite path (``metrics._ensembles``): the reference that ``report``
+    and ``sweep``'s kernel on the reduced state σ (``metrics._reduced_kernel``)
+    is held to.  Its d is the kernel's (``attack._detection``)."""
     return metrics._ensembles(attack_mod._attacked_rows(specs, config), config)
 
 

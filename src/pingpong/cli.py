@@ -191,6 +191,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"bad sweep configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE_IO
     summary_lines = _render_summary(points, objectives)
+    purifying = config.bob_initial.dim  # σ is purifying × purifying
+    if args.ancilla_dim > purifying:
+        summary_lines.append(
+            f"ancilla dimension {args.ancilla_dim} is above {purifying}: every report is a function of "
+            f"the {purifying}x{purifying} state of what Bob sent with the ancilla traced out, which an "
+            f"ancilla of dimension {purifying} purifies, so no report can gain from the extra dimensions")
     if args.out:
         try:
             files_mod.save_curve_csv(points, args.out)

@@ -137,19 +137,19 @@ class CurveRow:
 
 
 def read_curve_csv(path) -> list[CurveRow]:
-    """Parse a curve CSV back into typed rows (used by the tests and ``bench/workloads.py``)."""
+    """Parse a curve CSV back into typed rows (used by the tests and ``bench/workloads.py``).
+
+    An empty file, a foreign header or a row without all five fields raises
+    ValueError naming the line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CURVE_CSV_HEADER:
-            raise ValueError(f"unexpected header {header!r}")
-        return [
-            CurveRow(
-                d_target=float(row[0]),
-                d_achieved=float(row[1]),
-                objective=row[2],
-                best_value=float(row[3]),
-                evaluations=int(row[4]),
-            )
-            for row in reader
-        ]
+            raise ValueError(f"line 1: unexpected header {header!r}")
+        rows = []
+        for row in reader:
+            if len(row) != len(CURVE_CSV_HEADER):
+                raise ValueError(f"line {reader.line_num}: {len(row)} fields, not {len(CURVE_CSV_HEADER)}")
+            rows.append(CurveRow(float(row[0]), float(row[1]), row[2], float(row[3]), int(row[4])))
+        return rows

@@ -5,20 +5,15 @@ post-encoding state: i0t for the travel marginal, i0a for the ancilla
 marginal, i0c for the full travel⊗ancilla composite.  Holevo bounds on
 the same ensemble give the standard extractable-information contrast.
 
-The kernel takes one of two paths, chosen by ``config.mode``:
-
-- Simplified mode: the attacked state U(|b>⊗|χ>) is pure, so every
-  quantity is a function of the 2×2 travel state ρ_t alone
-  (``_travel_kernel``): d = 1 - <b|ρ_t|b>, i0a = S(ρ_t) (the two marginals
-  of a pure state share their spectrum), i0t = S(Σ p_k E_k ρ_t E_k†), and
-  i0c = S(G) for the K×K Gram matrix G_lk = √(p_l p_k) Tr(E_l†E_k ρ_t) of
-  the encoded states, whose mixture has G's nonzero spectrum.  Each
-  eigensolve is K×K whatever the ancilla dimension.
-- Bell mode: the home qubit is traced out, so the members are mixed and
-  the kernel forms them on travel⊗ancilla (``_ensembles``) and solves the
-  2m×2m composite and its padded marginals (``_subsystem_entropies``).
-  Its channel form would need a 2K×2K matrix, no smaller than the
-  composite at ancilla dimensions 1 and 2, so bell mode keeps this path.
+Reports and sweep steps take one path in both modes (``_reduced_kernel``).
+Home⊗travel⊗ancilla is pure after the attack and the encodings act on the
+travel qubit alone, so every quantity is a function of σ, the state of what
+Bob sent with the ancilla traced out: 2×2 in simplified mode, 4×4 over
+home⊗travel in bell mode.  Each entropy is that of a fixed linear image of
+σ (``ProtocolConfig.kernel_map``), at most 8×8 whatever the ancilla
+dimension.  The composite path (``_ensembles``, ``_subsystem_entropies``)
+forms the members on travel⊗ancilla: it is the reference that the checks,
+the tests and ``holevo_bound`` use.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from . import protocol as protocol_mod
 from . import qlinalg
 
 # Subsystems of travel⊗ancilla, in the argument order of _subsystem_entropies
-# and the block order of _travel_kernel.
+# and the order of _reduced_kernel's first three blocks.
 _SUBSYSTEMS = ("composite", "travel", "ancilla")
 _CLAIMED_COMPOSITE_BITS = 2.0
 _INEQUALITY_TOL = 1e-8
@@ -117,51 +112,43 @@ def _subsystem_entropies(
 def _ensembles(
     rows: np.ndarray, config: protocol_mod.ProtocolConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The composite kernel: bell mode's path, and the reference that
-    simplified mode's ``_travel_kernel`` is checked against.
-
-    For an (N, H, n) stack of validated attacked rows: d (N,), the (N, n, n)
-    post-encoding mixtures and the (N, K, n, n) members they mix.
-    """
+    """The composite reference for ``_reduced_kernel``: for an (N, H, n) stack
+    of validated attacked rows, d (N,), the (N, n, n) post-encoding mixtures
+    on travel⊗ancilla and the (N, K, n, n) members they mix."""
     members = attack_mod._encoded_members(rows, config)
-    return attack_mod._detection(rows, config), _mixtures(config.prior_array, members), members
+    d = attack_mod._detection(attack_mod._reduced_states(rows), config)
+    return d, _mixtures(config.prior_array, members), members
 
 
-def _travel_kernel(
-    rows: np.ndarray, config: protocol_mod.ProtocolConfig
+def _reduced_kernel(
+    rows: np.ndarray, config: protocol_mod.ProtocolConfig, counts: list[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simplified mode's kernel for an (N, 1, n) stack of validated attacked
-    rows: d (N,) and the (N, 3, K, K) stack of G, Σ p_k E_k ρ_t E_k† and ρ_t,
-    whose entropies are i0c, i0t and i0a (the order of _SUBSYSTEMS).
-
-    ρ_t comes from one matmul over the stack, d from that same ρ_t
-    (``attack._travel_detection``), and the three blocks from one
-    (1, 4) @ (4, 3K²) product per row with ``config.travel_map``.
+    """The evaluation kernel for an (N, H, n) stack of validated attacked rows:
+    d (N,) from σ (``attack._detection``) and the entropies of blocks of σ
+    from one eigensolve.  The blocks are G, Σ p_k E_k Tr_home(σ) E_k†, σ and
+    Tr_home σ, whose entropies are i0c, i0t, i0a (the order of _SUBSYSTEMS)
+    and each member's travel entropy.  A report takes all four of every row,
+    (N, 4).  A sweep step passes ``counts``, its rows grouped by block (the
+    first ``counts[0]`` get block 0, and so on), and forms one block per row,
+    (N,).  Each block comes from one (1, 4H²) @ (4H², D²) product with its
+    map in ``config.kernel_map``: small enough that BLAS keeps it on the
+    calling thread, and the same bits whichever blocks are formed beside it,
+    so a sweep step's values equal the reports' to the bit.
     """
-    travel = attack_mod._travel_states(rows)
-    blocks = travel.reshape(-1, 1, 4) @ config.travel_map
-    k = len(config.op_stack)
-    return attack_mod._travel_detection(travel, config), blocks.reshape(-1, 3, k, k)
-
-
-def _objective_entropies(
-    rows: np.ndarray, config: protocol_mod.ProtocolConfig, counts: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """d (N,) and one entropy per row from one eigensolve, for an (N, H, n)
-    stack of validated attacked rows grouped by subsystem: the first
-    ``counts[0]`` rows ask for the composite entropy, the next ``counts[1]``
-    for the travel one and the rest for the ancilla one (_SUBSYSTEMS).
-
-    A sweep step's values: each equals the matching field of
-    ``information_report`` at the same attack, to the bit, since each
-    matrix is formed and solved as the report forms and solves it.
-    """
-    a, b = counts[0], counts[0] + counts[1]
-    if config.mode == "simplified":
-        d, blocks = _travel_kernel(rows, config)
-        return d, qlinalg._entropies(np.concatenate([blocks[:a, 0], blocks[a:b, 1], blocks[b:, 2]]))
-    d, mixtures, _ = _ensembles(rows, config)
-    return d, _subsystem_entropies(mixtures[:a], mixtures[a:b], mixtures[b:])
+    sigma = attack_mod._reduced_states(rows)
+    flat = sigma.reshape(len(rows), 1, -1)
+    shape = config.kernel_map.shape
+    maps = config.kernel_map.reshape(4, shape[1], -1)  # (4, 4H², D²)
+    if counts is None:
+        blocks = (flat[:, None] @ maps).reshape((len(rows), 4) + shape[2:])
+    else:
+        blocks = np.empty((len(rows), 1, maps.shape[2]), dtype=complex)
+        start = 0
+        for block, count in enumerate(counts):
+            np.matmul(flat[start:start + count], maps[block], out=blocks[start:start + count])
+            start += count
+        blocks = blocks.reshape((len(rows),) + shape[2:])
+    return attack_mod._detection(sigma, config), qlinalg._entropies(blocks)
 
 
 def holevo_bound(ensemble: attack_mod.EncodingEnsemble, subsystem: str) -> float:
@@ -190,9 +177,9 @@ def _claim_deviation(
     """The claimed-vs-computed I0c when ``spec`` and ``config`` are the canonical
     counterexample setting (simplified mode, the "iz" encoding, |0> sent, the
     builtin counterexample arrays), else None.  χ, U and the sent state must
-    each match within 1e-12.  A report calls this once."""
-    if (config.mode != "simplified" or config.encoding != "iz"
-            or spec.ancilla_state.shape != _CANONICAL[0].shape):
+    each match within 1e-12; bell mode's 4-dimensional sent state never does.
+    A report calls this once."""
+    if config.encoding != "iz" or spec.ancilla_state.shape != _CANONICAL[0].shape:
         return None
     # A random attack fails on χ's first entry: decide that without the arrays.
     if not abs(complex(spec.ancilla_state[0]) - _CANONICAL_CHI0) <= 1e-12:  # NaN fails too
@@ -223,43 +210,33 @@ def _information_reports(
     specs: list[attack_mod.AttackSpec], config: protocol_mod.ProtocolConfig
 ) -> list[InfoReport]:
     """``information_report`` of each spec from one pass of the kernel over
-    the whole list and one eigensolve.
+    the whole list and one eigensolve of its (N, 4, D, D) blocks of σ
+    (``_reduced_kernel``).
 
     The encodings act on the travel qubit alone, so every member of an
     ensemble is a local-unitary image of member 0 and has its composite
     and travel entropies: each Holevo bound is S(mixture) - S(member 0),
     clamped at 0 as d is clamped to [0, 1], so that rounding never prints
     a negative bound (``holevo_bound`` keeps the unclamped general form).
-
-    Simplified mode solves three K×K matrices per attack (``_travel_kernel``).
-    Its members are pure, so S(member 0) is 0 on the composite and S(ρ_t) =
-    i0a on the travel qubit: holevo_c = i0c and holevo_t = max(0, i0t - i0a),
-    with no composite eigensolve.  Bell mode's members are mixed: it solves
-    five matrices per attack on the composite path (``_ensembles``), the
-    mixture and member 0 on the composite and the travel qubit, and the
-    mixture on the ancilla.
+    Member 0's travel entropy is S(Tr_home σ), the kernel's fourth block;
+    its composite entropy is the untouched home qubit's,
+    ``config.home_entropy`` (0 in simplified mode, 1 in bell mode).
 
     The specs must share one ancilla dimension (ValueError otherwise); an
     invalid spec raises InvalidAttackError (see ``attack._attacked_rows``).
     """
     if not specs:
         return []
-    rows = attack_mod._attacked_rows(specs, config)
-    if config.mode == "simplified":
-        d, blocks = _travel_kernel(rows, config)
-        c, t, a = qlinalg._entropies(blocks).T.tolist()
-        c0, t0 = [0.0] * len(specs), a
-    else:
-        d, mixtures, members = _ensembles(rows, config)
-        both = np.concatenate([mixtures, members[:, 0]])
-        c, c0, t, t0, a = _subsystem_entropies(both, both, mixtures).reshape(5, len(specs)).tolist()
+    d, entropies = _reduced_kernel(attack_mod._attacked_rows(specs, config), config)
+    c, t, a, t0 = entropies.T.tolist()
+    c0 = config.home_entropy
     return [
         InfoReport(
             d=d_i, i0t=t_i, i0a=a_i, i0c=c_i,
-            holevo_t=max(0.0, t_i - t0_i), holevo_c=max(0.0, c_i - c0_i),
+            holevo_t=max(0.0, t_i - t0_i), holevo_c=max(0.0, c_i - c0),
             claim_deviation=_claim_deviation(spec, config, c_i),
         )
-        for spec, d_i, c_i, c0_i, t_i, t0_i, a_i in zip(specs, d.tolist(), c, c0, t, t0, a)
+        for spec, d_i, c_i, t_i, t0_i, a_i in zip(specs, d.tolist(), c, t, t0, a)
     ]
 
 

@@ -53,12 +53,18 @@ class ProtocolConfig:
 
     Derived once, read-only: ``encoding_ops`` and ``priors`` are the named
     operations and their priors; ``op_stack`` (K, 2, 2) and ``prior_array``
-    (K,) are the same as arrays, for the evaluation kernel.  ``travel_map``
-    (4, 3·K·K) is what simplified mode's kernel (``metrics._travel_kernel``)
-    reads: the linear map from a travel state ρ_t, flattened, to three K×K
-    blocks, each a matrix whose entropy a report prints.  They are the Gram
-    matrix G_lk = √(p_l p_k) Tr(E_l†E_k ρ_t), the travel mixture
-    Σ_k p_k E_k ρ_t E_k† and ρ_t itself, the last two zero-padded from 2×2.
+    (K,) are the same as arrays.  The evaluation kernel
+    (``metrics._reduced_kernel``) reads three more from σ, the (2H, 2H) state
+    of what Bob sent with the ancilla traced out, over home⊗travel (bell,
+    H = 2) or travel (H = 1).  ``pass_weights`` (4H², 1) is vec(Pᵀ) for the
+    projector P a control round passes (|b><b| for the sent |b>, |01><01| +
+    |10><10| for the pair): d = 1 - Re vec(σ)·pass_weights.  ``kernel_map``
+    (4, 4H², D, D), D = max(H·K, 2H), maps vec(σ) to four zero-padded
+    blocks: the Gram matrix G_(k,h),(l,h') = √(p_k p_l) Σ (E_k†E_l)[i,i']
+    σ[(h',i'),(h,i)] of the encoded states, Σ_k p_k E_k Tr_home(σ) E_k†, σ
+    and Tr_home σ.  ``home_entropy`` is the entropy of the home qubit, which
+    the attack never touches, so of every member on travel⊗ancilla: 0 in
+    simplified mode, 1 for the pair.
     ``decoding_states`` (K, H·2) holds the states Bob projects onto to
     decode, one row per encoding: the encoded images of the sent state,
     over home⊗travel (bell) or travel.  It is None when they are not
@@ -75,7 +81,9 @@ class ProtocolConfig:
     priors: tuple[float, ...] = dataclasses.field(init=False, repr=False)
     op_stack: np.ndarray = dataclasses.field(init=False, repr=False)
     prior_array: np.ndarray = dataclasses.field(init=False, repr=False)
-    travel_map: np.ndarray = dataclasses.field(init=False, repr=False)
+    pass_weights: np.ndarray = dataclasses.field(init=False, repr=False)
+    kernel_map: np.ndarray = dataclasses.field(init=False, repr=False)
+    home_entropy: float = dataclasses.field(init=False, repr=False)
     decoding_states: np.ndarray | None = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -106,17 +114,34 @@ class ProtocolConfig:
         object.__setattr__(self, "encoding_ops", ops)
         object.__setattr__(self, "priors", (1 / len(ops),) * len(ops))
         stack, priors, k = np.array([op.entries for op in ops]), np.array(self.priors), len(ops)
-        travel_map = np.zeros((4, 3 * k * k), dtype=complex)
-        blocks = travel_map.reshape(2, 2, 3, k, k)  # ρ_t[i, j]'s weight in each block
+        sent = self.bob_initial.amplitudes.reshape(-1, 2)  # row h: <h|_home|sent>, H rows
+        h = len(sent)
+        if self.mode == "bell":
+            passed = np.diag([0.0, 1.0, 1.0, 0.0])  # anticorrelated outcomes on (home, travel)
+        else:
+            passed = np.outer(sent[0], sent[0].conj())
+        size = max(h * k, 2 * h)
+        kernel_map = np.zeros((4, 2 * h, 2 * h, size, size), dtype=complex)
+        # blocks[b, h', i', h, i]: σ[(h', i'), (h, i)]'s weight in block b; G's row (k, h) is k·H + h
+        blocks = kernel_map.reshape(4, h, 2, h, 2, size, size)
         weights = np.sqrt(np.outer(priors, priors))
-        blocks[:, :, 0] = np.einsum("lk,laj,kai->ijlk", weights, stack.conj(), stack)
-        blocks[:, :, 1, :2, :2] = np.einsum("k,kai,kbj->ijab", priors, stack, stack.conj())
-        blocks[:, :, 2, :2, :2] = np.eye(4).reshape(2, 2, 2, 2)
-        for name, array in (("op_stack", stack), ("prior_array", priors), ("travel_map", travel_map)):
+        gram = np.einsum("lk,laj,kai->ijlk", weights, stack.conj(), stack)
+        mixing = np.einsum("k,kai,kbj->ijab", priors, stack, stack.conj())
+        for col in range(h):
+            for row in range(h):
+                blocks[0, row, :, col, :, col:h * k:h, row:h * k:h] = gram
+            blocks[1, col, :, col, :, :2, :2] = mixing
+            blocks[3, col, :, col, :, :2, :2] = np.eye(4).reshape(2, 2, 2, 2)
+        kernel_map[2, :, :, :2 * h, :2 * h] = np.eye(4 * h * h).reshape((2 * h,) * 4)
+        derived = (("op_stack", stack), ("prior_array", priors), ("pass_weights", passed.T.reshape(-1, 1)),
+                   ("kernel_map", kernel_map.reshape(4, 4 * h * h, size, size)))
+        for name, array in derived:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-        base = self.bob_initial.amplitudes.reshape(-1, 2)
-        images = attack_mod._encoded_rows(base, self.op_stack).reshape(len(ops), -1)
+        home = sent @ sent.conj().T
+        # normalized by its trace, so that the pair's reads exactly 1
+        object.__setattr__(self, "home_entropy", float(qlinalg._entropies(home / home.trace().real)))
+        images = attack_mod._encoded_rows(sent, self.op_stack).reshape(len(ops), -1)
         if np.any(np.abs(np.triu(images.conj() @ images.T, 1)) > qlinalg.ATOL):
             images = None
         else:
@@ -231,7 +256,7 @@ def monte_carlo(
     rounds = int(rounds)
     rng = np.random.default_rng(seed)
     rows = attack_mod._attacked_rows([spec], config)
-    d = float(attack_mod._detection(rows, config)[0])
+    d = float(attack_mod._detection(attack_mod._reduced_states(rows), config)[0])
     n_control = int(rng.binomial(rounds, config.control_probability))
     n_message = rounds - n_control
     detections = int(rng.binomial(n_control, d))

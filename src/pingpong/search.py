@@ -325,13 +325,13 @@ def _simplex_moves(x0: np.ndarray) -> Generator[np.ndarray, float, None]:
 
 def _restart_bytes(family: AttackFamily) -> int:
     """Bytes one restart of a sweep holds at its peak: its (P+1)×P simplex, its
-    generator's P-vectors, the step's n×n stacks (n = 2·ancilla_dim) and a constant.
-    The sum is 8–87 % over tracemalloc's peak per restart (slope from 100 to 200
-    restarts, budget 2000, both families at ancilla 1–4, simplified/iz and bell/paulis).
-    Bell mode's step also holds its members on travel⊗ancilla; the n² term is
-    sized for them, so it sits further over simplified mode's peak."""
+    generator's P-vectors, the n×n stacks its family builds (n = 2·ancilla_dim)
+    and a constant, which also covers the step's one D×D block of σ (D ≤ 8, in
+    either mode).  The sum is 9–91 % over tracemalloc's peak per restart (slope
+    from 100 to 200 restarts, budget 2000, both families at ancilla 1–4,
+    simplified/iz and bell/paulis)."""
     p, n = family.param_count, 2 * family.ancilla_dim
-    return 8 * (p + 1) * p + 100 * p + 140 * n * n + 3_300
+    return 8 * (p + 1) * p + 100 * p + 140 * n * n + 3_600
 
 
 @dataclasses.dataclass(eq=False)
@@ -368,16 +368,15 @@ def sweep(
     ``family.build_stack`` call, checks the trace of every attacked state
     (the family must build unitaries; U†U is checked only on each returned
     point's ``family.build``, by ``information_report``) and, with one
-    ``metrics._objective_entropies`` call, eigensolves per restart just the
-    matrix its objective names.  In simplified mode that is a K×K block of
-    the travel state ρ_t (``metrics._travel_kernel``); in bell mode, a
-    mixture on travel⊗ancilla or one of its marginals.  Either way it is
-    the matrix ``information_report`` solves for that field, so a step's
-    values are the reports' to the bit.  The live restarts stay grouped by
-    subsystem, as ``_objective_entropies`` takes them.  A restart's best feasible and closest points are kept per
-    restart and merged in restart order with the serial loop's strict
-    comparisons, so ties break as they would if the restarts ran one
-    after another.  Like scipy's ``maxfev``, a restart that has asked
+    ``metrics._reduced_kernel`` call, forms and eigensolves per restart just
+    the matrix its objective names: one D×D block of the reduced state σ, in
+    either mode, and the matrix ``information_report`` solves for that
+    field, so a step's values are the reports' to the bit.  The live
+    restarts stay grouped by subsystem, as the kernel takes them.  A
+    restart's best feasible and closest points are kept per restart and
+    merged in restart order with the serial loop's strict comparisons, so
+    ties break as they would if the restarts ran one after another.  Like
+    scipy's ``maxfev``, a restart that has asked
     ``budget_per_restart`` points stops without sending the last value.
     """
     tasks = list(itertools.product(sweep_cfg.d_grid, sweep_cfg.objectives))
@@ -404,7 +403,7 @@ def sweep(
     while live:
         thetas = np.array([r.point for r in live])
         rows = attack_mod._checked_lift(family.build_stack(thetas), config, "row {}: ")
-        d, values = metrics._objective_entropies(rows, config, counts)
+        d, values = metrics._reduced_kernel(rows, config, counts)
         still, counts = [], [0, 0, 0]
         for r, theta, d_i, value in zip(live, thetas, d.tolist(), values.tolist()):
             gap = abs(d_i - r.target)

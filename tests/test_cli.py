@@ -433,6 +433,20 @@ def test_sweep_summary_is_pinned(capsys):
     assert capsys.readouterr().err == PINNED_SWEEP_SUMMARY
 
 
+@pytest.mark.parametrize("mode, ancilla, noted", [
+    ("simplified", 2, False), ("simplified", 3, True), ("bell", 4, False), ("bell", 5, True),
+])
+def test_sweep_summary_notes_an_ancilla_above_what_reports_can_use(capsys, mode, ancilla, noted):
+    assert cli.main([
+        "sweep", "--mode", mode, "--ancilla-dim", str(ancilla), "--grid", "0.2",
+        "--restarts", "1", "--budget", "5",
+    ]) == 0
+    last = capsys.readouterr().err.splitlines()[-1]
+    purifying = 2 if mode == "simplified" else 4
+    assert last.startswith(f"ancilla dimension {ancilla} is above {purifying}: ") == noted
+    assert last.endswith("no report can gain from the extra dimensions") == noted
+
+
 def test_summary_flags_use_the_margin():
     def point(objective, value):
         values = {"best_i0t": 0.0, "best_i0a": 0.0, "best_i0c": 0.0}
@@ -550,15 +564,16 @@ def test_verify_catches_a_wrong_entropy_base(capsys, monkeypatch):
 
 # The verify lines of every suite that evaluates attacks (in ALL_CHECKS order)
 # and of family_builds_valid_attacks, as the one-attack-at-a-time suites printed them,
-# but for the last digits of two details that simplified mode's travel-state kernel
-# moved: protocol_noiseless_correctness and product_attack_composite_travel.
+# but for the last digits of details that the reduced-state kernel moved:
+# protocol_noiseless_correctness, detection_range_and_phase (d is 1 - Re Tr(Pσ) in
+# bell mode too) and product_attack_composite_travel.
 PINNED_VERIFY = (
-    "PASS protocol_noiseless_correctness     margin=+9.997e-13  "
-    "max noiseless d = 3.33e-16, wrong decodes = 0",
+    "PASS protocol_noiseless_correctness     margin=+9.996e-13  "
+    "max noiseless d = 4.44e-16, wrong decodes = 0",
     "PASS protocol_monte_carlo_agreement     margin=+0.000e+00  "
     "worst |empirical - analytic| - 4σ = 0 over builtins × modes",
-    "PASS detection_range_and_phase          margin=+9.996e-13  "
-    "worst of (range violation, phase-shift |Δd|) = 4.44e-16",
+    "PASS detection_range_and_phase          margin=+9.997e-13  "
+    "worst of (range violation, phase-shift |Δd|) = 3.33e-16",
     "PASS encoding_fixes_basis_state         margin=+1.000e-12  "
     "max member deviation = 0 (phase encoding fixes |0>)",
     "PASS product_attack_ancilla_pure        margin=+1.000e-08  "
@@ -629,8 +644,8 @@ def test_verify_catches_swapped_travel_and_ancilla_entropies(capsys, monkeypatch
 
 
 def test_verify_catches_a_negative_holevo_bound(capsys, monkeypatch):
-    # sabotage only the member-0 entropies, so that S(mixture) - S(member 0) < 0
-    # while every entropy a report prints, each a mixture's, is unchanged
+    # sabotage only the composite path's member-0 entropies, so that its
+    # S(mixture) - S(member 0) < 0; reports, which read the reduced state σ, are unchanged
     subsystem_entropies = metrics._subsystem_entropies
 
     def raised_member_zero(composite, travel, ancilla):
@@ -645,7 +660,7 @@ def test_verify_catches_a_negative_holevo_bound(capsys, monkeypatch):
     before = metrics.information_report(spec, config)
     monkeypatch.setattr(metrics, "_subsystem_entropies", raised_member_zero)
     after = metrics.information_report(spec, config)
-    assert (after.i0t, after.i0a, after.i0c) == (before.i0t, before.i0a, before.i0c)
+    assert after == before
     assert cli.main(["verify"]) == 1
     fails = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL")]
     assert len(fails) == 1 and fails[0].startswith("FAIL holevo_within_entropy")

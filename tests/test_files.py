@@ -179,8 +179,13 @@ def test_curve_csv_empty_points(tmp_path):
     assert files.read_curve_csv(path) == []
 
 
-def test_curve_csv_rejects_foreign_header(tmp_path):
+@pytest.mark.parametrize("text, message", [
+    ("a,b,c\n1,2,3\n", "^line 1: unexpected header"),
+    ("", r"^line 1: unexpected header \(\)"),  # what a size-refused sweep --out leaves
+    (",".join(files.CURVE_CSV_HEADER) + "\n0.1,0.1,i0t,0.5,10\n0.2,0.2\n", "^line 3: 2 fields, not 5"),
+], ids=["foreign", "empty", "short-row"])
+def test_curve_csv_rejects_foreign_header(tmp_path, text, message):
     path = tmp_path / "foreign.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="header"):
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
         files.read_curve_csv(path)

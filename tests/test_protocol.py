@@ -56,11 +56,13 @@ def test_config_has_four_settable_fields_and_read_only_derived_ones():
     assert settable == ["mode", "bob_initial", "encoding", "control_probability"]
     config = pp.make_config("bell", None, "paulis", 0.25)
     assert (config.mode, config.encoding, config.control_probability) == ("bell", "paulis", 0.25)
-    derived = ("encoding_ops", "priors", "op_stack", "prior_array", "travel_map", "decoding_states")
+    derived = ("encoding_ops", "priors", "op_stack", "prior_array", "pass_weights", "kernel_map",
+               "home_entropy", "decoding_states")
     for name in derived:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(config, name, None)
-    arrays = (config.op_stack, config.prior_array, config.travel_map, config.decoding_states)
+    arrays = (config.op_stack, config.prior_array, config.pass_weights, config.kernel_map,
+              config.decoding_states)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[1]
@@ -68,6 +70,22 @@ def test_config_has_four_settable_fields_and_read_only_derived_ones():
         protocol.ProtocolConfig("simplified", priors=(0.5, 0.5))
     with pytest.raises(TypeError):
         protocol.ProtocolConfig("simplified", decoding_states=None)
+
+
+def test_kernel_arrays_follow_the_mode_and_the_sent_state():
+    # σ is 2H×2H; each block is D×D with D = max(H·K, 2H); the home qubit's entropy
+    # is 0 when the travel qubit is all Bob sends and exactly 1 for the pair
+    plus = qlinalg.StateVector(np.full(2, np.sqrt(0.5)))
+    for mode, sent, encoding, h, size, home in (
+        ("simplified", None, "iz", 1, 2, 0.0), ("simplified", plus, "paulis", 1, 4, 0.0),
+        ("bell", None, "iz", 2, 4, 1.0), ("bell", None, "paulis", 2, 8, 1.0),
+    ):
+        config = pp.make_config(mode, bob_initial=sent, encoding=encoding)
+        assert config.kernel_map.shape == (4, 4 * h * h, size, size)
+        assert config.pass_weights.shape == (4 * h * h, 1)
+        assert config.home_entropy == home
+    bell = pp.make_config("bell")
+    assert np.flatnonzero(bell.pass_weights).tolist() == [5, 10]  # σ[01, 01] and σ[10, 10]
 
 
 def test_make_config_defaults(simplified_config, bell_config):
