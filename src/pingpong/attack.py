@@ -67,11 +67,22 @@ class AttackSpec:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class EncodingEnsemble:
-    """Post-encoding mixture on travel⊗ancilla: (probability, state) members."""
+    """Post-encoding mixture on travel⊗ancilla: (probability, state) members.
+
+    The probabilities must be non-negative and sum to 1, and the states
+    share one dimension; ValueError otherwise, naming the member.
+    """
 
     members: tuple[tuple[float, qlinalg.DensityMatrix], ...]
 
     def __post_init__(self) -> None:
+        for i, (p, rho) in enumerate(self.members):
+            if not p >= 0.0:  # NaN fails this too
+                raise ValueError(f"member {i} has probability {p!r}, below 0")
+            if rho.dim != self.members[0][1].dim:
+                raise ValueError(
+                    f"member {i} is {rho.dim}-dimensional, member 0 is {self.members[0][1].dim}-dimensional"
+                )
         total = sum(p for p, _ in self.members)
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"member probabilities sum to {total:.12g}, not 1")
@@ -171,8 +182,9 @@ def _encoded_rows(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
 def _encoded_members(rows: np.ndarray, config: "ProtocolConfig") -> np.ndarray:
     """(N, K, n, n) post-encoding states on travel⊗ancilla, home traced out,
-    for an (N, H, n) stack of attacked rows: the composite reference
-    (``metrics._ensembles``), which no report or sweep step forms."""
+    for an (N, H, n) stack of attacked rows, which no report or sweep step
+    forms: ``post_encoding_ensemble``'s members, ``verify``'s
+    ``encoding_fixes_basis_state`` and the tests' composite reference."""
     encoded = _encoded_rows(rows, config.op_stack)
     return np.einsum("knhi,knhj->nkij", encoded, encoded.conj())
 

@@ -15,6 +15,13 @@ entropy eigensolve, one stacked ``U ρ U†`` or ``U s``, or one
 that test the public objects themselves (``entropy_maximal_mixing``,
 ``entropy_bell_marginal`` and U(0) = I) build ``qlinalg.DensityMatrix`` or
 ``qlinalg.UnitaryOperator`` values.
+
+The suites that evaluate attacks read the kernel that ``report``, ``sweep``
+and ``simulate`` run: the reports of ``metrics._information_reports``, or
+``metrics._reduced_kernel`` and its blocks of σ directly.  Only
+``encoding_fixes_basis_state`` forms members on travel⊗ancilla
+(``attack._encoded_members``); the composite reference that holds the
+kernel to them lives in the tests.
 """
 
 from __future__ import annotations
@@ -62,16 +69,6 @@ def _suite(tol: float) -> Callable[[Callable[[], tuple[float, str]]], Callable[[
         return check
 
     return grade
-
-
-def _kernel(
-    specs: list[attack_mod.AttackSpec], config: protocol_mod.ProtocolConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """d, the mixtures and the members of every spec, from one pass of the
-    composite path (``metrics._ensembles``): the reference that ``report``
-    and ``sweep``'s kernel on the reduced state σ (``metrics._reduced_kernel``)
-    is held to.  Its d is the kernel's (``attack._detection``)."""
-    return metrics._ensembles(attack_mod._attacked_rows(specs, config), config)
 
 
 def _random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -143,7 +140,7 @@ def check_protocol_noiseless_correctness() -> tuple[float, str]:
     worst = 0.0
     wrong = 0
     for config in configs:
-        worst = max(worst, float(_kernel([identity], config)[0][0]))
+        worst = max(worst, metrics._information_reports([identity], config)[0].d)
         for bit in range(len(config.encoding_ops)):
             outcome = protocol_mod.run_message_round(config, identity, bit)
             if outcome.decoded_bit != bit:
@@ -174,8 +171,10 @@ def check_detection_range_and_phase() -> tuple[float, str]:
         config = protocol_mod.make_config(mode)
         specs = [search_mod.sample_random_attack(2, rng) for _ in range(30)]
         rotated = [dataclasses.replace(s, unitary=np.exp(0.7345j) * s.unitary) for s in specs]
-        d = _kernel(specs, config)[0]
-        shift = np.abs(_kernel(rotated, config)[0] - d)
+        d, d_rotated = (
+            np.array([r.d for r in metrics._information_reports(s, config)]) for s in (specs, rotated)
+        )
+        shift = np.abs(d_rotated - d)
         worst = max(worst, float(np.max(-d)), float(np.max(d - 1.0)), float(np.max(shift)))
     return worst, f"worst of (range violation, phase-shift |Δd|) = {worst:.3g}"
 
@@ -187,7 +186,7 @@ def check_encoding_fixes_basis_state() -> tuple[float, str]:
     identity = attack_mod.AttackSpec(
         ancilla_dim=2, ancilla_state=np.array([1.0, 1.0j]) / math.sqrt(2), unitary=np.eye(4)
     )
-    first, second = _kernel([identity], config)[2][0]
+    first, second = attack_mod._encoded_members(attack_mod._attacked_rows([identity], config), config)[0]
     expected = np.kron(
         np.array([[1.0, 0.0], [0.0, 0.0]]),
         np.outer(identity.ancilla_state, identity.ancilla_state.conj()),
@@ -195,6 +194,10 @@ def check_encoding_fixes_basis_state() -> tuple[float, str]:
     worst = float(np.max(np.abs(first - second)))
     worst = max(worst, float(np.max(np.abs(first - expected))))
     return worst, f"max member deviation = {worst:.3g} (phase encoding fixes |0>)"
+
+
+# The numeric fields of metrics.InfoReport.
+_REPORT_FIELDS = ("d", "i0t", "i0a", "i0c", "holevo_t", "holevo_c")
 
 
 def _random_product_attack(rng: np.random.Generator) -> attack_mod.AttackSpec:
@@ -213,10 +216,9 @@ def check_product_attack_ancilla_pure() -> tuple[float, str]:
     worst = 0.0
     for mode in protocol_mod.MODES:
         config = protocol_mod.make_config(mode)
-        members = _kernel([_random_product_attack(rng) for _ in range(50)], config)[2]
-        stack = members.reshape(-1, 4, 4)
-        entropies = metrics._subsystem_entropies(stack[:0], stack[:0], stack)
-        worst = max(worst, float(np.max(entropies)))
+        # the whole state is pure, so i0a is S(ancilla) of every member
+        specs = [_random_product_attack(rng) for _ in range(50)]
+        worst = max(worst, *(r.i0a for r in metrics._information_reports(specs, config)))
     return worst, f"worst member S(ancilla) = {worst:.3g} over 100 product attacks"
 
 
@@ -226,8 +228,9 @@ def check_attack_global_phase_invariance() -> tuple[float, str]:
     config = protocol_mod.make_config("simplified")
     specs = [search_mod.sample_random_attack(2, rng) for _ in range(50)]
     rotated = [dataclasses.replace(s, unitary=np.exp(1.234j) * s.unitary) for s in specs]
-    worst = float(np.max(np.abs(_kernel(specs, config)[2] - _kernel(rotated, config)[2])))
-    return worst, f"worst member change under e^(iφ)U = {worst:.3g} over 50 attacks"
+    pairs = zip(metrics._information_reports(specs, config), metrics._information_reports(rotated, config))
+    worst = max(abs(getattr(a, name) - getattr(b, name)) for a, b in pairs for name in _REPORT_FIELDS)
+    return worst, f"worst report change under e^(iφ)U = {worst:.3g} over 50 attacks"
 
 
 @_suite(1e-12)
@@ -235,8 +238,10 @@ def check_dephased_travel_marginal() -> tuple[float, str]:
     rng = np.random.default_rng(107)
     config = protocol_mod.make_config("simplified")
     specs = [search_mod.sample_random_attack(2, rng) for _ in range(100)]
-    mixtures = _kernel(specs, config)[1]
-    travel = np.einsum("kiaja->kij", mixtures.reshape(-1, 2, 2, 2, 2))
+    sigma = attack_mod._reduced_states(attack_mod._attacked_rows(specs, config))
+    # the mixing block Σ p_k E_k σ E_k† that i0t is solved from
+    mixing = config.kernel_map[1]
+    travel = (sigma.reshape(len(specs), -1) @ mixing.reshape(len(mixing), -1)).reshape(-1, 2, 2)
     worst = float(np.max(np.abs(travel[:, [0, 1], [1, 0]])))
     return worst, f"worst off-diagonal of the averaged travel marginal = {worst:.3g}"
 
@@ -258,13 +263,15 @@ def check_holevo_within_entropy() -> tuple[float, str]:
     for mode in protocol_mod.MODES:
         config = protocol_mod.make_config(mode)
         specs = [search_mod.sample_random_attack(2, rng) for _ in range(50)]
-        _, mixtures, members = _kernel(specs, config)
-        both = np.concatenate([mixtures, members[:, 0]])
-        # (composite, travel) × (mixture, member 0); each bound read before a report clamps it at 0
-        entropy = metrics._subsystem_entropies(both, both, mixtures[:0]).reshape(2, 2, -1)
-        holevo = entropy[:, 0] - entropy[:, 1]
-        worst = max(worst, float(np.max(holevo - entropy[:, 0])), float(np.max(-holevo - 1e-9)))
-    return worst, f"worst Holevo excess over entropy = {worst:.3g} over 100 attacks"
+        # each bound before a report clamps it at 0, then each report's bounds, which
+        # under {I, Z} satisfy χ_c ≤ H(d) in both modes
+        _, entropies = metrics._reduced_kernel(attack_mod._attacked_rows(specs, config), config)
+        c, t, _, t0 = entropies.T
+        worst = max(worst, float(np.max(-np.concatenate([c - config.home_entropy, t - t0]) - 1e-9)))
+        for r in metrics._information_reports(specs, config):
+            h = metrics.binary_entropy(r.d)
+            worst = max(worst, r.holevo_c - r.i0c, r.holevo_t - r.i0t, r.holevo_c - h)
+    return worst, f"worst Holevo excess over entropy and H(d) = {worst:.3g} over 100 attacks"
 
 
 @_suite(1e-8)

@@ -139,8 +139,8 @@ class CurveRow:
 def read_curve_csv(path) -> list[CurveRow]:
     """Parse a curve CSV back into typed rows (used by the tests and ``bench/workloads.py``).
 
-    An empty file, a foreign header or a row without all five fields raises
-    ValueError naming the line.
+    An empty file, a foreign header, a row without all five fields or a
+    field that does not parse as its type raises ValueError naming the line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -151,5 +151,8 @@ def read_curve_csv(path) -> list[CurveRow]:
         for row in reader:
             if len(row) != len(CURVE_CSV_HEADER):
                 raise ValueError(f"line {reader.line_num}: {len(row)} fields, not {len(CURVE_CSV_HEADER)}")
-            rows.append(CurveRow(float(row[0]), float(row[1]), row[2], float(row[3]), int(row[4])))
+            try:
+                rows.append(CurveRow(float(row[0]), float(row[1]), row[2], float(row[3]), int(row[4])))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
         return rows

@@ -5,15 +5,14 @@ post-encoding state: i0t for the travel marginal, i0a for the ancilla
 marginal, i0c for the full travel⊗ancilla composite.  Holevo bounds on
 the same ensemble give the standard extractable-information contrast.
 
-Reports and sweep steps take one path in both modes (``_reduced_kernel``).
-Home⊗travel⊗ancilla is pure after the attack and the encodings act on the
-travel qubit alone, so every quantity is a function of σ, the state of what
-Bob sent with the ancilla traced out: 2×2 in simplified mode, 4×4 over
-home⊗travel in bell mode.  Each entropy is that of a fixed linear image of
-σ (``ProtocolConfig.kernel_map``), at most 8×8 whatever the ancilla
-dimension.  The composite path (``_ensembles``, ``_subsystem_entropies``)
-forms the members on travel⊗ancilla: it is the reference that the checks,
-the tests and ``holevo_bound`` use.
+Reports, sweep steps and ``verify``'s suites take one path in both modes
+(``_reduced_kernel``).  Home⊗travel⊗ancilla is pure after the attack and the
+encodings act on the travel qubit alone, so every quantity is a function of
+σ, the state of what Bob sent with the ancilla traced out: 2×2 in simplified
+mode, 4×4 over home⊗travel in bell mode.  Each entropy is that of a fixed
+linear image of σ (``ProtocolConfig.kernel_map``), at most 8×8 whatever the
+ancilla dimension.  The composite reference, which forms the members on
+travel⊗ancilla, lives in the tests.
 """
 
 from __future__ import annotations
@@ -27,9 +26,11 @@ from . import attack as attack_mod
 from . import protocol as protocol_mod
 from . import qlinalg
 
-# Subsystems of travel⊗ancilla, in the argument order of _subsystem_entropies
-# and the order of _reduced_kernel's first three blocks.
-_SUBSYSTEMS = ("composite", "travel", "ancilla")
+# Subsystems of travel⊗ancilla that holevo_bound reads, each with the einsum that
+# takes its marginal of a (·, 2, m, 2, m) stack, in the order of the entropies of
+# _reduced_kernel's first three blocks (reports, sweep steps and verify's suites
+# read that one kernel; the composite reference is in the tests).
+_SUBSYSTEMS = {"composite": None, "travel": "kiaja->kij", "ancilla": "kiaib->kab"}
 _CLAIMED_COMPOSITE_BITS = 2.0
 _INEQUALITY_TOL = 1e-8
 # The canonical counterexample setting beside simplified mode and the "iz"
@@ -81,45 +82,6 @@ def binary_entropy(x: float) -> float:
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
 
 
-def _mixtures(priors: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """The (N, n, n) mixtures Σ p ρ of (N, K, n, n) member stacks."""
-    count, k, n = members.shape[:3]
-    return (priors @ members.reshape(count, k, -1)).reshape(count, n, n)
-
-
-def _subsystem_entropies(
-    composite: np.ndarray, travel: np.ndarray, ancilla: np.ndarray
-) -> np.ndarray:
-    """Entropies of three (·, n, n) stacks of travel⊗ancilla states, from
-    one eigensolve: the composite entropy of each ``composite`` matrix, then
-    the travel-marginal entropy of each ``travel`` matrix, then the
-    ancilla-marginal entropy of each ``ancilla`` matrix, concatenated.
-
-    The marginals are zero-padded to n×n so that one eigensolve covers
-    every matrix; padding adds only zero eigenvalues, which contribute
-    0·log 0 = 0.
-    """
-    n = composite.shape[-1]
-    m = n // 2
-    a, b = len(composite), len(composite) + len(travel)
-    padded = np.zeros((b + len(ancilla), n, n), dtype=complex)
-    padded[:a] = composite
-    np.einsum("kiaja->kij", travel.reshape(-1, 2, m, 2, m), out=padded[a:b, :2, :2])
-    np.einsum("kiaib->kab", ancilla.reshape(-1, 2, m, 2, m), out=padded[b:, :m, :m])
-    return qlinalg._entropies(padded)
-
-
-def _ensembles(
-    rows: np.ndarray, config: protocol_mod.ProtocolConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The composite reference for ``_reduced_kernel``: for an (N, H, n) stack
-    of validated attacked rows, d (N,), the (N, n, n) post-encoding mixtures
-    on travel⊗ancilla and the (N, K, n, n) members they mix."""
-    members = attack_mod._encoded_members(rows, config)
-    d = attack_mod._detection(attack_mod._reduced_states(rows), config)
-    return d, _mixtures(config.prior_array, members), members
-
-
 def _reduced_kernel(
     rows: np.ndarray, config: protocol_mod.ProtocolConfig, counts: list[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -161,13 +123,14 @@ def holevo_bound(ensemble: attack_mod.EncodingEnsemble, subsystem: str) -> float
     while ``bench/tracer.py`` wraps it by name.
     """
     if subsystem not in _SUBSYSTEMS:
-        raise ValueError(f"unknown subsystem {subsystem!r}; known: {_SUBSYSTEMS}")
+        raise ValueError(f"unknown subsystem {subsystem!r}; known: {tuple(_SUBSYSTEMS)}")
     priors = np.array([p for p, _ in ensemble.members])
     members = np.array([rho.entries for _, rho in ensemble.members])
-    stack = np.concatenate([_mixtures(priors, members[None]), members])
-    entropies = _subsystem_entropies(
-        *(stack if name == subsystem else stack[:0] for name in _SUBSYSTEMS)
-    )
+    k, n = members.shape[:2]
+    stack = np.concatenate([(priors @ members.reshape(1, k, -1)).reshape(1, n, n), members])
+    if _SUBSYSTEMS[subsystem]:
+        stack = np.einsum(_SUBSYSTEMS[subsystem], stack.reshape(-1, 2, n // 2, 2, n // 2))
+    entropies = qlinalg._entropies(stack)
     return float(entropies[0] - priors.dot(entropies[1:]))
 
 
@@ -211,7 +174,9 @@ def _information_reports(
 ) -> list[InfoReport]:
     """``information_report`` of each spec from one pass of the kernel over
     the whole list and one eigensolve of its (N, 4, D, D) blocks of σ
-    (``_reduced_kernel``).
+    (``_reduced_kernel``), the one kernel that sweep steps and ``verify``'s
+    suites read too; the composite reference they were held to, the
+    members on travel⊗ancilla, lives in the tests.
 
     The encodings act on the travel qubit alone, so every member of an
     ensemble is a local-unitary image of member 0 and has its composite

@@ -31,7 +31,8 @@ PENALTY_WEIGHT = 100.0  # bits per squared excess detection gap
 # Nelder–Mead convergence tolerances, as scipy.optimize.minimize's options.
 _XATOL = 1e-7
 _FATOL = 1e-12
-# Position of each objective's subsystem in metrics._SUBSYSTEMS.
+# The block of metrics._reduced_kernel, the one kernel that reports, sweep steps
+# and verify's suites read, whose entropy is each objective (metrics._SUBSYSTEMS order).
 _ENTROPY_ROW = {"i0c": 0, "i0t": 1, "i0a": 2}
 # Most bytes the restarts of one sweep, held in memory at once, may take (_restart_bytes each).
 MAX_SWEEP_BYTES = 1 << 30

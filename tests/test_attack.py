@@ -220,6 +220,10 @@ def test_ensemble_rejects_bad_priors():
     rho = pp.DensityMatrix(np.eye(4) / 4)
     with pytest.raises(ValueError, match="sum"):
         attack.EncodingEnsemble(members=((0.7, rho), (0.7, rho)))
+    with pytest.raises(ValueError, match="^member 1 has probability -0.5, below 0$"):
+        attack.EncodingEnsemble(members=((1.5, rho), (-0.5, rho)))
+    with pytest.raises(ValueError, match="^member 1 is 2-dimensional, member 0 is 4-dimensional$"):
+        attack.EncodingEnsemble(members=((0.5, rho), (0.5, pp.DensityMatrix(np.eye(2) / 2))))
 
 
 # ---------------------------------------------------------------------------

@@ -540,13 +540,25 @@ def test_sweep_into_a_closed_pipe_exits_2_quietly():
 # verify
 
 
+# Every suite verify runs, in order.  Each name is also a checks.<name>_s
+# per-layer metric of the benchmark, so a renamed or dropped suite shows here.
+VERIFY_SUITES = (
+    "entropy_additivity_products", "entropy_unitary_invariance", "entropy_maximal_mixing",
+    "entropy_bell_marginal", "unitary_norm_preservation", "protocol_noiseless_correctness",
+    "protocol_monte_carlo_agreement", "detection_range_and_phase", "encoding_fixes_basis_state",
+    "product_attack_ancilla_pure", "attack_global_phase_invariance", "dephased_travel_marginal",
+    "travel_entropy_binary_identity", "holevo_within_entropy", "product_attack_composite_travel",
+    "entropy_inequalities_random", "family_builds_valid_attacks", "parameterized_unitary_basics",
+    "search_point_self_consistency", "attack_file_round_trip",
+)
+
+
 def test_verify_passes_and_lists_suites(capsys):
     assert cli.main(["verify"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    suite_lines = [l for l in lines if l.startswith(("PASS", "FAIL"))]
-    assert len(suite_lines) >= 12
-    assert all(l.startswith("PASS") for l in suite_lines)
-    assert lines[-1].endswith("0 failed")
+    *lines, total = capsys.readouterr().out.splitlines()
+    assert tuple(l.split()[1] for l in lines) == VERIFY_SUITES
+    assert all(l.startswith("PASS ") for l in lines)
+    assert total == "20 suites: 20 passed, 0 failed"
 
 
 def test_verify_catches_a_wrong_entropy_base(capsys, monkeypatch):
@@ -566,7 +578,10 @@ def test_verify_catches_a_wrong_entropy_base(capsys, monkeypatch):
 # and of family_builds_valid_attacks, as the one-attack-at-a-time suites printed them,
 # but for the last digits of details that the reduced-state kernel moved:
 # protocol_noiseless_correctness, detection_range_and_phase (d is 1 - Re Tr(Pσ) in
-# bell mode too) and product_attack_composite_travel.
+# bell mode too) and product_attack_composite_travel.  Three suites read reports where
+# they read members on travel⊗ancilla, so their figures moved too:
+# product_attack_ancilla_pure (i0a), attack_global_phase_invariance (all six fields)
+# and holevo_within_entropy (which also holds holevo_c to H(d)).
 PINNED_VERIFY = (
     "PASS protocol_noiseless_correctness     margin=+9.996e-13  "
     "max noiseless d = 4.44e-16, wrong decodes = 0",
@@ -577,15 +592,15 @@ PINNED_VERIFY = (
     "PASS encoding_fixes_basis_state         margin=+1.000e-12  "
     "max member deviation = 0 (phase encoding fixes |0>)",
     "PASS product_attack_ancilla_pure        margin=+1.000e-08  "
-    "worst member S(ancilla) = 1.57e-14 over 100 product attacks",
-    "PASS attack_global_phase_invariance     margin=+9.997e-13  "
-    "worst member change under e^(iφ)U = 3.33e-16 over 50 attacks",
+    "worst member S(ancilla) = 1.4e-14 over 100 product attacks",
+    "PASS attack_global_phase_invariance     margin=+9.979e-13  "
+    "worst report change under e^(iφ)U = 2.11e-15 over 50 attacks",
     "PASS dephased_travel_marginal           margin=+1.000e-12  "
     "worst off-diagonal of the averaged travel marginal = 0",
     "PASS travel_entropy_binary_identity     margin=+1.000e-10  "
     "worst |i0t - H(d)| = 2e-15 over 300 random attacks",
     "PASS holevo_within_entropy              margin=+1.000e-08  "
-    "worst Holevo excess over entropy = 0 over 100 attacks",
+    "worst Holevo excess over entropy and H(d) = 6.66e-16 over 100 attacks",
     "PASS product_attack_composite_travel    margin=+1.000e-08  "
     "worst of (|i0c - i0t|, i0a) = 1.56e-14 over 100 product attacks",
     "PASS entropy_inequalities_random        margin=+2.263e-04  "
@@ -644,23 +659,39 @@ def test_verify_catches_swapped_travel_and_ancilla_entropies(capsys, monkeypatch
 
 
 def test_verify_catches_a_negative_holevo_bound(capsys, monkeypatch):
-    # sabotage only the composite path's member-0 entropies, so that its
-    # S(mixture) - S(member 0) < 0; reports, which read the reduced state σ, are unchanged
-    subsystem_entropies = metrics._subsystem_entropies
+    # sabotage the kernel's member-0 travel entropy (a report's fourth block), so that
+    # S(mixture) - S(member 0) < 0; a report clamps that at 0 and changes nothing else
+    reduced_kernel = metrics._reduced_kernel
 
-    def raised_member_zero(composite, travel, ancilla):
-        entropies = subsystem_entropies(composite, travel, ancilla)
-        if composite is travel:  # N mixtures then their N members 0, as the Holevo bounds ask
-            k = len(composite)
-            entropies[k // 2:k] += 3.0
-            entropies[k + k // 2:2 * k] += 3.0
-        return entropies
+    def raised_member_zero(rows, config, counts=None):
+        d, entropies = reduced_kernel(rows, config, counts)
+        if counts is None:  # a report's (N, 4) entropies; a sweep step forms no fourth block
+            entropies[:, 3] += 3.0
+        return d, entropies
 
     spec, config = search.sample_random_attack(2, 7), protocol.make_config("bell")
     before = metrics.information_report(spec, config)
-    monkeypatch.setattr(metrics, "_subsystem_entropies", raised_member_zero)
+    monkeypatch.setattr(metrics, "_reduced_kernel", raised_member_zero)
     after = metrics.information_report(spec, config)
-    assert after == before
+    assert before.holevo_t > 0.0 and after == dataclasses.replace(before, holevo_t=0.0)
+    assert cli.main(["verify"]) == 1
+    fails = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL holevo_within_entropy")
+
+
+def test_verify_catches_a_wrong_home_entropy(capsys, monkeypatch):
+    # sabotage the home qubit's entropy in bell mode, which each report's holevo_c
+    # subtracts: report then prints Holevo(composite) = 1 for the counterexample, not 0
+    post_init = protocol.ProtocolConfig.__post_init__
+
+    def pure_home(config):
+        post_init(config)
+        if config.mode == "bell":
+            object.__setattr__(config, "home_entropy", 0.0)
+
+    monkeypatch.setattr(protocol.ProtocolConfig, "__post_init__", pure_home)
+    report = metrics.information_report(attack.builtin_attack("counterexample"), protocol.make_config("bell"))
+    assert abs(report.holevo_c - 1.0) < 1e-12
     assert cli.main(["verify"]) == 1
     fails = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL")]
     assert len(fails) == 1 and fails[0].startswith("FAIL holevo_within_entropy")

@@ -183,7 +183,10 @@ def test_curve_csv_empty_points(tmp_path):
     ("a,b,c\n1,2,3\n", "^line 1: unexpected header"),
     ("", r"^line 1: unexpected header \(\)"),  # what a size-refused sweep --out leaves
     (",".join(files.CURVE_CSV_HEADER) + "\n0.1,0.1,i0t,0.5,10\n0.2,0.2\n", "^line 3: 2 fields, not 5"),
-], ids=["foreign", "empty", "short-row"])
+    (",".join(files.CURVE_CSV_HEADER) + "\n0.1,0.1,i0t,abc,10\n", "^line 2: could not convert .*'abc'"),
+    (",".join(files.CURVE_CSV_HEADER) + "\n0.1,0.1,i0t,0.5,10\n0.2,0.2,i0t,0.5,5.5\n",
+     "^line 3: invalid literal .*'5.5'"),
+], ids=["foreign", "empty", "short-row", "bad-number", "bad-count"])
 def test_curve_csv_rejects_foreign_header(tmp_path, text, message):
     path = tmp_path / "foreign.csv"
     path.write_text(text)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pingpong as pp
-from pingpong import attack, metrics, search
+from pingpong import attack, metrics, qlinalg, search
 
 import oracles
 
@@ -187,18 +187,47 @@ def test_report_matches_density_matrix_reference():
 _PLUS = pp.StateVector(np.full(2, math.sqrt(0.5)))
 
 
+# The composite reference: the kernel reads every report off the reduced state σ,
+# and these helpers form the post-encoding members on travel⊗ancilla instead.
+
+
+def _ensembles(rows, config):
+    """For an (N, H, n) stack of validated attacked rows, d (N,), the (N, n, n)
+    post-encoding mixtures on travel⊗ancilla and the (N, K, n, n) members they mix."""
+    members = attack._encoded_members(rows, config)
+    count, k, n = members.shape[:3]
+    mixtures = (config.prior_array @ members.reshape(count, k, -1)).reshape(count, n, n)
+    return attack._detection(attack._reduced_states(rows), config), mixtures, members
+
+
+def _subsystem_entropies(composite, travel, ancilla):
+    """Entropies of three (·, n, n) stacks of travel⊗ancilla states, from one
+    eigensolve: the composite entropy of each ``composite`` matrix, then the
+    travel-marginal entropy of each ``travel`` matrix, then the ancilla-marginal
+    entropy of each ``ancilla`` matrix, concatenated.  The marginals are
+    zero-padded to n×n, which adds only zero eigenvalues."""
+    n = composite.shape[-1]
+    m = n // 2
+    a, b = len(composite), len(composite) + len(travel)
+    padded = np.zeros((b + len(ancilla), n, n), dtype=complex)
+    padded[:a] = composite
+    np.einsum("kiaja->kij", travel.reshape(-1, 2, m, 2, m), out=padded[a:b, :2, :2])
+    np.einsum("kiaib->kab", ancilla.reshape(-1, 2, m, 2, m), out=padded[b:, :m, :m])
+    return qlinalg._entropies(padded)
+
+
 def _composite_entropies(rows, config):
-    """d and the five composite-path entropies (mixture and member 0 on the
+    """d and the five composite-reference entropies (mixture and member 0 on the
     composite and the travel qubit, then the mixture on the ancilla), each (N,)."""
-    d, mixed, members = metrics._ensembles(rows, config)
+    d, mixed, members = _ensembles(rows, config)
     both = np.concatenate([mixed, members[:, 0]])
-    return d, metrics._subsystem_entropies(both, both, mixed).reshape(5, len(rows))
+    return d, _subsystem_entropies(both, both, mixed).reshape(5, len(rows))
 
 
 def test_reports_equal_the_channel_reference():
     # every field is a function of the channel's Choi matrix J alone, read off
-    # by formulas that share no code with the kernel's lift; the composite path,
-    # which simplified-mode reports no longer take, is held to the same reference
+    # by formulas that share no code with the kernel's lift; the composite
+    # reference, which reports do not take, is held to the same reference
     configs = _CONFIGS + [pp.make_config("simplified", bob_initial=_PLUS, encoding=e) for e in ("iz", "paulis")]
     worst = 0.0
     for config in configs:
@@ -223,7 +252,7 @@ def test_batched_kernel_matches_the_one_attack_references():
     The sweep step's values and d (``_reduced_kernel`` on the rows lifted
     from the isometries W = U(I₂⊗|χ>), as the search lifts its own, in any
     grouping by subsystem) equal ``information_report``'s exactly.  Reports
-    read the reduced state σ alone, so the composite path is the reference in
+    read the reduced state σ alone, so the composite reference holds them in
     both modes: it and the density-matrix reference agree with the report
     within 1e-12 on d and all five entropies, with member 0's composite
     entropy ≈ the config's home entropy and, in simplified mode, its travel
@@ -573,9 +602,9 @@ def test_members_share_the_entropies_of_member_zero():
     ]
     for spec, config in cases:
         rows = attack._attacked_rows([spec], config)
-        _, _, members = metrics._ensembles(rows, config)
+        _, _, members = _ensembles(rows, config)
         each = members[0]
-        composite, travel = metrics._subsystem_entropies(each, each, each[:0]).reshape(2, -1)
+        composite, travel = _subsystem_entropies(each, each, each[:0]).reshape(2, -1)
         assert abs(composite[0] - config.home_entropy) < 1e-12
         assert np.max(np.abs(composite - composite[0])) < 1e-12
         assert np.max(np.abs(travel - travel[0])) < 1e-12
