@@ -51,7 +51,6 @@ from .search import (
     SweepConfig,
     full_unitary_family,
     maximize_information,
-    parameterize_unitary,
     product_family,
     sample_random_attack,
     sweep,
@@ -84,7 +83,6 @@ __all__ = [
     "make_config",
     "maximize_information",
     "monte_carlo",
-    "parameterize_unitary",
     "partial_trace",
     "post_encoding_ensemble",
     "product_family",

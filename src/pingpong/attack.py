@@ -70,12 +70,15 @@ class EncodingEnsemble:
     """Post-encoding mixture on travel⊗ancilla: (probability, state) members.
 
     The probabilities must be non-negative and sum to 1, and the states
-    share one dimension; ValueError otherwise, naming the member.
+    share one even dimension, 2·ancilla_dim; ValueError otherwise, naming
+    the member or the dimension.
     """
 
     members: tuple[tuple[float, qlinalg.DensityMatrix], ...]
 
     def __post_init__(self) -> None:
+        if self.members and self.members[0][1].dim % 2:
+            raise ValueError(f"members are {self.members[0][1].dim}-dimensional, not travel⊗ancilla (even)")
         for i, (p, rho) in enumerate(self.members):
             if not p >= 0.0:  # NaN fails this too
                 raise ValueError(f"member {i} has probability {p!r}, below 0")

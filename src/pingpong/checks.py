@@ -11,10 +11,10 @@ raises is reported as failed rather than crashing the run.
 A suite that samples random states or unitaries draws them from its seed
 in a fixed order, stacks them, and makes one kernel call on the stack: one
 entropy eigensolve, one stacked ``U ρ U†`` or ``U s``, or one
-``search._unitary`` call for a stack of parameter vectors.  Only the suites
-that test the public objects themselves (``entropy_maximal_mixing``,
-``entropy_bell_marginal`` and U(0) = I) build ``qlinalg.DensityMatrix`` or
-``qlinalg.UnitaryOperator`` values.
+``build_stack`` call of a family for a stack of parameter vectors.  Only
+the suites that test the public objects themselves
+(``entropy_maximal_mixing`` and ``entropy_bell_marginal``) build
+``qlinalg.DensityMatrix`` values.
 
 The suites that evaluate attacks read the kernel that ``report``, ``sweep``
 and ``simulate`` run: the reports of ``metrics._information_reports``, or
@@ -311,13 +311,15 @@ def check_family_builds_valid_attacks() -> tuple[float, str]:
 
 @_suite(1e-9)
 def check_parameterized_unitary_basics() -> tuple[float, str]:
-    rng = np.random.default_rng(111)
-    ident = search_mod.parameterize_unitary(np.zeros(16), 4)
-    # U(0) = I on the public path; unitarity on one stack, as build_stack builds it.
-    u = search_mod._unitary(rng.uniform(-math.pi, math.pi, (100, 16)), 4)
-    residual = np.swapaxes(u.conj(), 1, 2) @ u - np.eye(4)
-    worst = float(max(np.max(np.abs(ident.entries - np.eye(4))), np.max(np.abs(residual))))
-    return worst, f"worst of (|U(0) - I|, unitarity residual) = {worst:.3g}"
+    family = search_mod.full_unitary_family(2)
+    thetas = np.random.default_rng(111).uniform(-math.pi, math.pi, (100, family.param_count))
+    # W(0) = I₂⊗|0>, W†W = I₂ on one stack as the search builds it, U†U = I for each build
+    w = family.build_stack(np.vstack([np.zeros(family.param_count), thetas]))
+    worst = float(max(
+        np.max(np.abs(w[0] - np.eye(4)[:, ::2])), np.max(np.abs(np.swapaxes(w.conj(), 1, 2) @ w - np.eye(2))),
+        *(qlinalg._unitarity_deviation(family.build(theta).unitary) for theta in thetas),
+    ))
+    return worst, f"worst of (W(0) off I₂⊗|0>, W†W - I₂, U†U - I) = {worst:.3g}"
 
 
 @_suite(0.0)

@@ -129,18 +129,33 @@ def save_curve_csv(points: Iterable[search_mod.CurvePoint], path) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class CurveRow:
+    """One row of a curve CSV, as a sweep writes it: both d in [0, 1], an
+    objective of ``search.OBJECTIVES`` and at least one evaluation;
+    ValueError otherwise, naming each field out of range."""
+
     d_target: float
     d_achieved: float
     objective: str
     best_value: float
     evaluations: int
 
+    def __post_init__(self) -> None:
+        faults = [f"{name} {getattr(self, name)!r} is outside [0, 1]"
+                  for name in ("d_target", "d_achieved") if not 0.0 <= getattr(self, name) <= 1.0]
+        if self.objective not in search_mod.OBJECTIVES:
+            faults.append(f"objective {self.objective!r} is not one of {search_mod.OBJECTIVES}")
+        if self.evaluations < 1:
+            faults.append(f"evaluations {self.evaluations} is below 1")
+        if faults:
+            raise ValueError("; ".join(faults))
+
 
 def read_curve_csv(path) -> list[CurveRow]:
     """Parse a curve CSV back into typed rows (used by the tests and ``bench/workloads.py``).
 
-    An empty file, a foreign header, a row without all five fields or a
-    field that does not parse as its type raises ValueError naming the line.
+    An empty file, a foreign header, a row without all five fields, a
+    field that does not parse as its type or a row that no sweep writes
+    (see ``CurveRow``) raises ValueError naming the line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -48,69 +48,23 @@ def _check_dim(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def parameterize_unitary(theta, dim: int) -> qlinalg.UnitaryOperator:
-    """Smooth map from dim² real parameters to a unitary, U(0) = identity.
-
-    The parameters fill a Hermitian generator H (dim diagonal reals, then
-    one (re, im) pair per upper off-diagonal entry, row-major) and the
-    result is exp(iH) via the eigendecomposition of H.
-    """
-    _check_dim("dim", dim)
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1:  # _unitary would build a stack
-        raise ValueError(f"need one vector of {dim * dim} parameters, got shape {theta.shape}")
-    return qlinalg.UnitaryOperator(_unitary(theta, dim))
-
-
-@functools.lru_cache(maxsize=16)
-def _generator_gather(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Parameter index and sign of each (re, im) entry of a flat dim×dim
-    generator: H[i, i] = θ_i, H[i, j] = θ_k + iθ_(k+1), H[j, i] = θ_k - iθ_(k+1),
-    with k running over the upper triangle row-major from dim.  Both arrays
-    are read-only: every call for one dim shares them."""
-    index = np.zeros((dim, dim, 2), dtype=np.intp)
-    sign = np.zeros((dim, dim, 2))
-    diagonal = np.arange(dim)
-    index[diagonal, diagonal, 0], sign[diagonal, diagonal, 0] = diagonal, 1.0
-    rows, cols = np.triu_indices(dim, 1)
-    re = dim + 2 * np.arange(len(rows))
-    index[rows, cols] = index[cols, rows] = np.column_stack([re, re + 1])
-    sign[rows, cols], sign[cols, rows] = (1.0, 1.0), (1.0, -1.0)
-    index, sign = index.reshape(-1), sign.reshape(-1)
-    index.setflags(write=False)
-    sign.setflags(write=False)
-    return index, sign
-
-
-def _unitary(theta, dim: int) -> np.ndarray:
-    """``parameterize_unitary`` as a raw array, without the unitarity check.
-
-    ``theta`` is (..., dim²); leading axes give a stack of unitaries.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1:] != (dim * dim,):
-        raise ValueError(f"need {dim * dim} parameters for dimension {dim}, got shape {theta.shape}")
-    lead = theta.shape[:-1]
-    index, sign = _generator_gather(dim)
-    gen = theta.reshape(-1, dim * dim).take(index, axis=1) * sign
-    evals, vecs = np.linalg.eigh(gen.view(complex).reshape(-1, dim, dim))
-    unitaries = (vecs * np.exp(1j * evals)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
-    return unitaries.reshape(lead + (dim, dim))
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of matching matrices in two stacks: the same products, exactly."""
-    n = a.shape[-1] * b.shape[-1]
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (n, n))
+def _orthonormal(z: np.ndarray) -> np.ndarray:
+    """Orthonormal columns from each matrix of a stack: the Householder QR's Q,
+    each column's phase fixed so that R's diagonal is real and non-negative.
+    Where Z has full column rank that is Gram–Schmidt's result; where it has
+    not (a zero column, a column parallel to an earlier one) Q is still
+    orthonormal, so the families build an isometry from every real vector."""
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    size = np.abs(diag)
+    return q * np.divide(diag, size, out=np.ones_like(diag), where=size > 0)[..., None, :]
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> NDArray[np.complex128]:
     """Haar-distributed unitary: QR of a complex Ginibre matrix, phase-fixed."""
     _check_dim("dim", dim)
     ginibre = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
-    q, r = np.linalg.qr(ginibre)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
+    return _orthonormal(ginibre)
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> NDArray[np.complex128]:
@@ -139,13 +93,15 @@ class AttackFamily:
     """Deterministic map from a real parameter vector to an AttackSpec.
 
     Parameters are nominally in [-π, π] (the sampling range of restarts).
-    ``build`` maps one vector to an AttackSpec, the ancilla pinned to |0>.
     ``build_stack`` maps an (N, param_count) array to the (N, n, 2) stack
-    of isometries U(I₂⊗|0>), each coupling's columns on |0>; the search
-    builds every pending point with one call.  Both must build unitary
-    couplings for any real parameters: the search checks only the traces
-    of the attacked states it evaluates, and ``information_report`` runs
-    the full ``validate_attack`` once per returned point.
+    of isometries W = U(I₂⊗|0>) from the travel qubit into travel⊗ancilla;
+    the search builds every pending point with one call.  ``build`` maps
+    one vector to an AttackSpec, the ancilla pinned to |0>, whose coupling
+    has that W as its columns on |0>.  Both must build isometries, and
+    ``build`` unitaries, for any real parameters: the search checks only
+    the traces of the attacked states it evaluates, and
+    ``information_report`` runs the full ``validate_attack`` once per
+    returned point.
     """
 
     name: str
@@ -155,52 +111,74 @@ class AttackFamily:
     build_stack: Callable[[NDArray[np.float64]], NDArray[np.complex128]]
 
 
-def _ground_ancilla(ancilla_dim: int) -> NDArray[np.complex128]:
-    """The pinned ancilla start state |0> of the attack families."""
-    _check_dim("ancilla_dim", ancilla_dim)
-    chi = np.zeros(ancilla_dim, dtype=complex)
-    chi[0] = 1.0
-    return chi
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of matching matrices in two stacks: the same products, exactly."""
+    shape = (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + shape)
 
 
-def _family(
-    name: str, ancilla_dim: int, param_count: int,
-    couplings: Callable[[NDArray[np.float64]], NDArray[np.complex128]],
-) -> AttackFamily:
-    """A family from its (N, P) → (N, n, n) coupling builder: ``build`` is one
-    row of it, ``build_stack`` its columns on |0>; making it allocates nothing."""
+def _complex_rows(thetas, *shape: int) -> np.ndarray:
+    """A copy of an (N, P) array of reals read in (re, im) pairs, as (N, *shape)
+    complex numbers; ValueError unless P is twice their count."""
+    return np.array(thetas, dtype=float, order="C").view(complex).reshape(len(thetas), *shape)
 
-    def build(theta: NDArray[np.float64]) -> attack_mod.AttackSpec:
-        unitary = couplings(np.asarray(theta, dtype=float)[None])[0]
-        return attack_mod.AttackSpec(
-            ancilla_dim=ancilla_dim, ancilla_state=_ground_ancilla(ancilla_dim), unitary=unitary)
 
-    return AttackFamily(name, ancilla_dim, param_count, build,
-                        lambda thetas: couplings(thetas)[..., ::ancilla_dim])
+def _build(build_stack: Callable[..., NDArray[np.complex128]], theta) -> attack_mod.AttackSpec:
+    """The attack of one row of ``build_stack``, the ancilla pinned to |0>.
+
+    The coupling's columns |t,0> are W's, copied exactly; the complete QR of
+    W, whose first two columns span W's, gives an orthonormal basis of the
+    complement for the other columns.
+    """
+    isometry = build_stack(np.asarray(theta, dtype=float)[None])[0]
+    basis = np.linalg.qr(isometry, mode="complete")[0]
+    unitary = np.empty_like(basis)
+    ancilla_dim = len(isometry) // 2
+    ground = np.arange(len(isometry)) % ancilla_dim == 0  # the columns |0,0> and |1,0>
+    unitary[:, ground], unitary[:, ~ground] = isometry, basis[:, 2:]
+    return attack_mod.AttackSpec(ancilla_dim, ancilla_state=np.eye(ancilla_dim)[0], unitary=unitary)
 
 
 def full_unitary_family(ancilla_dim: int = 2) -> AttackFamily:
-    """Every coupling unitary on travel⊗ancilla, ancilla pinned to |0>.
+    """Every isometry W from the travel qubit into travel⊗ancilla, the
+    ancilla pinned to |0>.
 
-    Pinning the ancilla start state loses no generality: any preparation
-    can be absorbed into the coupling.
+    θ holds 4n reals (n = 2·ancilla_dim), read in (re, im) pairs as the n×2
+    complex Z = W₀ + θ, row-major, with W₀ = I₂⊗|0>, so θ = 0 is the
+    identity attack; W orthonormalizes Z's columns.  Every report reads
+    only W, so the search runs over W, not over the coupling: ``build``
+    completes W to one.  Pinning the ancilla start state loses no
+    generality: any preparation can be absorbed into the coupling.
     """
     _check_dim("ancilla_dim", ancilla_dim)
-    dim = 2 * ancilla_dim
-    return _family("full", ancilla_dim, dim * dim, functools.partial(_unitary, dim=dim))
+    n = 2 * ancilla_dim
+
+    def build_stack(thetas: NDArray[np.float64]) -> NDArray[np.complex128]:
+        z = _complex_rows(thetas, n, 2)
+        z[:, ::ancilla_dim] += np.eye(2)
+        return _orthonormal(z)
+
+    return AttackFamily("full", ancilla_dim, 4 * n, functools.partial(_build, build_stack), build_stack)
 
 
 def product_family(ancilla_dim: int = 2) -> AttackFamily:
-    """Non-entangling couplings U_travel ⊗ U_ancilla, ancilla pinned to |0>."""
+    """Non-entangling couplings U_travel ⊗ U_ancilla, ancilla pinned to |0>:
+    the isometries W = u ⊗ χ′ of a travel unitary u and an ancilla state χ′.
+
+    θ holds 8 + 2·ancilla_dim reals, read in (re, im) pairs: the 2×2 complex
+    I₂ + θ[:8], row-major, whose orthonormalized columns are u, then
+    |0> + θ[8:], which normalized is χ′.  θ = 0 is the identity attack.
+    """
     _check_dim("ancilla_dim", ancilla_dim)
-    travel_params = 4
 
-    def couplings(thetas: NDArray[np.float64]) -> NDArray[np.complex128]:
-        u_travel = _unitary(thetas[..., :travel_params], 2)
-        u_anc = _unitary(thetas[..., travel_params:], ancilla_dim)
-        return _kron(u_travel, u_anc)
+    def build_stack(thetas: NDArray[np.float64]) -> NDArray[np.complex128]:
+        z = _complex_rows(thetas, 4 + ancilla_dim)
+        u, chi = z[:, :4].reshape(-1, 2, 2) + np.eye(2), z[:, 4:, None]
+        chi[:, 0] += 1.0
+        return _kron(_orthonormal(u), _orthonormal(chi))
 
-    return _family("product", ancilla_dim, travel_params + ancilla_dim * ancilla_dim, couplings)
+    return AttackFamily("product", ancilla_dim, 8 + 2 * ancilla_dim, functools.partial(_build, build_stack),
+                        build_stack)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -326,13 +304,13 @@ def _simplex_moves(x0: np.ndarray) -> Generator[np.ndarray, float, None]:
 
 def _restart_bytes(family: AttackFamily) -> int:
     """Bytes one restart of a sweep holds at its peak: its (P+1)×P simplex, its
-    generator's P-vectors, the n×n stacks its family builds (n = 2·ancilla_dim)
-    and a constant, which also covers the step's one D×D block of σ (D ≤ 8, in
-    either mode).  The sum is 9–91 % over tracemalloc's peak per restart (slope
-    from 100 to 200 restarts, budget 2000, both families at ancilla 1–4,
+    P-vectors, the n×2 stacks its family builds (n = 2·ancilla_dim) and a
+    constant, which also covers the step's one D×D block of σ (D ≤ 8, in
+    either mode).  The sum is 11–53 % over tracemalloc's peak per restart (slope
+    from 100 to 200 restarts, budget 2000, both families at ancilla 1, 2 and 4,
     simplified/iz and bell/paulis)."""
     p, n = family.param_count, 2 * family.ancilla_dim
-    return 8 * (p + 1) * p + 100 * p + 140 * n * n + 3_600
+    return 8 * (p + 1) * p + 100 * p + 200 * n + 4_000
 
 
 @dataclasses.dataclass(eq=False)
@@ -367,8 +345,8 @@ def sweep(
     Every restart of every point advances in lockstep: each step stacks the
     pending point of every live restart, builds the stack with one
     ``family.build_stack`` call, checks the trace of every attacked state
-    (the family must build unitaries; U†U is checked only on each returned
-    point's ``family.build``, by ``information_report``) and, with one
+    (the family must build isometries; W†W and U†U are checked only on each
+    returned point's ``family.build``, by ``information_report``) and, with one
     ``metrics._reduced_kernel`` call, forms and eigensolves per restart just
     the matrix its objective names: one D×D block of the reduced state σ, in
     either mode, and the matrix ``information_report`` solves for that

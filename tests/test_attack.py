@@ -226,6 +226,15 @@ def test_ensemble_rejects_bad_priors():
         attack.EncodingEnsemble(members=((0.5, rho), (0.5, pp.DensityMatrix(np.eye(2) / 2))))
 
 
+
+def test_ensemble_rejects_odd_dimensional_members():
+    # members live on travel⊗ancilla; an odd dimension once reached holevo_bound's reshape
+    odd = pp.DensityMatrix(np.eye(3) / 3)
+    with pytest.raises(ValueError, match=r"^members are 3-dimensional, not travel⊗ancilla \(even\)$"):
+        attack.EncodingEnsemble(members=((0.5, odd), (0.5, odd)))
+    assert attack.EncodingEnsemble(members=((1.0, pp.DensityMatrix(np.eye(2) / 2)),)).average().dim == 2
+
+
 # ---------------------------------------------------------------------------
 # detection probability
 

@@ -151,14 +151,19 @@ def test_sampling_suites_equal_the_public_object_path_to_the_bit():
     assert np.max(np.abs(stacked - public)) <= np.spacing(1.0)
     assert float.hex(bodies["check_unitary_norm_preservation"]()[0]) == float.hex(max(public))
 
+    # one build_stack call gives each draw's W, the columns on |0> of its build
+    family = search.full_unitary_family(2)
     rng = np.random.default_rng(111)
-    thetas = [rng.uniform(-math.pi, math.pi, 16) for _ in range(100)]
-    public = [search.parameterize_unitary(theta, 4).entries for theta in thetas]
-    assert np.array_equal(search._unitary(np.array(thetas), 4), np.array(public))
-    ident = search.parameterize_unitary(np.zeros(16), 4).entries
+    thetas = [rng.uniform(-math.pi, math.pi, family.param_count) for _ in range(100)]
+    public = [family.build(theta).unitary for theta in thetas]
+    zero = np.zeros(family.param_count)
+    stack = family.build_stack(np.array([zero, *thetas]))
+    w_zero = family.build(zero).unitary[:, ::2]
+    assert np.array_equal(stack, np.array([w_zero] + [u[:, ::2] for u in public]))
     worst = max(
-        float(np.max(np.abs(ident - np.eye(4)))),
-        *(float(np.max(np.abs(v.conj().T @ v - np.eye(4)))) for v in public),
+        float(np.max(np.abs(w_zero - np.eye(4)[:, ::2]))),
+        *(float(np.max(np.abs(w.conj().T @ w - np.eye(2)))) for w in stack),
+        *(qlinalg._unitarity_deviation(u) for u in public),
     )
     assert float.hex(bodies["check_parameterized_unitary_basics"]()[0]) == float.hex(worst)
 
@@ -182,5 +187,5 @@ def test_sampling_suites_construct_no_density_matrix(monkeypatch):
         checks.check_parameterized_unitary_basics,
     ):
         assert check().passed
-    # U(0) = I is the one validated object: it goes through parameterize_unitary
-    assert counts == {qlinalg.DensityMatrix: 1, qlinalg.UnitaryOperator: 1}
+    # the one construction is the counter's own probe above
+    assert counts == {qlinalg.DensityMatrix: 1, qlinalg.UnitaryOperator: 0}

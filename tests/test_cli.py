@@ -343,26 +343,56 @@ def _assert_over_the_memory_bound(capsys, args, count):
 def test_sweep_over_the_restart_cap_exits_2_before_any_restart(capsys, monkeypatch):
     monkeypatch.setattr(search, "_simplex_moves", _no_restarts)
     # 6 grid points × 3 objectives × 10^6 restarts of the default family, and
-    # 30,600 restarts of ancilla 4, whose simplices alone would fit
+    # 90,000 restarts of ancilla 4 (1.55 GB), whose simplices alone (760 MB) would fit
     for args, count in ((["--restarts", "1000000"], "18,000,000"),
-                        (["--ancilla-dim", "4", "--grid", "0:0.5:0.1", "--restarts", "1700"], "30,600")):
+                        (["--ancilla-dim", "4", "--grid", "0:0.5:0.1", "--restarts", "5000"], "90,000")):
         _assert_over_the_memory_bound(capsys, args, count)
 
 
 def test_sweep_over_the_simplex_byte_bound_exits_2_before_any_restart(capsys, monkeypatch):
     monkeypatch.setattr(search, "_simplex_moves", _no_restarts)
-    # the 4097×4096 simplices of ancilla 32, and at 10^12 an ancilla state
-    # alone of 14.6 TiB (the bound comes before anything of the family's size
-    # exists)
-    for ancilla_dim in ("32", "1000000000000"):
+    # the 1025×1024 simplices of ancilla 128 (3.08 GB), and at 10^12 an
+    # ancilla state alone of 14.6 TiB (the bound comes before anything of the
+    # family's size exists)
+    for ancilla_dim in ("128", "1000000000000"):
         _assert_over_the_memory_bound(capsys, ["--ancilla-dim", ancilla_dim], "360")
 
 
 def test_sweep_under_the_memory_bound_builds_its_restarts(capsys, monkeypatch):
-    # the 30,600 restarts above would hold 1.75 GB; these 18,000 hold 1.03 GB
+    # the 90,000 restarts above would hold 1.55 GB; these 54,000 hold 931 MB
     monkeypatch.setattr(search, "_simplex_moves", _no_restarts)
-    assert cli.main(["sweep", "--ancilla-dim", "4", "--grid", "0:0.5:0.1", "--restarts", "1000"]) == 1
+    assert cli.main(["sweep", "--ancilla-dim", "4", "--grid", "0:0.5:0.1", "--restarts", "3000"]) == 1
     assert capsys.readouterr().err == "internal error: a restart was built\n"
+
+
+# (family, {parameter index: value}) moving θ = 0 onto columns that Gram–Schmidt
+# cannot orthonormalize: z₀ = 0; z₁ = 2·z₀; u's first column zero; χ′ zero.
+_DEGENERATE_SHIFTS = [("full", {0: -1.0}), ("full", {2: 2.0, 10: -1.0}),
+                      ("product", {0: -1.0}), ("product", {8: -1.0})]
+
+
+@pytest.mark.parametrize("family, shift", _DEGENERATE_SHIFTS)
+def test_sweep_through_a_degenerate_point_exits_0(capsys, monkeypatch, family, shift):
+    """The zero start of every grid point asks the degenerate point first: it
+    builds an isometry, so the sweep writes all six rows and does not exit 3."""
+    attr = {"full": "full_unitary_family", "product": "product_family"}[family]
+    make = getattr(search, attr)
+
+    def shifted(ancilla_dim):
+        base = make(ancilla_dim)
+        offset = np.zeros(base.param_count)
+        offset[list(shift)] = list(shift.values())
+
+        def build_stack(thetas):
+            return base.build_stack(thetas + offset)
+
+        return dataclasses.replace(base, build=lambda theta: search._build(build_stack, theta),
+                                   build_stack=build_stack)
+
+    monkeypatch.setattr(search, attr, shifted)
+    argv = ["sweep", "--family", family, "--grid", "0,0.3", "--restarts", "2", "--budget", "30"]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * len(search.OBJECTIVES)
 
 
 def test_sweep_single_point_csv(capsys):
@@ -416,9 +446,9 @@ def test_sweep_out_file(capsys, tmp_path):
 
 PINNED_SWEEP_SUMMARY = """\
 sweep summary: empirical max found; search values are lower bounds with no optimality certificate
-  d_target 0.0000: i0t=1.000000 i0a=0.000031 i0c=1.000031 | no exceedance
-  d_target 0.2000: i0t=1.000000 i0c=1.313740 | i0c exceeds i0t by 0.313740; infeasible: i0a
-  d_target 0.4000: i0a=0.661588 i0c=1.831082 | infeasible: i0t
+  d_target 0.0000: i0t=1.000000 i0a=0.000145 i0c=1.000145 | no exceedance
+  d_target 0.2000: i0a=0.236484 i0c=1.505089 | infeasible: i0t
+  d_target 0.4000: i0t=1.000000 i0c=1.815357 | i0c exceeds i0t by 0.815357; infeasible: i0a
 flagged grid points: 1 of 3
 """
 
@@ -428,7 +458,7 @@ def test_sweep_summary_is_pinned(capsys):
     # infeasible, which leaves its i0c unflagged
     assert cli.main([
         "sweep", "--encoding", "paulis", "--grid", "0,0.2,0.4",
-        "--restarts", "2", "--budget", "120", "--seed", "2",
+        "--restarts", "2", "--budget", "200", "--seed", "15",
     ]) == 0
     assert capsys.readouterr().err == PINNED_SWEEP_SUMMARY
 
@@ -611,7 +641,8 @@ PINNED_VERIFY = (
 
 
 # The verify lines of the four suites that draw seeded samples, as the loops
-# that built one DensityMatrix or UnitaryOperator per sample printed them.
+# that built one DensityMatrix or UnitaryOperator per sample printed them, and
+# parameterized_unitary_basics as one family.build per draw prints it.
 PINNED_SAMPLING_VERIFY = (
     "PASS entropy_additivity_products        margin=+1.000e-08  "
     "worst |S(A⊗B) - S(A) - S(B)| = 1.89e-15 over 200 product states",
@@ -620,7 +651,7 @@ PINNED_SAMPLING_VERIFY = (
     "PASS unitary_norm_preservation          margin=+9.994e-13  "
     "worst |‖Us‖ - 1| = 5.55e-16 over 200 cases",
     "PASS parameterized_unitary_basics       margin=+1.000e-09  "
-    "worst of (|U(0) - I|, unitarity residual) = 3.11e-15",
+    "worst of (W(0) off I₂⊗|0>, W†W - I₂, U†U - I) = 7.77e-16",
 )
 
 
@@ -703,7 +734,7 @@ def test_verify_catches_a_kernel_that_ignores_the_ancilla_state(capsys, monkeypa
 
     def ground_ancilla(specs, config):
         return attacked_rows([
-            dataclasses.replace(s, ancilla_state=search._ground_ancilla(s.ancilla_dim)) for s in specs
+            dataclasses.replace(s, ancilla_state=np.eye(s.ancilla_dim)[0]) for s in specs
         ], config)
 
     monkeypatch.setattr(attack, "_attacked_rows", ground_ancilla)

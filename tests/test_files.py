@@ -186,7 +186,14 @@ def test_curve_csv_empty_points(tmp_path):
     (",".join(files.CURVE_CSV_HEADER) + "\n0.1,0.1,i0t,abc,10\n", "^line 2: could not convert .*'abc'"),
     (",".join(files.CURVE_CSV_HEADER) + "\n0.1,0.1,i0t,0.5,10\n0.2,0.2,i0t,0.5,5.5\n",
      "^line 3: invalid literal .*'5.5'"),
-], ids=["foreign", "empty", "short-row", "bad-number", "bad-count"])
+    # a row no sweep can write: every field out of range is named
+    (",".join(files.CURVE_CSV_HEADER) + "\n7,-3,i0x,1.0,-4\n",
+     r"^line 2: d_target 7.0 is outside \[0, 1\]; d_achieved -3.0 is outside \[0, 1\]; "
+     r"objective 'i0x' is not one of \('i0t', 'i0a', 'i0c'\); evaluations -4 is below 1$"),
+    (",".join(files.CURVE_CSV_HEADER) + "\n0.1,nan,i0t,0.5,10\n", r"^line 2: d_achieved nan is outside"),
+    (",".join(files.CURVE_CSV_HEADER) + "\n0.1,0.1,i0t,0.5,0\n", "^line 2: evaluations 0 is below 1$"),
+], ids=["foreign", "empty", "short-row", "bad-number", "bad-count",
+        "out-of-range", "nan-d", "no-evaluations"])
 def test_curve_csv_rejects_foreign_header(tmp_path, text, message):
     path = tmp_path / "foreign.csv"
     path.write_text(text)
